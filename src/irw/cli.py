@@ -157,13 +157,7 @@ def cmd_trs(args) -> int:
             else:
                 print("VERDICT: looping")
             return EXIT_OK
-        depth = -1
-        prefix = None
-        for d in range(0, args.depth + 1):
-            a = rewrite.limit_approximant(run.trace, d)
-            if not a.stable:
-                break
-            depth, prefix = d, a.prefix
+        depth, prefix = rewrite.stable_prefix(run.trace, args.depth)
         print(f"stable-prefix depth: {depth}")
         if prefix is not None:
             print(f"stable-prefix: {terms.print_term(prefix)}")
@@ -298,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     l.add_argument("name", choices=list(laws.LAW_NAMES))
     l.add_argument("--fixture")
     l.add_argument("--seed", type=int, default=seed_default)
-    l.add_argument("--samples", type=int, default=100)
+    l.add_argument("--samples", type=int)
     l.add_argument("--fuel", type=int)
     l.add_argument("--as-printed", action="store_true")
     l.set_defaults(fn=cmd_laws)

@@ -36,7 +36,7 @@ from typing import Optional, Sequence, Union
 from .omega import NdConfig, NdTmSpec, OmegaWord
 from .rewrite import Rule, Trs, format_trs
 from .terms import Signature, Symbol, Term, TermError, app, var
-from .turing import TmConfig, TmSpec
+from .turing import TmConfig, TmSpec, make_config
 
 __all__ = [
     "EncodeError", "EncodeWarning", "RESERVED_NAMES", "CONSTRUCTIONS",
@@ -167,7 +167,6 @@ def _unfold(m: TmSpec, t: Term, where: str) -> tuple[str, ...]:
 
 def decode_config(m: TmSpec, t: Term) -> TmConfig:
     """Inverse of encode_config, canonicalizing trailing blanks."""
-    from .turing import make_config
     if isinstance(t.label, str) or t.label.arity != 2 \
             or t.label.name not in m.states:
         raise EncodeError("configuration term must be q(left, right) at the root")

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import random
 import time
+import warnings
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -26,10 +28,11 @@ from .omega import (
 )
 from .rewrite import (
     Rule, Trs, apply_step, bounded_normalize, canon_key, find_redexes,
-    limit_approximant, match, step_reachability, Trace, Epoch,
+    match, stable_prefix, step_reachability, Trace, Epoch,
 )
 from .terms import (
-    Term, app, is_var, parse_term, print_term, term_symbols,
+    Term, app, is_var, parse_term, print_term, replace_at, subterm_at,
+    term_symbols,
 )
 from .turing import TmConfig, TmSpec, make_config, display_config, tm_step
 
@@ -125,7 +128,6 @@ def mutate_first_write(trs: Trs) -> Trs:
                 alt = next((u for u in unary if u != node.label), None)
                 if alt is None:
                     break
-                from .terms import replace_at, subterm_at
                 new_rhs = replace_at(r.rhs, pos,
                                      Term(alt, subterm_at(r.rhs, pos).children))
                 rules = list(trs.rules)
@@ -220,7 +222,6 @@ def _srs_reducts(m: NdTmSpec, trs: Trs, t: Term) -> list[Term]:
         spots.append(pos[:-1])
     out = []
     for p in spots:
-        from .terms import subterm_at
         sub = subterm_at(t, p)
         for r in trs._by_root.get(sub.label, ()):
             if match(r.lhs, sub) is not None:
@@ -252,9 +253,8 @@ def check_srs_bisim(m: Optional[NdTmSpec] = None,
             for c in frontier:
                 succs = nd_steps(mm, c)
                 term = phi(c, sys.sig)
-                want = sorted(canon_key(phi(cc, sys.sig)) for cc in succs)
+                want = sorted(set(canon_key(phi(cc, sys.sig)) for cc in succs))
                 gotl = sorted(set(canon_key(u) for u in _srs_reducts(mm, sys, term)))
-                want = sorted(set(want))
                 if want != gotl:
                     rep.verdict = "refuted"
                     rep.witness = (f"machine {mm.name} word "
@@ -402,7 +402,6 @@ def check_restart_cycle(m: TmSpec, firings: int = 5,
         return _finish(rep, t0)
     reach = step_reachability(sys, start, fuel=min(fuel, 1000))
     # Product walk: can any explored path fire the restart rule twice?
-    from collections import deque
     adj: dict[str, list[tuple[str, str]]] = {}
     for a, b, rid in reach.edges:
         adj.setdefault(a, []).append((b, rid))
@@ -436,17 +435,11 @@ def check_pebbled_reach(m: TmSpec, firings: int = 5,
     rep = LawReport(f"pebbled-reach[{m.name}]", "holds", seed=0)
     want = firings if halt_rules else 1
     trace = greedy_cycle_run(sys, start, fuel, stop_after_firings=want + 1)
-    approx = limit_approximant(trace, want)
     if halt_rules:
-        depth = -1
-        for d in range(0, want + 1):
-            a = limit_approximant(trace, d)
-            if not a.stable:
-                break
-            depth = d
+        depth, prefix = stable_prefix(trace, want)
         rep.lines.append(f"stable peb prefix depth: {depth} "
-                         f"({print_term(approx.prefix) if approx.stable else 'unstable'})")
-        if not approx.stable:
+                         f"({print_term(prefix) if depth == want else 'unstable'})")
+        if depth < want:
             rep.verdict = "unknown"
             rep.witness = f"prefix depth {depth} < {want} within fuel"
             return _finish(rep, t0)
@@ -513,9 +506,8 @@ def check_norm_probe(mpos: NdTmSpec, mneg: NdTmSpec, fuel: int = 10_000,
         if membership_semidecide(mneg, w, fuel=200).kind != "rejected_exhausted":
             raise ValueError(f"negative fixture accepts a fixture word")
     if as_printed:
-        import warnings as _w
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             Rpos = build_R(mpos, as_printed=True)
         r1 = Rpos.rule("run.restart")
         if match(r1.lhs, r1.rhs) is not None:
@@ -630,17 +622,21 @@ LAW_NAMES = ("two-sided-bisim", "srs-bisim", "pickn", "restart-cycle",
 
 
 def run_law(name: str, fixture: Optional[str] = None, seed: int = 7,
-            samples: int = 100, fuel: Optional[int] = None,
+            samples: Optional[int] = None, fuel: Optional[int] = None,
             as_printed: bool = False) -> LawReport:
-    """Dispatch a named law over the shipped fixtures."""
+    """Dispatch a named law over the shipped fixtures.  ``samples`` sets
+    the sample count of two-sided-bisim and n_max of pickn; None keeps
+    each law's own default."""
     if name == "two-sided-bisim":
         m = load_fixture(fixture) if fixture else load_fixture("m_acc")
+        if samples is None:
+            return check_two_sided_bisim(m, seed=seed)
         return check_two_sided_bisim(m, samples=samples, seed=seed)
     if name == "srs-bisim":
         m = load_fixture(fixture) if fixture else load_fixture("nd_pong")
         return check_srs_bisim(m, seed=seed)
     if name == "pickn":
-        return check_pickn(n_max=samples if samples != 100 else 50)
+        return check_pickn() if samples is None else check_pickn(n_max=samples)
     if name == "restart-cycle":
         m = load_fixture(fixture) if fixture else load_fixture("m_acc")
         return check_restart_cycle(m, fuel=fuel or 100_000)

@@ -26,7 +26,7 @@ from .turing import MachineError
 
 __all__ = [
     "NdTmSpec", "OmegaWord", "NdConfig", "Lasso", "RunPrefix", "RunClass",
-    "Membership", "parse_word", "format_word", "word_at", "nd_steps",
+    "Membership", "parse_word", "format_word", "nd_steps",
     "explore_runs", "classify_run", "membership_semidecide", "visit_stats",
 ]
 
@@ -150,25 +150,10 @@ class NdConfig:
         return f"<{self.state}@{self.head} writes={self.writes}>"
 
 
-def word_at(w: OmegaWord, i: int) -> str:
-    return w.at(i)
-
-
 def nd_steps(m: NdTmSpec, c: NdConfig) -> list[NdConfig]:
     """All successor configurations; left moves are blocked at head 0.
     Order follows the machine's delta declaration order."""
-    out = []
-    head_sym = c.symbol_at(c.head)
-    for (q2, f2, d) in m.delta.get((c.state, head_sym), ()):
-        if d == "L":
-            if c.head == 0:
-                continue
-            nxt = c.written(c.head, f2)
-            out.append(NdConfig(c.word, q2, c.head - 1, nxt.writes))
-        else:
-            nxt = c.written(c.head, f2)
-            out.append(NdConfig(c.word, q2, c.head + 1, nxt.writes))
-    return out
+    return [nc for _, nc in _choices(m, c)]
 
 
 def _choices(m: NdTmSpec, c: NdConfig) -> list[tuple[tuple[str, str, str], "NdConfig"]]:
@@ -267,9 +252,7 @@ def _validate_lasso(m: NdTmSpec, configs: list[NdConfig],
     cur = ck
     for t in range(j, k):
         want = choices[t]
-        legal = dict()
-        for ch, nxt in _choices(m, cur):
-            legal[ch] = nxt
+        legal = dict(_choices(m, cur))
         if want not in legal:
             return None
         expected_read = configs[t].symbol_at(configs[t].head)
@@ -298,7 +281,6 @@ def explore_runs(m: NdTmSpec, w: OmegaWord, fuel: int = 200, width: int = 64,
         raise MachineError("fuel and width must be >= 1")
     radius = radius if radius is not None else _default_radius(m, w)
     start = NdConfig(w, m.initial, 0)
-    Branch = tuple  # (configs, choices, key_index dict)
     runs: list[RunPrefix] = []
     seen_global: set = set()
     frontier: list[tuple[list[NdConfig], list, dict]] = [

@@ -16,15 +16,17 @@ found", never as a wrong limit.
 from __future__ import annotations
 
 import heapq
+import random
 import re
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
 from .terms import (
     PositionError, Signature, Symbol, Term, TermError, TermSyntaxError,
     bisim_equal, canon_key, cyclify, is_finite, is_ground, is_var,
-    parse_term, print_term, replace_at, subterm_at, term_symbols,
-    truncate_prefix, var, variables,
+    _tokenize, parse_term, print_term, replace_at, subterm_at,
+    term_symbols, truncate_prefix, var, variables,
 )
 
 __all__ = [
@@ -32,11 +34,11 @@ __all__ = [
     "Closure", "Epoch", "Trace", "StrategyRun", "ClosureAttempt",
     "NormalizeResult", "ReachResult", "Reachability",
     "DEFAULT_DEPTH_BOUND", "DEFAULT_MAX_EPOCHS", "DEFAULT_FUEL",
-    "match", "instantiate", "find_redexes", "first_redex", "apply_step",
+    "match", "instantiate", "find_redexes", "apply_step",
     "is_normal_form", "run_strategy", "close_limit", "validate_certificate",
     "bounded_normalize", "bounded_reach", "step_reachability",
-    "limit_approximant", "replay_trace", "parse_trs", "format_trs",
-    "render_trace",
+    "limit_approximant", "stable_prefix", "replay_trace", "parse_trs",
+    "format_trs", "render_trace",
 ]
 
 DEFAULT_DEPTH_BOUND = 32
@@ -171,21 +173,6 @@ def find_redexes(trs: Trs, t: Term, depth_bound: int) -> list[tuple[tuple[int, .
                 for i in range(len(node.children), 0, -1):
                     stack.append((pos + (i,), node.children[i - 1]))
     return out
-
-
-def first_redex(trs: Trs, t: Term, depth_bound: int) -> Optional[tuple[tuple[int, ...], str]]:
-    """The first redex in find_redexes order, without materializing all."""
-    stack: list[tuple[tuple[int, ...], Term]] = [((), t)]
-    while stack:
-        pos, node = stack.pop()
-        if not is_var(node):
-            for r in trs._by_root.get(node.label, ()):
-                if match(r.lhs, node) is not None:
-                    return (pos, r.rid)
-            if len(pos) < depth_bound:
-                for i in range(len(node.children), 0, -1):
-                    stack.append((pos + (i,), node.children[i - 1]))
-    return None
 
 
 @dataclass(frozen=True)
@@ -453,7 +440,6 @@ def run_strategy(trs: Trs, t: Term, strategy: str = "leftmost-outermost",
         raise TrsError("fuel must be >= 0")
     rng = None
     if strategy == "seeded-random":
-        import random
         rng = random.Random(seed)
     elif strategy != "leftmost-outermost":
         raise TrsError(f"unknown strategy {strategy!r}")
@@ -614,16 +600,8 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, str], bool],
         "distinct_terms": len(done),
         "max_steps": deepest.steps,
     }
-    trace = _node_trace(deepest, start)
-    stable_depth = -1
-    prefix = None
-    for d in range(0, depth_bound + 1):
-        approx = limit_approximant(trace, d)
-        if not approx.stable:
-            break
-        stable_depth = d
-        prefix = approx.prefix
-    diag["stable_prefix_depth"] = stable_depth
+    diag["stable_prefix_depth"], prefix = stable_prefix(
+        _node_trace(deepest, start), depth_bound)
     diag["stable_prefix"] = print_term(prefix) if prefix is not None else None
     return None, diag
 
@@ -681,7 +659,6 @@ class Reachability:
 def step_reachability(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL,
                       depth_bound: int = DEFAULT_DEPTH_BOUND) -> Reachability:
     """Breadth-first enumeration of the finite-step reduction graph."""
-    from collections import deque
     if not is_ground(t):
         raise TrsError("search requires a ground start term")
     k0 = canon_key(t)
@@ -732,6 +709,20 @@ def limit_approximant(trace: Trace, d: int) -> Approximant:
     return Approximant(True, truncate_prefix(trace.final, d), None)
 
 
+def stable_prefix(trace: Trace, max_depth: int) -> tuple[int, Optional[Term]]:
+    """The largest d <= max_depth at which limit_approximant is stable,
+    with its prefix; (-1, None) when max_depth < 0.
+
+    Depth d is stable iff the last step is at depth >= d, so the answer
+    is read off the last step instead of probing every d.
+    """
+    if max_depth < 0:
+        return -1, None
+    steps = trace.all_steps
+    depth = min(max_depth, steps[-1].depth) if steps else max_depth
+    return depth, truncate_prefix(trace.final, depth)
+
+
 def replay_trace(trs: Trs, trace: Trace) -> bool:
     """Re-apply every recorded step and closure; True iff all reproduce."""
     cur = trace.start
@@ -774,10 +765,10 @@ def parse_trs(text: str, name: str = "") -> Trs:
 
     `sig` lines are optional; without them, symbols are inferred from
     applied occurrences, and bare identifiers that occur at a lhs root or
-    unbound on a rhs are promoted to constants.
+    unbound on a rhs are promoted to constants.  Comments are ignored.
     """
     sig = Signature()
-    rule_lines: list[tuple[str, str, str, int]] = []
+    rule_lines: list[tuple[str, str, str]] = []
     construction = ""
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -796,51 +787,49 @@ def parse_trs(text: str, name: str = "") -> Trs:
         m = _RULE_RE.match(line)
         if not m:
             raise TermSyntaxError(f"bad TRS line: {raw!r}", ln, 1)
-        rule_lines.append((m.group("rid"), m.group("lhs"), m.group("rhs"), ln))
-    # Infer applied symbols when no sig declares them.
-    for _, lhs, rhs, _ in rule_lines:
-        for side in (lhs, rhs):
-            for m in re.finditer(r"([A-Za-z0-9_][A-Za-z0-9_']*)\s*\(", side):
-                nm = m.group(1)
-                if nm != "rec" and nm not in sig:
-                    depth, count, i = 0, 1, m.end()
-                    while i < len(side):
-                        ch = side[i]
-                        if ch == "(":
-                            depth += 1
-                        elif ch == ")":
-                            if depth == 0:
-                                break
-                            depth -= 1
-                        elif ch == "," and depth == 0:
-                            count += 1
-                        i += 1
-                    sig.declare(Symbol(nm, count))
-    for _ in range(10):
-        try:
-            rules = []
-            for rid, lhs, rhs, ln in rule_lines:
-                lt = parse_term(lhs, sig)
-                rt = parse_term(rhs, sig)
-                rules.append(Rule(rid, lt, rt))
-            return Trs(sig, rules, name=name, construction=construction)
-        except TrsError as e:
-            msg = str(e)
-            m = re.search(r"left-hand side is a variable", msg)
-            if m:
-                rid = msg.split(":", 1)[0].split()[-1]
-                for r, lhs, _, _ in rule_lines:
-                    if r == rid:
-                        nm = lhs.strip()
-                        sig.declare(Symbol(nm, 0))
-                        break
-                continue
-            m = re.search(r"rhs variables \['?([A-Za-z0-9_]+)'?", msg)
-            if m:
-                sig.declare(Symbol(m.group(1), 0))
-                continue
-            raise
-    raise TrsError("could not infer a signature for the TRS file")
+        rule_lines.append((m.group("rid"), m.group("lhs"), m.group("rhs")))
+    for _, lhs, rhs in rule_lines:
+        _declare_applied(lhs, sig)
+        _declare_applied(rhs, sig)
+    # Promote to constants, rule by rule: a bare lhs, then the rhs
+    # variables the lhs does not bind.  Promotion is global, so a rule is
+    # parsed again when a later rule promoted one of its variables.
+    rules: list[Rule] = []
+    for rid, lhs, rhs in rule_lines:
+        lt, rt = parse_term(lhs, sig), parse_term(rhs, sig)
+        promote = sorted(variables(rt) - variables(lt))
+        if is_var(lt):
+            promote.insert(0, lt.label)
+        for v in promote:
+            sig.declare(Symbol(v, 0))
+        if promote:
+            lt, rt = parse_term(lhs, sig), parse_term(rhs, sig)
+        rules.append(Rule(rid, lt, rt))
+    for k, (rid, lhs, rhs) in enumerate(rule_lines):
+        if any(v in sig for v in variables(rules[k].lhs)):
+            rules[k] = Rule(rid, parse_term(lhs, sig), parse_term(rhs, sig))
+    return Trs(sig, rules, name=name, construction=construction)
+
+
+def _declare_applied(side: str, sig: Signature) -> None:
+    """Declare each undeclared applied symbol of a rule side with the
+    number of arguments it is applied to, reading the parser's tokens."""
+    toks = _tokenize(side)
+    for k, (kind, name, _, _) in enumerate(toks[:-1]):
+        if kind != "ident" or toks[k + 1][1] != "(" or name == "rec" \
+                or name in sig:
+            continue
+        depth, arity = 0, 1
+        for _, tok, _, _ in toks[k + 2:]:
+            if tok == "(":
+                depth += 1
+            elif tok == ")":
+                if depth == 0:
+                    break
+                depth -= 1
+            elif tok == "," and depth == 0:
+                arity += 1
+        sig.declare(Symbol(name, arity))
 
 
 def _ordinal(epoch: int, i: int) -> str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional
 
 __all__ = [
     "Symbol", "Signature", "Term", "TermError", "TermSyntaxError",
@@ -151,9 +151,6 @@ class Term:
             return f"<term {print_term(self)}>"
         except Exception:
             return f"<term node {id(self):#x}>"
-
-
-TermLike = Union[Term]
 
 
 def app(sym: Symbol, *children: Term) -> Term:

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from irw.cli import main
@@ -213,3 +215,56 @@ class TestDeterminism:
                                    "--strategy", "random", "--seed", "9")
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# The README commands in order, run in one directory so that later ones
+# read the files earlier ones write: (golden name, exit code, argv).
+README_COMMANDS = [
+    ("compile_pickn", 0, ["compile", "pickn", "-o", "pickn.trs"]),
+    ("compile_S", 0, ["compile", "S", "m_acc", "-o", "s_acc.trs"]),
+    ("compile_R_as_printed", 0, ["compile", "R", "nd_pong", "--as-printed"]),
+    ("compile_R", 0, ["compile", "R", "nd_right", "-o", "r_right.trs"]),
+    ("compile_Sprime", 0,
+     ["compile", "Sprime", "m_acc", "-o", "sprime_acc.trs"]),
+    ("tm_run", 0,
+     ["tm", "run", "m_acc", "--config", "q0 S S 0", "--fuel", "50"]),
+    ("tm_rel", 0, ["tm", "rel", "m_acc", "--pair", "2", "3"]),
+    ("tm_fun", 1, ["tm", "fun", "m_rej", "--arg", "3"]),
+    ("trs_reach", 0, ["trs", "reach", "pickn.trs", "--from", "pickn",
+                      "--to", "ok(S(S(S(0(end)))))"]),
+    ("trs_normalize", 0,
+     ["trs", "normalize", "r_right.trs", "--term",
+      "run(xi,q0(rec X. a(X)),D1(rec X. a(X)),D2(rec X. a(X)))",
+      "--epochs", "3"]),
+    ("trs_trace", 0, ["trs", "trace", "sprime_acc.trs", "--term",
+                      "run(T,pickn,pickn)", "--fuel", "60",
+                      "--strategy", "greedy"]),
+    ("omega_member_right", 0, ["omega", "member", "nd_right", "--word", "(a)^w"]),
+    ("omega_member_pong", 1, ["omega", "member", "nd_pong", "--word", "(a)^w"]),
+    ("omega_classify_pong", 1,
+     ["omega", "classify", "nd_pong", "--word", "(a)^w"]),
+    ("laws_pickn", 0, ["laws", "pickn"]),
+    ("laws_limit_correspondence", 0,
+     ["laws", "limit-correspondence", "--fixture", "nd_right"]),
+]
+README_FILES = ["pickn.trs", "s_acc.trs", "r_right.trs", "sprime_acc.trs"]
+
+
+def drop_elapsed(out):
+    return "".join(line for line in out.splitlines(keepends=True)
+                   if not line.startswith("elapsed:"))
+
+
+class TestReadmeGolden:
+    def test_readme_commands_match_golden(self, capsys, tmp_path, monkeypatch):
+        # `laws norm-probe` is left out: it takes over a minute.
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("IRW_SEED", raising=False)
+        for name, want_code, argv in README_COMMANDS:
+            code, out, err = run_cli(capsys, *argv)
+            assert (name, code, err) == (name, want_code, "")
+            assert drop_elapsed(out) == (GOLDEN / f"{name}.out").read_text(), name
+        for f in README_FILES:
+            assert (tmp_path / f).read_text() == (GOLDEN / f).read_text(), f

@@ -159,6 +159,11 @@ class TestRunner:
         with pytest.raises(ValueError):
             run_law("nosuch")
 
+    def test_default_samples_per_law(self):
+        assert run_law("pickn").samples == 51
+        assert run_law("two-sided-bisim").samples == 100
+        assert run_law("two-sided-bisim", samples=7).samples == 7
+
 
 class TestWitnessReplay:
     def test_two_sided_witness_replays(self, macc):

@@ -1,12 +1,14 @@
 import pytest
 
 from irw.encode import build_R, build_S_prime, pickn_trs, tm_to_trs
+from irw.laws import greedy_cycle_run
 from irw.machines import load_fixture
 from irw.rewrite import (
     NoMatchError, Rule, Trs, TrsError, apply_step, bounded_normalize,
     bounded_reach, canon_key, close_limit, find_redexes, format_trs,
     is_normal_form, limit_approximant, match, parse_trs, render_trace,
-    replay_trace, run_strategy, step_reachability, validate_certificate,
+    replay_trace, run_strategy, stable_prefix, step_reachability,
+    validate_certificate,
 )
 from irw.terms import (
     Signature, Symbol, app, bisim_equal, parse_term, print_term, var,
@@ -332,6 +334,35 @@ class TestApproximant:
         run = run_strategy(pickn, T(pickn, "ok(0(end))"), fuel=5)
         assert limit_approximant(run.trace, 3).stable
 
+    def test_stable_prefix_matches_per_depth_loop(self, pickn):
+        def oracle(trace, max_depth):
+            depth, prefix = -1, None
+            for d in range(0, max_depth + 1):
+                a = limit_approximant(trace, d)
+                if not a.stable:
+                    break
+                depth, prefix = d, a.prefix
+            return depth, prefix
+
+        base = tm_to_trs(load_fixture("m_ext"))
+        sprime, start = build_S_prime(load_fixture("m_acc"))
+        traces = [
+            run_strategy(pickn, T(pickn, "ok(0(end))"), fuel=5).trace,
+            run_strategy(base, T(base, "q0(end, end)"), fuel=6).trace,
+            greedy_cycle_run(sprime, start, 60),
+        ]
+        assert not traces[0].all_steps
+        assert traces[1].all_steps[-1].depth == 0
+        assert close_limit(traces[2].all_steps).closure is not None
+        for trace in traces:
+            for bound in (-1, 0, 1, 5, 32):
+                depth, prefix = stable_prefix(trace, bound)
+                want_depth, want_prefix = oracle(trace, bound)
+                assert depth == want_depth
+                assert (prefix is None) == (want_prefix is None)
+                if prefix is not None:
+                    assert print_term(prefix) == print_term(want_prefix)
+
 
 class TestTrsFiles:
     def test_round_trip(self, pickn):
@@ -353,6 +384,21 @@ class TestTrsFiles:
     def test_bad_line(self):
         with pytest.raises(Exception):
             parse_trs("rule broken pickn -> ok\n")
+
+    def test_ten_rhs_constants_without_sig(self):
+        text = "".join(f"rule r{i}: f(x) -> k{i}\n" for i in range(10))
+        trs = parse_trs(text)
+        assert [s.name for s in trs.sig] == ["f"] + [f"k{i}" for i in range(10)]
+        assert all(s.arity == 0 for s in trs.sig if s.name != "f")
+
+    def test_comment_adds_no_symbol(self):
+        trs = parse_trs("rule r: f(x) -> x  # see note (old)\n")
+        assert [repr(s) for s in trs.sig] == ["f/1"]
+
+    def test_primed_constant_promoted(self):
+        trs = parse_trs("rule r: f(x) -> k'\n")
+        assert trs.sig.get("k'") == Symbol("k'", 0)
+        assert print_term(trs.rule("r").rhs) == "k'"
 
     def test_render_trace_ordinals(self, r_right):
         t = T(r_right, "run(xi, q0(rec X. a(X)), D1(rec X. a(X)), D2(rec X. a(X)))")
