@@ -3,7 +3,8 @@
 Subcommands: compile, tm, trs, omega, laws.  Output is line-oriented text
 with a trailing machine-parseable ``VERDICT:`` line.  Exit codes are
 uniform across commands: 0 success/holds, 1 refuted or negative witness,
-2 unknown/exhausted, 3 input error.  IRW_SEED provides a default seed.
+2 unknown/exhausted, 3 input error, 4 internal error.  IRW_SEED provides
+a default seed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 class CliError(Exception):
@@ -305,9 +307,12 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (CliError, terms.TermError, turing.MachineError,
-            encode.EncodeError) as e:
+            encode.EncodeError, laws.LawError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as e:  # a crash must not exit with a verdict code
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

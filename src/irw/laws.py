@@ -27,8 +27,8 @@ from .omega import (
     parse_word,
 )
 from .rewrite import (
-    Rule, Trs, apply_step, bounded_normalize, canon_key, find_redexes,
-    match, stable_prefix, step_reachability, Trace, Epoch,
+    RedexIndex, Rule, Trs, apply_step, bounded_normalize, canon_key,
+    find_redexes, match, stable_prefix, step_reachability, Trace, Epoch,
 )
 from .terms import (
     Term, app, is_var, parse_term, print_term, replace_at, subterm_at,
@@ -37,7 +37,7 @@ from .terms import (
 from .turing import TmConfig, TmSpec, make_config, display_config, tm_step
 
 __all__ = [
-    "LawReport", "render_report", "LAW_NAMES", "run_law",
+    "LawReport", "LawError", "render_report", "LAW_NAMES", "run_law",
     "check_two_sided_bisim", "check_srs_bisim", "check_pickn",
     "check_restart_cycle", "check_pebbled_reach", "check_norm_probe",
     "check_limit_correspondence", "gen_det_machine", "gen_nd_machine",
@@ -143,8 +143,8 @@ def mutate_first_write(trs: Trs) -> Trs:
 # Two-sided step-exact bisimulation
 
 
-def _root_step(trs: Trs, term: Term):
-    reds = find_redexes(trs, term, 0)
+def _root_step(trs: Trs, term: Term, index: RedexIndex):
+    reds = find_redexes(trs, term, 0, index)
     if not reds:
         return None
     if len(reds) > 1:
@@ -164,12 +164,13 @@ def check_two_sided_bisim(m: Optional[TmSpec] = None, samples: int = 100,
     total = 0
     for mm in machines:
         sys = trs if trs is not None else tm_to_trs(mm)
+        index = RedexIndex(sys)
         for s_i in range(samples):
             c = gen_det_config(rng, mm)
             term = encode_config(mm, c)
             for k in range(steps):
                 nxt = tm_step(mm, c)
-                st = _root_step(sys, term)
+                st = _root_step(sys, term, index)
                 if (nxt is None) != (st is None):
                     rep.verdict = "refuted"
                     rep.witness = (f"machine {mm.name} config "
@@ -355,8 +356,9 @@ def greedy_cycle_run(trs: Trs, start: Term, fuel: int,
     steps = []
     cur = start
     firings = 0
+    index = RedexIndex(trs)
     for _ in range(fuel):
-        reds = find_redexes(trs, cur, depth_bound)
+        reds = find_redexes(trs, cur, depth_bound, index)
         reds = [(p, r) for (p, r) in reds if _rule_priority(r) < 99]
         if not reds:
             break
@@ -620,13 +622,38 @@ def check_limit_correspondence(m: NdTmSpec, w: OmegaWord,
 LAW_NAMES = ("two-sided-bisim", "srs-bisim", "pickn", "restart-cycle",
              "pebbled-reach", "norm-probe", "limit-correspondence")
 
+# The optional run_law arguments each law reads.
+_LAW_ARGS = {
+    "two-sided-bisim": {"fixture", "samples"},
+    "srs-bisim": {"fixture"},
+    "pickn": {"samples"},
+    "restart-cycle": {"fixture", "fuel"},
+    "pebbled-reach": {"fixture", "fuel"},
+    "norm-probe": {"fuel", "as_printed"},
+    "limit-correspondence": {"fixture", "fuel"},
+}
+
+
+class LawError(ValueError):
+    """An unknown law, or an argument the named law does not use."""
+
 
 def run_law(name: str, fixture: Optional[str] = None, seed: int = 7,
             samples: Optional[int] = None, fuel: Optional[int] = None,
             as_printed: bool = False) -> LawReport:
     """Dispatch a named law over the shipped fixtures.  ``samples`` sets
     the sample count of two-sided-bisim and n_max of pickn; None keeps
-    each law's own default."""
+    each law's own default.  An argument the law does not use is refused
+    with LawError rather than ignored."""
+    if name not in _LAW_ARGS:
+        raise LawError(f"unknown law {name!r}; have {LAW_NAMES}")
+    given = {"fixture": fixture, "samples": samples, "fuel": fuel,
+             "as_printed": as_printed or None}
+    unused = sorted(k for k, v in given.items()
+                    if v is not None and k not in _LAW_ARGS[name])
+    if unused:
+        flags = ", ".join("--" + k.replace("_", "-") for k in unused)
+        raise LawError(f"law {name} does not use {flags}")
     if name == "two-sided-bisim":
         m = load_fixture(fixture) if fixture else load_fixture("m_acc")
         if samples is None:
@@ -647,8 +674,6 @@ def run_law(name: str, fixture: Optional[str] = None, seed: int = 7,
         return check_norm_probe(load_fixture("nd_right"),
                                 load_fixture("nd_pong"),
                                 fuel=fuel or 10_000, as_printed=as_printed)
-    if name == "limit-correspondence":
-        m = load_fixture(fixture) if fixture else load_fixture("nd_right")
-        return check_limit_correspondence(m, parse_word("(a)^w", m.alphabet),
-                                          fuel=fuel or 2000)
-    raise ValueError(f"unknown law {name!r}; have {LAW_NAMES}")
+    m = load_fixture(fixture) if fixture else load_fixture("nd_right")
+    return check_limit_correspondence(m, parse_word("(a)^w", m.alphabet),
+                                      fuel=fuel or 2000)

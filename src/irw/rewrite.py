@@ -32,7 +32,7 @@ from .terms import (
 __all__ = [
     "Rule", "Trs", "TrsError", "NoMatchError", "Step", "PumpCertificate",
     "Closure", "Epoch", "Trace", "StrategyRun", "ClosureAttempt",
-    "NormalizeResult", "ReachResult", "Reachability",
+    "NormalizeResult", "ReachResult", "Reachability", "RedexIndex",
     "DEFAULT_DEPTH_BOUND", "DEFAULT_MAX_EPOCHS", "DEFAULT_FUEL",
     "match", "instantiate", "find_redexes", "apply_step",
     "is_normal_form", "run_strategy", "close_limit", "validate_certificate",
@@ -152,26 +152,111 @@ def instantiate(pattern: Term, binding: dict[str, Term]) -> Term:
                 tuple(instantiate(c, binding) for c in pattern.children))
 
 
-def find_redexes(trs: Trs, t: Term, depth_bound: int) -> list[tuple[tuple[int, ...], str]]:
+_NO_REDEX = float("inf")
+
+
+class RedexIndex:
+    """Redexes per shared node of the terms of one rule system.
+
+    For each node it has seen, the index keeps the depth of the
+    shallowest redex in the node's unfolding (infinite when there is
+    none) and, at a redex, the ids of the rules that match there, in
+    rule order.  Nodes are their own keys: a Term hashes and compares by
+    identity, and a key keeps its node alive.  Every node reachable from
+    a cached node is cached too, so a term that shares its graph with
+    earlier terms, such as the result of a step, costs only its new
+    nodes.  A search or a strategy keeps one index for its whole run.
+    """
+
+    def __init__(self, trs: Trs):
+        self.trs = trs
+        self._depth: dict[Term, float] = {}
+        self._rules: dict[Term, tuple[str, ...]] = {}
+
+    def shallowest(self, t: Term) -> float:
+        """Depth of the shallowest redex in t's unfolding, or inf."""
+        d = self._depth.get(t)
+        if d is None:
+            self._fill(t)
+            d = self._depth[t]
+        return d
+
+    def _fill(self, t: Term) -> None:
+        depth = self._depth
+        fresh: dict[Term, int] = {}
+        stack = [t]
+        while stack:
+            n = stack.pop()
+            if n not in depth and n not in fresh:
+                fresh[n] = len(fresh)
+                stack.extend(n.children)
+        # Shortest paths to a redex over the reversed edges among the new
+        # nodes, seeded by the redexes and by the depths of cached
+        # children.  Cycles rule out a single bottom-up pass.
+        nodes = list(fresh)
+        dist: list[float] = []
+        parents: dict[int, list[int]] = {}
+        for k, n in enumerate(nodes):
+            rids = tuple(r.rid for r in self.trs._by_root.get(n.label, ())
+                         if match(r.lhs, n) is not None)
+            if rids:
+                self._rules[n] = rids
+            d = 0 if rids else _NO_REDEX
+            for c in n.children:
+                j = fresh.get(c)
+                if j is None:
+                    d = min(d, depth[c] + 1)
+                else:
+                    parents.setdefault(j, []).append(k)
+            dist.append(d)
+        heap = [(d, k) for k, d in enumerate(dist) if d < _NO_REDEX]
+        heapq.heapify(heap)
+        while heap:
+            d, k = heapq.heappop(heap)
+            if d > dist[k]:
+                continue
+            for p in parents.get(k, ()):
+                if d + 1 < dist[p]:
+                    dist[p] = d + 1
+                    heapq.heappush(heap, (d + 1, p))
+        depth.update(zip(nodes, dist))
+
+
+def _index_for(trs: Trs, index: Optional[RedexIndex]) -> RedexIndex:
+    if index is None:
+        return RedexIndex(trs)
+    if index.trs is not trs:
+        raise TrsError("redex index belongs to another rule system")
+    return index
+
+
+def find_redexes(trs: Trs, t: Term, depth_bound: int,
+                 index: Optional[RedexIndex] = None
+                 ) -> list[tuple[tuple[int, ...], str]]:
     """All (position, rule id) pairs with |position| <= depth_bound, in
     lexicographic position order, rule order within a position.
 
     The depth bound is mandatory because rational terms have infinitely
-    many positions.
+    many positions.  A subterm whose shallowest redex lies beyond the
+    bound is not entered.  Pass the index of the current run to reuse
+    what earlier calls learned; without one a fresh index is built.
     """
     if depth_bound < 0:
         raise TrsError("depth_bound must be >= 0")
+    index = _index_for(trs, index)
+    index.shallowest(t)  # caches every node of t
+    depth, rules = index._depth, index._rules
     out: list[tuple[tuple[int, ...], str]] = []
     stack: list[tuple[tuple[int, ...], Term]] = [((), t)]
     while stack:
         pos, node = stack.pop()
-        if not is_var(node):
-            for r in trs._by_root.get(node.label, ()):
-                if match(r.lhs, node) is not None:
-                    out.append((pos, r.rid))
-            if len(pos) < depth_bound:
-                for i in range(len(node.children), 0, -1):
-                    stack.append((pos + (i,), node.children[i - 1]))
+        if depth[node] > depth_bound - len(pos):
+            continue
+        for rid in rules.get(node, ()):
+            out.append((pos, rid))
+        if len(pos) < depth_bound:
+            for i in range(len(node.children), 0, -1):
+                stack.append((pos + (i,), node.children[i - 1]))
     return out
 
 
@@ -200,7 +285,8 @@ def apply_step(trs: Trs, t: Term, pos: tuple[int, ...], rule_id: str) -> Step:
     return Step(tuple(pos), rule_id, t, after)
 
 
-def is_normal_form(trs: Trs, t: Term) -> bool:
+def is_normal_form(trs: Trs, t: Term,
+                   index: Optional[RedexIndex] = None) -> bool:
     """Decide normality of a ground (finite or rational) term.
 
     A rational term has finitely many distinct nodes; a rule matches at
@@ -208,18 +294,7 @@ def is_normal_form(trs: Trs, t: Term) -> bool:
     """
     if not is_ground(t):
         raise TrsError("is_normal_form requires a ground term")
-    seen: set[int] = set()
-    stack = [t]
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        for r in trs._by_root.get(n.label, ()):
-            if match(r.lhs, n) is not None:
-                return False
-        stack.extend(n.children)
-    return True
+    return _index_for(trs, index).shallowest(t) == _NO_REDEX
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +454,13 @@ def close_limit(steps: Iterable[Step], suffix_only: bool = False) -> ClosureAtte
             raise TrsError("close_limit requires a chained run of steps")
     if n >= 2:
         if suffix_only:
-            candidates = [(n - 2 * length, length) for length in range(1, n // 2 + 1)]
+            # A pump repeats its rule ids one period later, so a period
+            # whose last rule id does not repeat is refused in O(1).
+            rids = [s.rule_id for s in steps]
+            candidates = [(n - 2 * length, length)
+                          for length in range(1, n // 2 + 1)
+                          if rids[-1] == rids[-1 - length]
+                          and rids[n - length:] == rids[n - 2 * length:n - length]]
         else:
             candidates = [(i, length)
                           for i in range(n - 1)
@@ -444,8 +525,10 @@ def run_strategy(trs: Trs, t: Term, strategy: str = "leftmost-outermost",
     elif strategy != "leftmost-outermost":
         raise TrsError(f"unknown strategy {strategy!r}")
 
+    index = RedexIndex(trs)
+
     def productive(cur: Term) -> Optional[Step]:
-        reds = find_redexes(trs, cur, depth_bound)
+        reds = find_redexes(trs, cur, depth_bound, index)
         steps = []
         for pos, rid in reds:
             st = apply_step(trs, cur, pos, rid)
@@ -539,7 +622,8 @@ class ReachResult:
 
 
 def _search(trs: Trs, start: Term, goal: Callable[[Term, str], bool],
-            fuel: int, max_epochs: int, depth_bound: int):
+            fuel: int, max_epochs: int, depth_bound: int,
+            index: RedexIndex):
     """Deterministic best-first search over (steps, closures), preferring
     fewer closures; ties broken by position-then-rule order.  States are
     memoized modulo bisimilarity via canonical keys."""
@@ -565,7 +649,7 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, str], bool],
             deepest = node
         if goal(node.term, key):
             return node, None
-        for pos, rid in find_redexes(trs, node.term, depth_bound):
+        for pos, rid in find_redexes(trs, node.term, depth_bound, index):
             st = apply_step(trs, node.term, pos, rid)
             child = _Node(st.after, node.steps + 1, node.closures,
                           node, st, None, node.epoch_len + 1)
@@ -611,16 +695,12 @@ def bounded_normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL,
                       depth_bound: int = DEFAULT_DEPTH_BOUND) -> NormalizeResult:
     """Search for a normal form, branching on redex choice and on closing
     the current epoch with a certified omega-limit."""
-    nf_cache: dict[str, bool] = {}
+    index = RedexIndex(trs)
 
     def goal(term: Term, key: str) -> bool:
-        got = nf_cache.get(key)
-        if got is None:
-            got = is_normal_form(trs, term)
-            nf_cache[key] = got
-        return got
+        return is_normal_form(trs, term, index)
 
-    node, diag = _search(trs, t, goal, fuel, max_epochs, depth_bound)
+    node, diag = _search(trs, t, goal, fuel, max_epochs, depth_bound, index)
     if node is None:
         return NormalizeResult(False, None, None, diag)
     return NormalizeResult(True, _node_trace(node, t), node.term, {})
@@ -638,7 +718,8 @@ def bounded_reach(trs: Trs, source: Term, target: Term,
     def goal(term: Term, key: str) -> bool:
         return key == tkey
 
-    node, diag = _search(trs, source, goal, fuel, max_epochs, depth_bound)
+    node, diag = _search(trs, source, goal, fuel, max_epochs, depth_bound,
+                         RedexIndex(trs))
     if node is None:
         return ReachResult(False, None, diag)
     return ReachResult(True, _node_trace(node, source), {})
@@ -667,11 +748,12 @@ def step_reachability(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL,
     edges: list[tuple[str, str, str]] = []
     q = deque([t])
     expansions = 0
+    index = RedexIndex(trs)
     while q and expansions < fuel:
         cur = q.popleft()
         ck = canon_key(cur)
         expansions += 1
-        for pos, rid in find_redexes(trs, cur, depth_bound):
+        for pos, rid in find_redexes(trs, cur, depth_bound, index):
             st = apply_step(trs, cur, pos, rid)
             nk = canon_key(st.after)
             if nk not in dist:

@@ -189,6 +189,28 @@ class TestLaws:
                                "--fuel", "1000")
         assert code == 0
 
+    @pytest.mark.parametrize("argv", [
+        ["srs-bisim", "--samples", "3"],
+        ["pickn", "--fuel", "10"],
+        ["norm-probe", "--fixture", "nd_right"],
+        ["limit-correspondence", "--as-printed"],
+    ])
+    def test_unused_flag_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, "laws", *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: law {argv[0]} does not use {argv[1]}\n"
+
+
+class TestInternalError:
+    def test_crash_exits_4(self, capsys):
+        # The recursive term parser overflows the stack on this term.
+        deep = "ok(" + "S(" * 600 + "0(end)" + ")" * 600 + ")"
+        code, out, err = run_cli(capsys, "trs", "normalize",
+                                 str(GOLDEN / "pickn.trs"), "--term", deep)
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: RecursionError")
+        assert "Traceback" not in err
+
 
 class TestFixtureFallback:
     def test_bare_fixture_names(self, capsys):

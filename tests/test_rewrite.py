@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from irw.encode import build_R, build_S_prime, pickn_trs, tm_to_trs
@@ -459,3 +461,167 @@ class TestPumpStress:
                 self._extend_and_check(r_right, list(ep.steps), ep.closure)
                 checked += 1
         assert checked == 2
+
+
+# --- the redex index against the plain walk --------------------------------
+
+def _walk_redexes(trs, t, depth_bound):
+    """The plain walk find_redexes made before the index: every position
+    of the unfolding down to the bound, every rule at every node."""
+    out = []
+    stack = [((), t)]
+    while stack:
+        pos, node = stack.pop()
+        for r in trs.rules:
+            if r.lhs.label == node.label and match(r.lhs, node) is not None:
+                out.append((pos, r.rid))
+        if len(pos) < depth_bound:
+            for i in range(len(node.children), 0, -1):
+                stack.append((pos + (i,), node.children[i - 1]))
+    return out
+
+
+def _has_redex_node(trs, t):
+    """True iff some rule matches at some distinct node of t's graph."""
+    seen, stack = set(), [t]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        if any(match(r.lhs, n) is not None for r in trs.rules):
+            return True
+        stack.extend(n.children)
+    return False
+
+
+@pytest.fixture(scope="module")
+def dup_sys():
+    # f.dup is non-linear, e keeps runs going, and h and c head no rule,
+    # so some subterms hold no redex and the index may prune them.
+    sig = Signature([Symbol("f", 2), Symbol("g", 1), Symbol("h", 2),
+                     Symbol("a", 0), Symbol("b", 0), Symbol("c", 0),
+                     Symbol("e", 0)])
+    P = lambda s: parse_term(s, sig)
+    return Trs(sig, [Rule("f.dup", P("f(x, x)"), P("g(x)")),
+                     Rule("f.a", P("f(a, y)"), P("y")),
+                     Rule("g.g", P("g(g(x))"), P("h(x, x)")),
+                     Rule("b", P("b"), P("a")),
+                     Rule("e", P("e"), P("f(g(e), h(c, e))"))])
+
+
+def _random_ground(rng, sig, back):
+    """The root of a random ground term graph: forward edges share
+    subterms, edges to an earlier node or itself (probability `back`)
+    tie cycles."""
+    from irw.terms import Term
+    syms = [sig.get(n) for n in ("f", "g", "h", "h", "a", "b", "c", "c", "e")]
+    n = rng.randint(1, 14)
+    holes = [Term(None, ()) for _ in range(n)]
+    for i, node in enumerate(holes):
+        sym = rng.choice(syms) if i + 1 < n else sig.get(rng.choice("abce"))
+        kids = tuple(
+            holes[rng.randrange(i + 1, n)]
+            if i + 1 < n and rng.random() >= back
+            else holes[rng.randrange(i + 1)]
+            for _ in range(sym.arity))
+        node._patch(sym, kids)
+    return holes[0]
+
+
+class TestRedexIndex:
+    def test_matches_plain_walk(self, dup_sys):
+        from irw.rewrite import RedexIndex
+        rng = random.Random(1618)
+        shared = RedexIndex(dup_sys)
+        kinds = set()
+        for _ in range(1500):
+            t = _random_ground(rng, dup_sys.sig, rng.choice([0.0, 0.1, 0.3]))
+            for d in range(9):
+                want = _walk_redexes(dup_sys, t, d)
+                assert find_redexes(dup_sys, t, d) == want
+                assert find_redexes(dup_sys, t, d, shared) == want
+                kinds.add((d, bool(want)))
+            nf = not _has_redex_node(dup_sys, t)
+            assert is_normal_form(dup_sys, t) == nf
+            assert is_normal_form(dup_sys, t, shared) == nf
+            kinds.add(nf)
+        # Both answers occur at every bound, and both normality verdicts.
+        assert kinds >= {(d, b) for d in range(9) for b in (True, False)}
+        assert {True, False} <= kinds
+
+    def test_shared_index_along_a_run(self, dup_sys):
+        from irw.rewrite import RedexIndex
+        rng = random.Random(31)
+        for k in range(120):
+            t = _random_ground(rng, dup_sys.sig, rng.choice([0.0, 0.2]))
+            run = run_strategy(dup_sys, t, strategy="seeded-random",
+                               fuel=20, depth_bound=6, seed=k)
+            index = RedexIndex(dup_sys)
+            terms = [t] + [s.after for s in run.trace.all_steps]
+            for u in terms:
+                for d in (0, 2, 6):
+                    assert find_redexes(dup_sys, u, d, index) == \
+                        find_redexes(dup_sys, u, d) == _walk_redexes(dup_sys, u, d)
+                assert is_normal_form(dup_sys, u, index) == \
+                    is_normal_form(dup_sys, u)
+
+    def test_index_of_another_system_refused(self, dup_sys, pickn):
+        from irw.rewrite import RedexIndex
+        with pytest.raises(TrsError, match="another rule system"):
+            find_redexes(dup_sys, T(dup_sys, "b"), 0, RedexIndex(pickn))
+
+
+# --- the search's pump pre-filter against the unfiltered suffix loop -------
+
+def _suffix_pump(steps):
+    """close_limit(steps, suffix_only=True) before the rule-period filter:
+    try every period whose second iteration ends at the last step."""
+    from irw.rewrite import _try_pump
+    n = len(steps)
+    for length in range(1, n // 2 + 1):
+        got = _try_pump(steps, n - 2 * length, length)
+        if got is not None:
+            return got
+    return None
+
+
+class TestPumpFilter:
+    def _runs(self, xi_only, r_right):
+        from irw.encode import nd_to_srs, phi
+        from irw.omega import parse_word
+        runs = [run_strategy(xi_only, T(xi_only, "xi"), fuel=6).trace.all_steps]
+        srs = nd_to_srs(load_fixture("nd_right"))
+        for word in ["(a)^w", "ab(ba)^w"]:
+            start = T(srs, f"q0({print_term(phi(parse_word(word), srs.sig))})")
+            runs.append(run_strategy(srs, start, fuel=8).trace.all_steps)
+        t = T(r_right, "run(xi, q0(rec X. a(X)), D1(rec X. a(X)), D2(rec X. a(X)))")
+        res = bounded_normalize(r_right, t, fuel=10_000, max_epochs=3)
+        runs += [list(ep.steps) for ep in res.trace.epochs]
+        for fx in ("nd_right", "nd_pong"):
+            m = load_fixture(fx)
+            srs = nd_to_srs(m)
+            for seed, word in enumerate(["(a)^w", "ab(ba)^w", "(ab)^w",
+                                         "b(ba)^w", "(_a)^w", "a(b)^w"]):
+                w = parse_word(word, m.alphabet)
+                start = T(srs, f"q0({print_term(phi(w, srs.sig))})")
+                runs.append(run_strategy(srs, start, strategy="seeded-random",
+                                         fuel=24, seed=seed).trace.all_steps)
+        return runs
+
+    def test_matches_unfiltered_suffix_loop(self, xi_only, r_right):
+        closed = 0
+        for run in self._runs(xi_only, r_right):
+            for k in range(2, len(run) + 1):
+                prefix = run[:k]
+                want = _suffix_pump(prefix)
+                got = close_limit(prefix, suffix_only=True).closure
+                assert (got is None) == (want is None)
+                if got is None:
+                    continue
+                closed += 1
+                gc, wc = got.certificate, want.certificate
+                assert (gc.cycle_start, gc.cycle_length, gc.hole, gc.offset) == \
+                    (wc.cycle_start, wc.cycle_length, wc.hole, wc.offset)
+                assert bisim_equal(got.limit, want.limit)
+        assert closed >= 10
