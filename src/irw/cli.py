@@ -4,7 +4,8 @@ Subcommands: compile, tm, trs, omega, laws.  Output is line-oriented text
 with a trailing machine-parseable ``VERDICT:`` line.  Exit codes are
 uniform across commands: 0 success/holds, 1 refuted or negative witness,
 2 unknown/exhausted, 3 input error, 4 internal error.  IRW_SEED provides
-a default seed.
+the default seed of ``trs trace --strategy random`` and of the laws that
+draw at random.
 """
 
 from __future__ import annotations
@@ -26,6 +27,14 @@ EXIT_INTERNAL = 4
 
 class CliError(Exception):
     pass
+
+
+def _env_seed() -> int:
+    text = os.environ.get("IRW_SEED", "7")
+    try:
+        return int(text)
+    except ValueError:
+        raise CliError(f"IRW_SEED must be an integer, got {text!r}") from None
 
 
 def _load_machine(spec: str):
@@ -138,8 +147,11 @@ def cmd_trs(args) -> int:
             strategy = ("leftmost-outermost"
                         if args.strategy in ("lo", "leftmost-outermost")
                         else "seeded-random")
+            seed = args.seed
+            if seed is None:
+                seed = _env_seed() if strategy == "seeded-random" else 0
             run = rewrite.run_strategy(trs, t, strategy=strategy, fuel=args.fuel,
-                                       depth_bound=args.depth, seed=args.seed)
+                                       depth_bound=args.depth, seed=seed)
         print(rewrite.render_trace(run.trace, show_terms=args.show_terms))
         steps = run.trace.all_steps
         attempt = rewrite.close_limit(steps) if len(steps) >= 2 else None
@@ -237,7 +249,10 @@ def cmd_omega(args) -> int:
 
 
 def cmd_laws(args) -> int:
-    rep = laws.run_law(args.name, fixture=args.fixture, seed=args.seed,
+    seed = args.seed
+    if seed is None and "seed" in laws.LAW_ARGS[args.name]:
+        seed = _env_seed()
+    rep = laws.run_law(args.name, fixture=args.fixture, seed=seed,
                        samples=args.samples, fuel=args.fuel,
                        as_printed=args.as_printed)
     print(laws.render_report(rep))
@@ -246,7 +261,6 @@ def cmd_laws(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    seed_default = int(os.environ.get("IRW_SEED", "7"))
     ap = argparse.ArgumentParser(
         prog="irw", description="infinitary rewriting workbench")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -278,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--depth", type=int, default=rewrite.DEFAULT_DEPTH_BOUND)
     r.add_argument("--strategy", default="lo",
                    choices=["lo", "leftmost-outermost", "random", "greedy"])
-    r.add_argument("--seed", type=int, default=seed_default)
+    r.add_argument("--seed", type=int)
     r.add_argument("--show-terms", action="store_true")
     r.set_defaults(fn=cmd_trs)
 
@@ -293,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     l = sub.add_parser("laws", help="run an executable law over the fixtures")
     l.add_argument("name", choices=list(laws.LAW_NAMES))
     l.add_argument("--fixture")
-    l.add_argument("--seed", type=int, default=seed_default)
+    l.add_argument("--seed", type=int)
     l.add_argument("--samples", type=int)
     l.add_argument("--fuel", type=int)
     l.add_argument("--as-printed", action="store_true")

@@ -404,7 +404,7 @@ def check_restart_cycle(m: TmSpec, firings: int = 5,
         return _finish(rep, t0)
     reach = step_reachability(sys, start, fuel=min(fuel, 1000))
     # Product walk: can any explored path fire the restart rule twice?
-    adj: dict[str, list[tuple[str, str]]] = {}
+    adj: dict[int, list[tuple[int, str]]] = {}
     for a, b, rid in reach.edges:
         adj.setdefault(a, []).append((b, rid))
     start_key = canon_key(start)
@@ -622,10 +622,11 @@ def check_limit_correspondence(m: NdTmSpec, w: OmegaWord,
 LAW_NAMES = ("two-sided-bisim", "srs-bisim", "pickn", "restart-cycle",
              "pebbled-reach", "norm-probe", "limit-correspondence")
 
-# The optional run_law arguments each law reads.
-_LAW_ARGS = {
-    "two-sided-bisim": {"fixture", "samples"},
-    "srs-bisim": {"fixture"},
+# The optional run_law arguments each law reads; "seed" marks the laws
+# that draw at random.
+LAW_ARGS = {
+    "two-sided-bisim": {"fixture", "samples", "seed"},
+    "srs-bisim": {"fixture", "seed"},
     "pickn": {"samples"},
     "restart-cycle": {"fixture", "fuel"},
     "pebbled-reach": {"fixture", "fuel"},
@@ -638,30 +639,29 @@ class LawError(ValueError):
     """An unknown law, or an argument the named law does not use."""
 
 
-def run_law(name: str, fixture: Optional[str] = None, seed: int = 7,
-            samples: Optional[int] = None, fuel: Optional[int] = None,
-            as_printed: bool = False) -> LawReport:
+def run_law(name: str, fixture: Optional[str] = None,
+            seed: Optional[int] = None, samples: Optional[int] = None,
+            fuel: Optional[int] = None, as_printed: bool = False) -> LawReport:
     """Dispatch a named law over the shipped fixtures.  ``samples`` sets
     the sample count of two-sided-bisim and n_max of pickn; None keeps
-    each law's own default.  An argument the law does not use is refused
-    with LawError rather than ignored."""
-    if name not in _LAW_ARGS:
+    each law's own default, for ``seed`` too.  An argument the law does
+    not use is refused with LawError rather than ignored."""
+    if name not in LAW_ARGS:
         raise LawError(f"unknown law {name!r}; have {LAW_NAMES}")
-    given = {"fixture": fixture, "samples": samples, "fuel": fuel,
-             "as_printed": as_printed or None}
+    given = {"fixture": fixture, "seed": seed, "samples": samples,
+             "fuel": fuel, "as_printed": as_printed or None}
     unused = sorted(k for k, v in given.items()
-                    if v is not None and k not in _LAW_ARGS[name])
+                    if v is not None and k not in LAW_ARGS[name])
     if unused:
         flags = ", ".join("--" + k.replace("_", "-") for k in unused)
         raise LawError(f"law {name} does not use {flags}")
+    opts = {k: given[k] for k in ("samples", "seed") if given[k] is not None}
     if name == "two-sided-bisim":
         m = load_fixture(fixture) if fixture else load_fixture("m_acc")
-        if samples is None:
-            return check_two_sided_bisim(m, seed=seed)
-        return check_two_sided_bisim(m, samples=samples, seed=seed)
+        return check_two_sided_bisim(m, **opts)
     if name == "srs-bisim":
         m = load_fixture(fixture) if fixture else load_fixture("nd_pong")
-        return check_srs_bisim(m, seed=seed)
+        return check_srs_bisim(m, **opts)
     if name == "pickn":
         return check_pickn() if samples is None else check_pickn(n_max=samples)
     if name == "restart-cycle":

@@ -21,6 +21,7 @@ comment.
 from __future__ import annotations
 
 import re
+import threading
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -128,21 +129,19 @@ class Term:
     to build terms.  Compare with :func:`bisim_equal`, not ``==``.
     """
 
-    __slots__ = ("label", "children", "_finite", "_ground", "_skey", "_ckey")
+    __slots__ = ("label", "children", "_ground", "_cid")
 
     def __init__(self, label, children: tuple):
         self.label = label
         self.children = children
-        self._finite: Optional[bool] = None
         self._ground: Optional[bool] = None
-        self._skey: Optional[str] = None
-        self._ckey: Optional[str] = None
+        self._cid: Optional[int] = None
 
     def _patch(self, label, children: tuple) -> None:
         # Internal: used while tying recursive knots (parser, cyclify,
-        # phi).  A placeholder must not reach is_finite or any other
-        # cached query before its knot is tied: is_finite trusts the
-        # flags cached on descendants, so a stale one would be believed.
+        # phi).  A placeholder must not reach canon_key or any other
+        # cached query before its knot is tied: canon_key trusts the ids
+        # cached on descendants, so a stale one would be believed.
         self.label = label
         self.children = children
 
@@ -189,59 +188,6 @@ def _reachable(t: Term) -> list[Term]:
     return out
 
 
-def is_finite(t: Term) -> bool:
-    """True iff the reachable graph of t is acyclic.
-
-    Runs in time linear in the nodes and edges not yet cached, and caches
-    ``_finite`` on every node it visits.  It trusts ``_finite`` already
-    cached on a descendant and does not enter that descendant again.
-    """
-    if t._finite is None:
-        # Iterative Tarjan SCCs.  Components pop in reverse topological
-        # order, so every child outside a component is settled when it
-        # pops; a singleton's self-loop child is still None, i.e. falsy.
-        index: dict[int, int] = {}
-        low: dict[int, int] = {}
-        onstack: set[int] = set()
-        scc_stack: list[Term] = []
-        counter = 0
-        work: list[tuple[Term, int]] = [(t, 0)]
-        while work:
-            node, ci = work[-1]
-            nid = id(node)
-            if ci == 0:
-                index[nid] = low[nid] = counter
-                counter += 1
-                scc_stack.append(node)
-                onstack.add(nid)
-            if ci < len(node.children):
-                work[-1] = (node, ci + 1)
-                child = node.children[ci]
-                cid = id(child)
-                if child._finite is None and cid not in index:
-                    work.append((child, 0))
-                elif cid in onstack:
-                    low[nid] = min(low[nid], index[cid])
-            else:
-                work.pop()
-                if work:
-                    pid = id(work[-1][0])
-                    low[pid] = min(low[pid], low[nid])
-                if low[nid] == index[nid]:
-                    comp = []
-                    while True:
-                        m = scc_stack.pop()
-                        onstack.discard(id(m))
-                        comp.append(m)
-                        if m is node:
-                            break
-                    finite = len(comp) == 1 and all(
-                        c._finite for c in node.children)
-                    for m in comp:
-                        m._finite = finite
-    return t._finite
-
-
 def is_ground(t: Term) -> bool:
     """True iff no variable node is reachable from t."""
     if t._ground is None:
@@ -254,138 +200,192 @@ def is_ground(t: Term) -> bool:
     return t._ground
 
 
-def _structural_key(t: Term) -> str:
-    """Exact serialization for finite terms; cached per node."""
-    stack = [t]
-    while stack:
-        n = stack[-1]
-        if n._skey is not None:
-            stack.pop()
-            continue
-        pending = [c for c in n.children if c._skey is None]
-        if pending:
-            stack.extend(pending)
-            continue
-        if isinstance(n.label, str):
-            n._skey = "$" + n.label
-        elif n.children:
-            n._skey = n.label.name + "(" + ",".join(c._skey for c in n.children) + ")"
-        else:
-            n._skey = n.label.name
-        stack.pop()
-    return t._skey
+# ---------------------------------------------------------------------------
+# Canonical ids: maximal sharing of unfoldings
+#
+# One hash-cons table maps a node key, (symbol name, *child ids) or
+# (None, name) for a variable, to the id of its unfolding; no two ids have
+# bisimilar unfoldings.  The ids of a new cycle are consecutive, and the
+# first is also keyed by the cycle's rows (a tuple of tuples, never a node
+# key), so that a bisimilar cycle built elsewhere finds them.
+
+_lock = threading.Lock()
+_table: dict[tuple, int] = {}
+_keys: list[tuple] = []        # id -> its node key
+_finite_ids = bytearray()      # id -> 1 iff its unfolding is finite
 
 
-def _label_token(n: Term) -> str:
-    if isinstance(n.label, str):
-        return "$" + n.label
-    return n.label.name + "/" + str(n.label.arity)
+def _settle(n: Term) -> None:
+    """Give n its id; every child of n already has one."""
+    lab = n.label
+    if lab.__class__ is str:
+        key = (None, lab)
+    else:
+        key = (lab.name, *[c._cid for c in n.children])
+    cid = _table.get(key)
+    if cid is None:
+        with _lock:
+            cid = _table.get(key)
+            if cid is None:
+                cid = len(_keys)
+                _finite_ids.append(all(_finite_ids[c._cid]
+                                       for c in n.children))
+                _keys.append(key)
+                _table[key] = cid
+    n._cid = cid
 
 
-def _spine_key(t: Term) -> Optional[str]:
-    """Fast canonical key for rational terms whose nodes are all unary:
-    the label sequence is ultimately periodic; normalize to the shortest
-    prefix and the primitive cycle."""
-    labels: list[str] = []
-    seen: dict[int, int] = {}
-    node = t
-    while True:
-        if len(node.children) != 1:
-            return None
+def _settle_cycle(comp: list[Term]) -> None:
+    """Give ids to a cyclic strongly connected component whose children
+    outside it already have ids."""
+    # Elements: the component's nodes, then the infinite ids reachable
+    # from it.  A child reference is an element index, or -1 - id for a
+    # finite id (distinct finite ids are distinct unfoldings).
+    k = len(comp)
+    elem = {id(n): i for i, n in enumerate(comp)}
+    names = [n.label.name for n in comp]
+    old: list[int] = []
+    old_elem: dict[int, int] = {}
+
+    def ref(cid: int) -> int:
+        if _finite_ids[cid]:
+            return -1 - cid
+        e = old_elem.get(cid)
+        if e is None:
+            e = old_elem[cid] = len(names)
+            names.append(_keys[cid][0])
+            old.append(cid)
+        return e
+
+    with _lock:
+        refs = [[elem[id(c)] if id(c) in elem else ref(c._cid)
+                 for c in n.children] for n in comp]
+        for cid in old:  # grows while it is read
+            refs.append([ref(c) for c in _keys[cid][1:]])
+        # Partition refinement to the coarsest bisimulation.  Classes are
+        # numbered by the rank of their signature, so the numbering does
+        # not depend on where the cycle was entered or how it was built.
+        sigs = [(nm, len(r)) for nm, r in zip(names, refs)]
+        while True:
+            rank = {sg: i for i, sg in enumerate(sorted(set(sigs)))}
+            cls = [rank[sg] for sg in sigs]
+            sigs = [(c, *[cls[x] if x >= 0 else x for x in r])
+                    for c, r in zip(cls, refs)]
+            if len(set(sigs)) == len(rank):
+                break
+        known = {cls[k + j]: cid for j, cid in enumerate(old)}
+        # A component is strongly connected, so either every class meets a
+        # known id or none does.  In the latter case its rows (one per
+        # class in class order: the name, then each child's row number or
+        # -1 - id) find the ids of a bisimilar cycle built elsewhere, or
+        # new ones are minted.
+        if cls[0] not in known:
+            rep = {cls[i]: i for i in range(k)}
+            row_of = {c: j for j, c in enumerate(sorted(rep))}
+            rows = tuple((names[rep[c]], *[
+                -1 - old[x - k] if x >= k else row_of[cls[x]] if x >= 0 else x
+                for x in refs[rep[c]]]) for c in row_of)
+            base = _table.get(rows)
+            if base is None:
+                base = len(_keys)
+                for j, row in enumerate(rows):
+                    key = (row[0], *[base + x if x >= 0 else -1 - x
+                                     for x in row[1:]])
+                    _keys.append(key)
+                    _finite_ids.append(0)
+                    _table[key] = base + j
+                _table[rows] = base
+            known.update((c, base + j) for c, j in row_of.items())
+    for n, c in zip(comp, cls):
+        n._cid = known[c]
+
+
+def _settle_from(t: Term) -> None:
+    """Tarjan over the nodes without an id reachable from t; each
+    component gets its ids as it pops (reverse topological order)."""
+    index: dict[int, int] = {}
+    low: dict[int, int] = {}
+    onstack: set[int] = set()
+    scc_stack: list[Term] = []
+    work: list[tuple[Term, int]] = [(t, 0)]
+    while work:
+        node, ci = work[-1]
         nid = id(node)
-        if nid in seen:
-            cut = seen[nid]
-            prefix, cycle = labels[:cut], labels[cut:]
-            break
-        seen[nid] = len(labels)
-        labels.append(_label_token(node))
-        node = node.children[0]
-    for p in range(1, len(cycle)):
-        if len(cycle) % p == 0 and cycle == cycle[:p] * (len(cycle) // p):
-            cycle = cycle[:p]
-            break
-    while prefix and prefix[-1] == cycle[-1]:
-        prefix.pop()
-        cycle = [cycle[-1]] + cycle[:-1]
-    return "spine:" + ".".join(prefix) + "|" + ".".join(cycle)
+        if ci == 0:
+            index[nid] = low[nid] = len(index)
+            scc_stack.append(node)
+            onstack.add(nid)
+        if ci < len(node.children):
+            work[-1] = (node, ci + 1)
+            child = node.children[ci]
+            cid = id(child)
+            if child._cid is None and cid not in index:
+                work.append((child, 0))
+            elif cid in onstack:
+                low[nid] = min(low[nid], index[cid])
+        else:
+            work.pop()
+            if work:
+                pid = id(work[-1][0])
+                low[pid] = min(low[pid], low[nid])
+            if low[nid] == index[nid]:
+                comp = []
+                while not comp or comp[-1] is not node:
+                    comp.append(scc_stack.pop())
+                    onstack.discard(id(comp[-1]))
+                if len(comp) == 1 and node not in node.children:
+                    _settle(node)
+                else:
+                    _settle_cycle(comp)
 
 
-def canon_key(t: Term) -> str:
-    """A canonical key: two terms get equal keys iff they are bisimilar.
+def canon_key(t: Term) -> int:
+    """The canonical id of t: two terms get equal ids iff they are
+    bisimilar.
 
-    Finite terms use their structural serialization.  Rational terms are
-    minimized by partition refinement and serialized from the root in
-    first-visit order with back references; all-unary spines take a
-    linear-time shortcut through their ultimately periodic label word.
+    A post-order walk settles the nodes without an id, each by one table
+    lookup of its label and its children's ids.  Only when the walk meets
+    a node on its own path does it run Tarjan, from that node, and
+    minimize each cyclic component it finds.  Ids are cached per node.
     """
-    if t._ckey is not None:
-        return t._ckey
-    if is_finite(t):
-        t._ckey = _structural_key(t)
-        return t._ckey
-    sk = _spine_key(t)
-    if sk is not None:
-        t._ckey = sk
-        return sk
-    nodes = _reachable(t)
-    cls: dict[int, int] = {}
-    inits: dict[str, int] = {}
-    for n in nodes:
-        tok = _label_token(n)
-        if tok not in inits:
-            inits[tok] = len(inits)
-        cls[id(n)] = inits[tok]
-    ncls = len(inits)
-    while True:
-        sigs: dict[tuple, int] = {}
-        nxt: dict[int, int] = {}
-        for n in nodes:
-            sig = (cls[id(n)],) + tuple(cls[id(c)] for c in n.children)
-            if sig not in sigs:
-                sigs[sig] = len(sigs)
-            nxt[id(n)] = sigs[sig]
-        if len(sigs) == ncls:
-            cls = nxt
-            break
-        ncls = len(sigs)
-        cls = nxt
-    # Serialize minimized graph from the root class.
-    rep: dict[int, Term] = {}
-    for n in nodes:
-        rep.setdefault(cls[id(n)], n)
-    seen: dict[int, int] = {}
-    out: list[str] = []
+    if t._cid is not None:
+        return t._cid
+    work: list[tuple[Term, int]] = [(t, 0)]
+    onpath = {id(t)}
+    while work:
+        n, i = work[-1]
+        kids = n.children
+        while i < len(kids) and kids[i]._cid is not None:
+            i += 1
+        if i == len(kids):
+            work.pop()
+            onpath.discard(id(n))
+            _settle(n)
+            continue
+        work[-1] = (n, i + 1)
+        c = kids[i]
+        if id(c) not in onpath:
+            onpath.add(id(c))
+            work.append((c, 0))
+            continue
+        # A cycle through c: everything reachable from c gets its id, and
+        # so do the path nodes from c down, a suffix of the path.
+        _settle_from(c)
+        while work and work[-1][0]._cid is not None:
+            onpath.discard(id(work.pop()[0]))
+    return t._cid
 
-    def emit(c: int) -> None:
-        stack: list[tuple[int, int]] = [(c, 0)]
-        while stack:
-            cc, ci = stack.pop()
-            if ci == 0:
-                if cc in seen:
-                    out.append("@" + str(seen[cc]))
-                    continue
-                seen[cc] = len(seen)
-                node = rep[cc]
-                out.append(_label_token(node))
-                if node.children:
-                    out.append("(")
-                    stack.append((cc, 1))
-                    for ch in reversed(node.children):
-                        stack.append((cls[id(ch)], 0))
-            else:
-                out.append(")")
 
-    emit(cls[id(t)])
-    t._ckey = "".join(out)
-    return t._ckey
+def is_finite(t: Term) -> bool:
+    """True iff the reachable graph of t is acyclic."""
+    return bool(_finite_ids[canon_key(t)])
 
 
 def bisim_equal(a: Term, b: Term) -> bool:
-    """True iff the infinite unfoldings of a and b are the same tree."""
-    if a is b:
-        return True
-    if is_finite(a) and is_finite(b):
-        return _structural_key(a) == _structural_key(b)
+    """True iff the infinite unfoldings of a and b are the same tree.
+
+    A pairwise walk that never reads canonical ids, so it stays an
+    independent check of them."""
     seen: set[tuple[int, int]] = set()
     todo = [(a, b)]
     while todo:
@@ -396,7 +396,7 @@ def bisim_equal(a: Term, b: Term) -> bool:
         if k in seen:
             continue
         seen.add(k)
-        if x.label != y.label:
+        if x.label is not y.label and x.label != y.label:
             return False
         todo.extend(zip(x.children, y.children))
     return True

@@ -194,11 +194,31 @@ class TestLaws:
         ["pickn", "--fuel", "10"],
         ["norm-probe", "--fixture", "nd_right"],
         ["limit-correspondence", "--as-printed"],
+        ["limit-correspondence", "--seed", "5"],
     ])
     def test_unused_flag_refused(self, capsys, argv):
         code, out, err = run_cli(capsys, "laws", *argv)
         assert (code, out) == (3, "")
         assert err == f"error: law {argv[0]} does not use {argv[1]}\n"
+
+    def test_seed_only_for_random_laws(self, capsys, monkeypatch):
+        monkeypatch.setenv("IRW_SEED", "5")
+        for argv, seed in ((["--samples", "2"], "5"),
+                           (["--samples", "2", "--seed", "9"], "9")):
+            code, out, _ = run_cli(capsys, "laws", "two-sided-bisim", *argv)
+            assert code == 0 and f"seed: {seed}" in out.splitlines()
+        code, out, _ = run_cli(capsys, "laws", "pickn", "--samples", "3")
+        assert code == 0 and "seed: 0" in out.splitlines()
+
+    def test_malformed_env_seed(self, capsys, monkeypatch):
+        # Read only where a seed is drawn, and refused as an input error.
+        monkeypatch.setenv("IRW_SEED", "x")
+        code, _, _ = run_cli(capsys, "laws", "pickn", "--samples", "3")
+        assert code == 0
+        code, out, err = run_cli(capsys, "laws", "two-sided-bisim",
+                                 "--samples", "2")
+        assert (code, out) == (3, "")
+        assert err == "error: IRW_SEED must be an integer, got 'x'\n"
 
 
 class TestInternalError:

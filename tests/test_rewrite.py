@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -6,11 +7,11 @@ from irw.encode import build_R, build_S_prime, pickn_trs, tm_to_trs
 from irw.laws import greedy_cycle_run
 from irw.machines import load_fixture
 from irw.rewrite import (
-    NoMatchError, Rule, Trs, TrsError, apply_step, bounded_normalize,
-    bounded_reach, canon_key, close_limit, find_redexes, format_trs,
-    is_normal_form, limit_approximant, match, parse_trs, render_trace,
-    replay_trace, run_strategy, stable_prefix, step_reachability,
-    validate_certificate,
+    Closure, Epoch, NoMatchError, Rule, Trs, TrsError, apply_step,
+    bounded_normalize, bounded_reach, canon_key, close_limit, find_redexes,
+    format_trs, is_normal_form, limit_approximant, match, parse_trs,
+    render_trace, replay_trace, run_strategy, stable_prefix,
+    step_reachability, validate_certificate,
 )
 from irw.terms import (
     Signature, Symbol, app, bisim_equal, parse_term, print_term, var,
@@ -201,9 +202,26 @@ class TestCloseLimit:
     def test_certificate_revalidates(self, xi_only):
         run = run_strategy(xi_only, T(xi_only, "xi"), fuel=5)
         got = close_limit(run.trace.all_steps)
-        from irw.rewrite import Epoch
         ep = Epoch(tuple(run.trace.all_steps), got.closure)
         assert validate_certificate(ep)
+
+    @pytest.mark.parametrize("rids, wrong", [
+        # a pump of period 1 from step 1: from step 0 the rule ids differ
+        (["xi.b", "xi.a", "xi.a", "xi.a", "xi.a"], {"cycle_start": 0}),
+        # a pump of period 2 from step 0: periods 1 and 3 do not repeat
+        (["xi.b", "xi.a"] * 3, {"cycle_length": 1}),
+        (["xi.b", "xi.a"] * 3, {"cycle_length": 3}),
+    ])
+    def test_wrong_cycle_refused(self, xi_only, rids, wrong):
+        steps, cur = [], T(xi_only, "xi")
+        for depth, rid in enumerate(rids):
+            steps.append(apply_step(xi_only, cur, (1,) * depth, rid))
+            cur = steps[-1].after
+        got = close_limit(steps).closure
+        assert got is not None
+        assert validate_certificate(Epoch(tuple(steps), got))
+        bad = Closure(got.limit, dataclasses.replace(got.certificate, **wrong))
+        assert not validate_certificate(Epoch(tuple(steps), bad))
 
 
 class TestSearch:
@@ -292,6 +310,52 @@ class TestSearch:
         assert got == want
         for n in range(4):
             assert want[canon_key(T(pickn, realize(("ok", 0, n))))] == 2 * n + 1
+
+
+class TestFoundReplays:
+    """Every found normal form and every reached target of the search,
+    on a small seeded corpus, replays step by step; a reached trace also
+    ends bisimilar to its target, which rechecks the id-based goal test
+    by the independent pairwise walk."""
+
+    def test_found_and_reached_replay(self, pickn, r_right, xi_only):
+        rng = random.Random(4)
+        unary = ["a", "b", "q0", "D1", "D2"]
+        leaves = ["xi", "bot", "rec X . a(X)", "a(rec X . b(a(X)))"]
+        corpus = []
+        for _ in range(12):
+            # Two walkers over xi are the slow tail of criterion 6.
+            labels = rng.sample(unary, rng.randint(0, 2))
+            leaf = rng.choice(leaves)
+            if leaf == "xi" and {"D1", "D2"} <= set(labels):
+                labels = labels[:1]
+            corpus.append((r_right, "(".join(labels + [leaf])
+                           + ")" * len(labels)))
+        for _ in range(4):
+            k = rng.randint(0, 3)
+            corpus.append((pickn, "c(" * k + "pickn" + ")" * k))
+        found = 0
+        for trs, text in corpus:
+            res = bounded_normalize(trs, T(trs, text), fuel=4000,
+                                    max_epochs=3)
+            if res.found:
+                found += 1
+                assert replay_trace(trs, res.trace), text
+                assert is_normal_form(trs, res.normal_form), text
+        assert found >= len(corpus) // 2
+        targets = [(xi_only, "xi", f"rec X . {w}X" + ")" * w.count("("))
+                   for w in ("a(", "b(a(", "a(a(b(")]
+        for _ in range(4):
+            k, j = rng.randint(0, 2), rng.randint(0, 3)
+            targets.append((pickn, "c(" * k + "pickn" + ")" * k,
+                            "ok(" + "S(" * (j + k) + "0(end)"
+                            + ")" * (j + k) + ")"))
+        for trs, src, dst in targets:
+            res = bounded_reach(trs, T(trs, src), T(trs, dst), fuel=3000,
+                                max_epochs=2)
+            assert res.reached, dst
+            assert replay_trace(trs, res.trace), dst
+            assert bisim_equal(res.trace.final, T(trs, dst)), dst
 
 
 class TestTerminatingAgreement:

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from irw.terms import (
     PositionError, Signature, Symbol, Term, TermError, TermSyntaxError,
-    app, bisim_equal, canon_key, cyclify, is_finite, is_ground, is_var,
+    app, bisim_equal, canon_key, cyclify, is_finite, is_ground, is_var, var,
     parse_term, print_term, replace_at, subterm_at,
     truncate_prefix,
 )
@@ -350,9 +350,9 @@ def test_is_finite_matches_path_oracle():
                 stack.extend(m.children)
         for m in nodes:
             if id(m) in reach:
-                assert m._finite is not None
-            if m._finite is not None:
-                assert m._finite == _oracle_finite(m)
+                assert m._cid is not None
+            if m._cid is not None:
+                assert is_finite(m) == _oracle_finite(m)
     assert seen == {True, False}
 
 
@@ -370,3 +370,81 @@ def test_is_finite_deep_unary_spine(cyclic):
         spine.append(app(g, spine[-1]))
     assert is_finite(spine[-1]) is not cyclic
     assert all(is_finite(n) is not cyclic for n in spine)
+
+
+# --- canonical ids against the bisim_equal walk ----------------------------
+
+def _unrolled(t, k, wrap):
+    """A copy of t's graph with node v split into (v, 0..k-1); a child of
+    (v, i) is (c, i + 1), wrapping to 0 or staying at k - 1.  Its
+    unfolding is t's, with cycles up to k times as long or a prefix
+    unrolled k times."""
+    nodes, stack, seen = [], [t], set()
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            nodes.append(n)
+            stack.extend(n.children)
+    copy = {(id(n), i): Term(None, ()) for n in nodes for i in range(k)}
+    for n in nodes:
+        for i in range(k):
+            j = (i + 1) % k if wrap else min(i + 1, k - 1)
+            copy[id(n), i]._patch(
+                n.label, tuple(copy[id(c), j] for c in n.children))
+    return copy[id(t), 0]
+
+
+def test_canon_key_matches_bisim_walk():
+    rng = random.Random(1618)
+    f = _SYMS[0]
+    for _ in range(150):
+        pool = []
+        for _ in range(4):
+            nodes = _random_graph(rng, rng.choice([0.0, 0.2, 0.5]))
+            t = nodes[0]
+            pool += [t, _unrolled(t, rng.randint(2, 3), True),
+                     _unrolled(t, rng.randint(2, 3), False),
+                     parse_term(print_term(t), _RSIG), rng.choice(nodes)]
+        for _ in range(4):
+            x, y = rng.sample(pool, 2)
+            knot = Term(None, ())
+            knot._patch(f, (knot, y) if rng.random() < 0.5 else (y, knot))
+            pool += [app(f, x, y), knot]
+        # Intern in a random order, some subterms first, into a table that
+        # already holds the classes of earlier rounds and earlier tests.
+        rng.shuffle(pool)
+        for x in pool:
+            assert isinstance(canon_key(x), int)
+        for i, x in enumerate(pool):
+            for y in pool[i:]:
+                assert (canon_key(x) == canon_key(y)) == bisim_equal(x, y)
+
+
+def test_canon_key_named_cases():
+    sig = Signature([Symbol("kf", 2), Symbol("kg", 2), Symbol("ku", 1),
+                     Symbol("kv", 1), Symbol("a", 0)])
+    Q = lambda s: parse_term(s, sig)
+    # x = f(x, e) with e = rec E . f(E, E) is e; interned before and after e.
+    for f in ("kf", "kg"):
+        e_text = f"rec E . {f}(E, E)"
+        x = Q(f"rec X . {f}(X, {e_text})")
+        if f == "kf":
+            assert canon_key(x) == canon_key(Q(e_text))
+        else:
+            assert canon_key(Q(e_text)) == canon_key(x)
+        assert not is_finite(x)
+    # One key for a cycle, a longer cycle and an unrolled prefix, in either
+    # order of first interning.
+    for u, texts in (("ku", ("rec Y . ku(ku(Y))", "rec X . ku(X)",
+                             "ku(ku(rec X . ku(X)))")),
+                     ("kv", ("kv(kv(rec X . kv(X)))", "rec Y . kv(kv(Y))",
+                             "rec X . kv(X)"))):
+        keys = {canon_key(Q(s)) for s in texts}
+        assert len(keys) == 1
+        assert canon_key(Q(f"{u}(a)")) not in keys
+    # A variable a and a constant a are different terms.
+    assert canon_key(var("a")) != canon_key(Q("a"))
+    assert canon_key(Q("ku(a)")) != canon_key(parse_term("ku(a)", Signature(
+        [Symbol("ku", 1)])))
+    assert is_finite(var("a")) and is_finite(Q("ku(a)"))
