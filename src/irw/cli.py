@@ -123,7 +123,7 @@ def cmd_tm(args) -> int:
         out = turing.tm_final(m, c, fuel)
         print(turing.display_config(out.config))
         print(f"steps: {out.steps}")
-        verdict = turing.eval_rel(m, n, k, fuel)
+        verdict = turing.rel_verdict(m, out)
         print(f"VERDICT: {verdict}")
         return {"holds": EXIT_OK, "fails": EXIT_NEGATIVE}.get(verdict, EXIT_UNKNOWN)
     raise CliError(f"unknown tm action {args.action}")
@@ -139,19 +139,14 @@ def cmd_trs(args) -> int:
         if not args.term:
             raise CliError("trs trace needs --term")
         t = _parse_ground(trs, args.term)
-        if args.strategy == "greedy":
-            trace = laws.greedy_cycle_run(trs, t, fuel=args.fuel,
-                                          depth_bound=args.depth)
-            run = rewrite.StrategyRun(trace, trace.total_steps >= args.fuel)
-        else:
-            strategy = ("leftmost-outermost"
-                        if args.strategy in ("lo", "leftmost-outermost")
-                        else "seeded-random")
-            seed = args.seed
-            if seed is None:
-                seed = _env_seed() if strategy == "seeded-random" else 0
-            run = rewrite.run_strategy(trs, t, strategy=strategy, fuel=args.fuel,
-                                       depth_bound=args.depth, seed=seed)
+        seeded = args.strategy == "random"
+        seed = args.seed
+        if seed is None:
+            seed = _env_seed() if seeded else 0
+        run = rewrite.run_strategy(
+            trs, t, strategy="seeded-random" if seeded else "leftmost-outermost",
+            fuel=args.fuel, depth_bound=args.depth, seed=seed,
+            order=laws.greedy_order if args.strategy == "greedy" else None)
         print(rewrite.render_trace(run.trace, show_terms=args.show_terms))
         steps = run.trace.all_steps
         attempt = rewrite.close_limit(steps) if len(steps) >= 2 else None

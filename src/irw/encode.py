@@ -217,40 +217,33 @@ def pickn_trs() -> Trs:
     return Trs(sig, rules, name="pickn", construction="pickn")
 
 
-def _restart_rule(m: TmSpec, sig: Signature, pebbled: bool) -> Rule:
-    x, y = var("x"), var("y")
+def _restart_system(m: TmSpec, pebbled: bool) -> tuple[Trs, Term]:
+    peb = pebble_trs(m)
+    pick = pickn_trs()
+    sig = peb.sig.merged(pick.sig)
+    sig.declare(RUN3)
+    x, y, z = var("x"), var("y"), var("z")
     rhs = app(RUN3, app(sig.get(m.initial), x, y), app(OK, y), app(PICKN))
+    rules = list(peb.rules) + list(pick.rules)
+    rules.append(Rule("run", app(RUN3, app(TOP), app(OK, x), app(OK, y)),
+                      app(PEB, rhs) if pebbled else rhs))
     if pebbled:
-        rhs = app(PEB, rhs)
-    return Rule("run", app(RUN3, app(TOP), app(OK, x), app(OK, y)), rhs)
+        rules.append(Rule("run.loop", app(RUN3, x, y, z), app(RUN3, x, y, z)))
+    start = app(RUN3, app(TOP), app(PICKN), app(PICKN))
+    return Trs(sig, rules, name=m.name,
+               construction="Sprime" if pebbled else "S"), start
 
 
 def build_S(m: TmSpec) -> tuple[Trs, Term]:
     """Pebbled system + chooser + the ternary restart rule; the start term
     is run(T, pickn, pickn)."""
-    peb = pebble_trs(m)
-    pick = pickn_trs()
-    sig = peb.sig.merged(pick.sig)
-    sig.declare(RUN3)
-    rules = list(peb.rules) + list(pick.rules)
-    rules.append(_restart_rule(m, sig, pebbled=False))
-    start = app(RUN3, app(TOP), app(PICKN), app(PICKN))
-    return Trs(sig, rules, name=m.name, construction="S"), start
+    return _restart_system(m, pebbled=False)
 
 
 def build_S_prime(m: TmSpec) -> tuple[Trs, Term]:
     """As build_S with a peb around the restart rhs, plus the self-loop
     run(x,y,z) -> run(x,y,z) emitted last."""
-    peb = pebble_trs(m)
-    pick = pickn_trs()
-    sig = peb.sig.merged(pick.sig)
-    sig.declare(RUN3)
-    rules = list(peb.rules) + list(pick.rules)
-    rules.append(_restart_rule(m, sig, pebbled=True))
-    x, y, z = var("x"), var("y"), var("z")
-    rules.append(Rule("run.loop", app(RUN3, x, y, z), app(RUN3, x, y, z)))
-    start = app(RUN3, app(TOP), app(PICKN), app(PICKN))
-    return Trs(sig, rules, name=m.name, construction="Sprime"), start
+    return _restart_system(m, pebbled=True)
 
 
 def _one_sided_sig(m: NdTmSpec) -> Signature:
@@ -385,6 +378,18 @@ def build_R(m: NdTmSpec, as_printed: bool = False) -> Trs:
     return Trs(sig, rules, name=m.name, construction=tag)
 
 
+# tag -> (machine class, builder of (system, start term or None))
+_BUILDERS = {
+    "base": (TmSpec, lambda m, ap: (tm_to_trs(m), None)),
+    "pebbled": (TmSpec, lambda m, ap: (pebble_trs(m), None)),
+    "S": (TmSpec, lambda m, ap: build_S(m)),
+    "Sprime": (TmSpec, lambda m, ap: build_S_prime(m)),
+    "srs": (NdTmSpec, lambda m, ap: (nd_to_srs(m), None)),
+    "R": (NdTmSpec, lambda m, ap: (build_R(m, as_printed=ap), None)),
+}
+_KIND = {TmSpec: "det-two-sided", NdTmSpec: "nondet-one-sided"}
+
+
 def compile_construction(tag: str, m=None,
                          as_printed: bool = False) -> tuple[Trs, Optional[Term]]:
     """Dispatch by construction tag; returns the system and, for S and
@@ -393,32 +398,12 @@ def compile_construction(tag: str, m=None,
         return pickn_trs(), None
     if m is None:
         raise EncodeError(f"construction {tag!r} needs a machine")
-    det, nd = isinstance(m, TmSpec), isinstance(m, NdTmSpec)
-    if tag == "base":
-        if not det:
-            raise EncodeError("base needs a det-two-sided machine")
-        return tm_to_trs(m), None
-    if tag == "pebbled":
-        if not det:
-            raise EncodeError("pebbled needs a det-two-sided machine")
-        return pebble_trs(m), None
-    if tag == "S":
-        if not det:
-            raise EncodeError("S needs a det-two-sided machine")
-        return build_S(m)
-    if tag == "Sprime":
-        if not det:
-            raise EncodeError("Sprime needs a det-two-sided machine")
-        return build_S_prime(m)
-    if tag == "srs":
-        if not nd:
-            raise EncodeError("srs needs a nondet-one-sided machine")
-        return nd_to_srs(m), None
-    if tag == "R":
-        if not nd:
-            raise EncodeError("R needs a nondet-one-sided machine")
-        return build_R(m, as_printed=as_printed), None
-    raise EncodeError(f"unknown construction {tag!r}; have {CONSTRUCTIONS}")
+    if tag not in _BUILDERS:
+        raise EncodeError(f"unknown construction {tag!r}; have {CONSTRUCTIONS}")
+    spec, build = _BUILDERS[tag]
+    if not isinstance(m, spec):
+        raise EncodeError(f"{tag} needs a {_KIND[spec]} machine")
+    return build(m, as_printed)
 
 
 def emit_trs_file(trs: Trs) -> str:

@@ -15,6 +15,7 @@ import time
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional, Sequence
 
 from .encode import (
@@ -28,7 +29,8 @@ from .omega import (
 )
 from .rewrite import (
     RedexIndex, Rule, Trs, apply_step, bounded_normalize, canon_key,
-    find_redexes, match, stable_prefix, step_reachability, Trace, Epoch,
+    find_redexes, match, stable_prefix, step_reachability, strategy_steps,
+    Trace, Epoch,
 )
 from .terms import (
     Term, app, is_var, parse_term, print_term, replace_at, subterm_at,
@@ -41,7 +43,8 @@ __all__ = [
     "check_two_sided_bisim", "check_srs_bisim", "check_pickn",
     "check_restart_cycle", "check_pebbled_reach", "check_norm_probe",
     "check_limit_correspondence", "gen_det_machine", "gen_nd_machine",
-    "gen_det_config", "mutate_first_write", "greedy_cycle_run",
+    "gen_det_config", "mutate_first_write", "greedy_order",
+    "greedy_cycle_run",
 ]
 
 
@@ -202,7 +205,7 @@ def _state_position(m: NdTmSpec, t: Term):
     node = t
     while not is_var(node):
         if node.label.name in m.states:
-            return pos, node
+            return pos
         if not node.children:
             return None
         pos = pos + (1,)
@@ -214,20 +217,12 @@ def _srs_reducts(m: NdTmSpec, trs: Trs, t: Term) -> list[Term]:
     # Every rule mentions exactly one state symbol, at its root or at depth
     # one, and the subject has exactly one state node: redexes live at the
     # state node or its parent.
-    got = _state_position(m, t)
-    if got is None:
+    pos = _state_position(m, t)
+    if pos is None:
         return []
-    pos, _ = got
-    spots = [pos]
-    if pos:
-        spots.append(pos[:-1])
-    out = []
-    for p in spots:
-        sub = subterm_at(t, p)
-        for r in trs._by_root.get(sub.label, ()):
-            if match(r.lhs, sub) is not None:
-                out.append(apply_step(trs, t, p, r.rid).after)
-    return out
+    spots = [pos, pos[:-1]] if pos else [pos]
+    return [apply_step(trs, t, p, rid).after
+            for p in spots for rid in trs.rules_at(subterm_at(t, p))]
 
 
 def check_srs_bisim(m: Optional[NdTmSpec] = None,
@@ -333,40 +328,27 @@ def check_pickn(n_max: int = 50, fuel: int = 40_000) -> LawReport:
 # Greedy cycle driver for the run constructions
 
 
-_PRIORITY = {"run": 0, "peb.T": 2, "c.ok": 4, "pickn.ok": 5, "pickn.c": 6,
-             "run.loop": 99}
+_PRIORITY = {"run": 0, "peb.T": 2, "c.ok": 4, "pickn.ok": 5, "pickn.c": 6}
 
 
-def _rule_priority(rid: str) -> int:
-    p = _PRIORITY.get(rid)
-    if p is not None:
-        return p
-    if rid.endswith(".halt"):
-        return 1
-    return 3
+def greedy_order(pos: tuple[int, ...], rid: str) -> tuple:
+    """Sort key of the greedy driver: restart > halt > peel > machine
+    steps > swap > commit > wrap, then the position."""
+    return _PRIORITY.get(rid, 1 if rid.endswith(".halt") else 3), pos
 
 
 def greedy_cycle_run(trs: Trs, start: Term, fuel: int,
                      stop_after_firings: Optional[int] = None,
                      depth_bound: int = 32) -> Trace:
-    """Deterministic driver: prefer restart > halt > peel > machine steps >
-    swap > commit > wrap, never the self-loop.  Stops when only self-loops
-    remain, when fuel runs out, or one step after the requested number of
-    restart firings."""
+    """Deterministic driver: strategy_steps in greedy_order, never a
+    self-loop.  Stops when only self-loops remain, after fuel steps, or
+    one step after the requested number of restart firings."""
     steps = []
-    cur = start
     firings = 0
-    index = RedexIndex(trs)
-    for _ in range(fuel):
-        reds = find_redexes(trs, cur, depth_bound, index)
-        reds = [(p, r) for (p, r) in reds if _rule_priority(r) < 99]
-        if not reds:
-            break
-        pos, rid = min(reds, key=lambda pr: (_rule_priority(pr[1]), pr[0]))
-        st = apply_step(trs, cur, pos, rid)
+    for st in islice(strategy_steps(trs, start, depth_bound, greedy_order),
+                     max(fuel, 0)):
         steps.append(st)
-        cur = st.after
-        if rid == "run":
+        if st.rule_id == "run":
             firings += 1
         elif stop_after_firings is not None and firings >= stop_after_firings:
             break

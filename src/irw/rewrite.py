@@ -20,6 +20,7 @@ import random
 import re
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from .terms import (
@@ -35,10 +36,10 @@ __all__ = [
     "NormalizeResult", "ReachResult", "Reachability", "RedexIndex",
     "DEFAULT_DEPTH_BOUND", "DEFAULT_MAX_EPOCHS", "DEFAULT_FUEL",
     "match", "instantiate", "find_redexes", "apply_step",
-    "is_normal_form", "run_strategy", "close_limit", "validate_certificate",
-    "bounded_normalize", "bounded_reach", "step_reachability",
-    "limit_approximant", "stable_prefix", "replay_trace", "parse_trs",
-    "format_trs", "render_trace",
+    "is_normal_form", "strategy_steps", "run_strategy", "close_limit",
+    "validate_certificate", "bounded_normalize", "bounded_reach",
+    "step_reachability", "limit_approximant", "stable_prefix",
+    "replay_trace", "parse_trs", "format_trs", "render_trace",
 ]
 
 DEFAULT_DEPTH_BOUND = 32
@@ -109,6 +110,11 @@ class Trs:
 
     def __len__(self) -> int:
         return len(self.rules)
+
+    def rules_at(self, node: Term) -> tuple[str, ...]:
+        """Ids of the rules whose lhs matches at node, in rule order."""
+        return tuple(r.rid for r in self._by_root.get(node.label, ())
+                     if match(r.lhs, node) is not None)
 
     def without(self, *rids: str) -> "Trs":
         return Trs(self.sig, [r for r in self.rules if r.rid not in rids],
@@ -197,8 +203,7 @@ class RedexIndex:
         dist: list[float] = []
         parents: dict[int, list[int]] = {}
         for k, n in enumerate(nodes):
-            rids = tuple(r.rid for r in self.trs._by_root.get(n.label, ())
-                         if match(r.lhs, n) is not None)
+            rids = self.trs.rules_at(n)
             if rids:
                 self._rules[n] = rids
             d = 0 if rids else _NO_REDEX
@@ -500,19 +505,52 @@ class StrategyRun:
     fuel_exhausted: bool
 
 
+def strategy_steps(trs: Trs, t: Term,
+                   depth_bound: int = DEFAULT_DEPTH_BOUND,
+                   order: Optional[Callable[[tuple[int, ...], str], object]] = None,
+                   rng: Optional[random.Random] = None) -> Iterator[Step]:
+    """Yield strategy steps from t until no productive redex remains.
+
+    Redexes within the depth bound come in find_redexes order, or sorted
+    by ``order(position, rule_id)``.  Redexes whose contraction
+    reproduces the current term (pure self-loops) are skipped: taking one
+    forever makes no progress and would trap any position-first choice
+    at the shallowest such rule.  The first productive redex is taken,
+    or with ``rng`` one drawn uniformly from all productive redexes.
+    """
+    index = RedexIndex(trs)
+    cur = t
+    while True:
+        reds = find_redexes(trs, cur, depth_bound, index)
+        if order is not None:
+            reds.sort(key=lambda pr: order(*pr))
+        choices = []
+        for pos, rid in reds:
+            st = apply_step(trs, cur, pos, rid)
+            if canon_key(st.after) != canon_key(cur):
+                choices.append(st)
+                if rng is None:
+                    break
+        if not choices:
+            return
+        st = choices[0] if rng is None else rng.choice(choices)
+        yield st
+        cur = st.after
+
+
 def run_strategy(trs: Trs, t: Term, strategy: str = "leftmost-outermost",
                  fuel: int = DEFAULT_FUEL,
                  depth_bound: int = DEFAULT_DEPTH_BOUND,
-                 seed: int = 0) -> StrategyRun:
-    """Iterate one redex choice until no redex remains or fuel runs out.
+                 seed: int = 0,
+                 order: Optional[Callable[[tuple[int, ...], str], object]] = None
+                 ) -> StrategyRun:
+    """Take at most fuel steps of strategy_steps from t.
 
-    ``leftmost-outermost`` takes the first redex in find_redexes order;
-    ``seeded-random`` draws uniformly from all redexes within the depth
-    bound using the given seed.  Redexes whose contraction reproduces the
-    current term (pure self-loops) are skipped: taking one forever makes
-    no progress and would trap any position-first choice at the shallowest
-    such rule.  Fuel exhaustion is a normal outcome and is flagged on the
-    result.
+    ``leftmost-outermost`` takes the first productive redex in
+    find_redexes order, or in ``order`` when given; ``seeded-random``
+    draws uniformly from all productive redexes using the given seed.
+    The run is flagged fuel_exhausted only when a productive step remains
+    after the fuel runs out.
     """
     if fuel < 0:
         raise TrsError("fuel must be >= 0")
@@ -521,35 +559,8 @@ def run_strategy(trs: Trs, t: Term, strategy: str = "leftmost-outermost",
         rng = random.Random(seed)
     elif strategy != "leftmost-outermost":
         raise TrsError(f"unknown strategy {strategy!r}")
-
-    index = RedexIndex(trs)
-
-    def productive(cur: Term) -> Optional[Step]:
-        reds = find_redexes(trs, cur, depth_bound, index)
-        steps = []
-        for pos, rid in reds:
-            st = apply_step(trs, cur, pos, rid)
-            if canon_key(st.after) != canon_key(st.before):
-                if rng is None:
-                    return st
-                steps.append(st)
-        if not steps:
-            return None
-        return rng.choice(steps)
-
-    steps: list[Step] = []
-    cur = t
-    exhausted = False
-    for k in range(fuel + 1):
-        st = productive(cur)
-        if st is None:
-            break
-        if k == fuel:
-            exhausted = True
-            break
-        steps.append(st)
-        cur = st.after
-    return StrategyRun(Trace(t, (Epoch(tuple(steps)),)), exhausted)
+    steps = list(islice(strategy_steps(trs, t, depth_bound, order, rng), fuel + 1))
+    return StrategyRun(Trace(t, (Epoch(tuple(steps[:fuel])),)), len(steps) > fuel)
 
 
 # ---------------------------------------------------------------------------

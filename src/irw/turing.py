@@ -22,7 +22,7 @@ __all__ = [
     "MachineError", "TmSpec", "TmConfig", "TmOutcome", "FunResult",
     "make_config", "display_config", "parse_config",
     "tm_step", "tm_final", "initial_fun_config", "initial_rel_config",
-    "eval_fun", "eval_rel",
+    "eval_fun", "eval_rel", "rel_verdict",
 ]
 
 
@@ -183,7 +183,11 @@ def eval_fun(m: TmSpec, n: int, fuel: int) -> FunResult:
 def eval_rel(m: TmSpec, n: int, k: int, fuel: int) -> str:
     """Decide the pair relation: run from `0 S^n q0 S^k 0` and test
     whether the final head symbol is 0.  Returns holds/fails/unknown."""
-    out = tm_final(m, initial_rel_config(m, n, k), fuel)
+    return rel_verdict(m, tm_final(m, initial_rel_config(m, n, k), fuel))
+
+
+def rel_verdict(m: TmSpec, out: TmOutcome) -> str:
+    """The pair relation's verdict on the outcome of its run."""
     if out.kind == "timeout":
         return "unknown"
     head = out.config.right[0] if out.config.right else m.blank

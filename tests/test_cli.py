@@ -84,6 +84,16 @@ class TestTm:
         assert "S S qa 0" in lines
         assert "VERDICT: final" in out
 
+    def test_rel_runs_machine_once(self, capsys, monkeypatch):
+        from irw import turing
+        calls = []
+        real = turing.tm_final
+        monkeypatch.setattr(turing, "tm_final",
+                            lambda *a: calls.append(a) or real(*a))
+        code, out, _ = run_cli(capsys, "tm", "rel", "m_acc", "--pair", "2", "3")
+        assert code == 0 and "VERDICT: holds" in out
+        assert len(calls) == 1
+
     def test_bad_config_is_input_error(self, capsys, tm_file):
         code, _, err = run_cli(capsys, "tm", "run", tm_file("m_acc"),
                                "--config", "S S 0")
@@ -124,6 +134,23 @@ class TestTrs:
                                "--fuel", "60", "--strategy", "greedy")
         assert code == 0
         assert "omega-limit: rec X . peb(X)" in out
+
+    @pytest.mark.parametrize("construction, term, fuel", [
+        (["S", "m_rej"], "run(T,pickn,pickn)", "6"),
+        (["pickn"], "pickn", "1"),
+    ], ids=["S-m_rej", "pickn"])
+    def test_greedy_normal_form_on_last_fuel_step(self, capsys, tmp_path,
+                                                  construction, term, fuel):
+        # The last step the fuel allows reaches a normal form: nothing is
+        # left to do, so the run is not exhausted.
+        out_file = tmp_path / "sys.trs"
+        run_cli(capsys, "compile", *construction, "-o", str(out_file))
+        code, out, _ = run_cli(capsys, "trs", "trace", str(out_file),
+                               "--term", term, "--strategy", "greedy",
+                               "--fuel", fuel)
+        assert code == 0
+        assert out.splitlines()[-1] == "VERDICT: normal-form"
+        assert len(out.splitlines()) == int(fuel) + 2
 
     def test_trace_exhausted_reports_prefix(self, capsys, tm_file, tmp_path):
         out_file = tmp_path / "ext.trs"

@@ -1,16 +1,23 @@
 import random
+import warnings
 
 import pytest
 
-from irw.encode import nd_to_srs, tm_to_trs
+from irw.encode import (
+    EncodeWarning, build_S, build_S_prime, nd_to_srs, phi, tm_to_trs,
+)
 from irw.laws import (
     check_limit_correspondence, check_pickn, check_restart_cycle, check_srs_bisim,
     check_pebbled_reach, check_norm_probe, check_two_sided_bisim,
-    gen_nd_machine, greedy_cycle_run, mutate_first_write, render_report,
-    run_law,
+    gen_det_machine, gen_nd_machine, greedy_cycle_run, mutate_first_write,
+    render_report, run_law, _srs_reducts,
 )
 from irw.machines import load_fixture
-from irw.omega import parse_word
+from irw.omega import NdConfig, nd_steps, parse_word
+from irw.rewrite import (
+    Epoch, RedexIndex, Trace, apply_step, canon_key, find_redexes,
+)
+from irw.turing import TmSpec
 
 
 @pytest.fixture(scope="module")
@@ -117,10 +124,7 @@ class TestPebbledReach:
 
 
 class TestNormProbe:
-    def test_holds(self, right, pong):
-        rep = check_norm_probe(right, pong, fuel=10_000, epochs=3)
-        assert rep.verdict == "holds"
-
+    # The holding half is criterion 6 of tests/test_acceptance.py.
     def test_as_printed_refuted(self, right, pong):
         rep = check_norm_probe(right, pong, as_printed=True)
         assert rep.verdict == "refuted"
@@ -145,6 +149,100 @@ class TestLimitCorrespondence:
     def test_right_on_abba(self, right):
         rep = check_limit_correspondence(right, parse_word("ab(ba)^w"))
         assert rep.verdict == "holds"
+
+
+def reference_greedy_run(trs, start, fuel, stop_after_firings=None,
+                         depth_bound=32):
+    """The greedy driver as its own loop, kept as an oracle: it drops the
+    self-loop rule by priority instead of skipping every step that
+    reproduces its term, and takes the minimum instead of sorting."""
+    prio = {"run": 0, "peb.T": 2, "c.ok": 4, "pickn.ok": 5, "pickn.c": 6,
+            "run.loop": 99}
+
+    def priority(rid):
+        p = prio.get(rid)
+        if p is not None:
+            return p
+        return 1 if rid.endswith(".halt") else 3
+
+    steps, cur, firings = [], start, 0
+    index = RedexIndex(trs)
+    for _ in range(fuel):
+        reds = [(p, r) for (p, r) in find_redexes(trs, cur, depth_bound, index)
+                if priority(r) < 99]
+        if not reds:
+            break
+        pos, rid = min(reds, key=lambda pr: (priority(pr[1]), pr[0]))
+        st = apply_step(trs, cur, pos, rid)
+        steps.append(st)
+        cur = st.after
+        if rid == "run":
+            firings += 1
+        elif stop_after_firings is not None and firings >= stop_after_firings:
+            break
+    return Trace(start, (Epoch(tuple(steps)),))
+
+
+NUMERIC = {"_": "_", "a": "S", "b": "0", "d": "d"}
+
+
+def numeric_machine(rng):
+    """A random deterministic machine over _ S 0 (and d), which S and
+    Sprime can compile."""
+    m = gen_det_machine(rng)
+    alphabet = tuple(dict.fromkeys([NUMERIC[f] for f in m.alphabet] + ["S", "0"]))
+    delta = {(q, NUMERIC[f]): (q2, NUMERIC[f2], d)
+             for (q, f), (q2, f2, d) in m.delta.items()}
+    return TmSpec("rand", m.states, m.initial, m.blank, alphabet, delta)
+
+
+class TestGreedyDriverOracle:
+    def test_matches_reference_loop(self):
+        rng = random.Random(23)
+        ms = [load_fixture(n) for n in ("m_acc", "m_rej", "m_ext")]
+        ms += [numeric_machine(rng) for _ in range(10)]
+        lengths = set()
+        for m in ms:
+            for build in (build_S, build_S_prime):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", EncodeWarning)
+                    sys, start = build(m)
+                for k in range(1, 6):
+                    # The reference's exits do not depend on the fuel, so
+                    # its run at any fuel is a prefix of its run at 120.
+                    full = [(s.position, s.rule_id) for s in
+                            reference_greedy_run(sys, start, 120, k).all_steps]
+                    lengths.add(len(full))
+                    # Beyond the run's own end the fuel no longer binds.
+                    for fuel in sorted(set(range(1, len(full) + 3)) | {60, 90, 120}):
+                        got = greedy_cycle_run(sys, start, fuel, k)
+                        assert ([(s.position, s.rule_id) for s in got.all_steps]
+                                == full[:fuel]), (m.name, sys.construction, k, fuel)
+        assert len(lengths) >= 5
+
+
+class TestSrsReductsOracle:
+    def test_matches_whole_term_redexes(self):
+        rng = random.Random(5)
+        checked = reducts = 0
+        for _ in range(12):
+            m = gen_nd_machine(rng)
+            sys = nd_to_srs(m)
+            for text in ("(a)^w", "ab(ba)^w", "b_(ab)^w"):
+                c = NdConfig(parse_word(text, m.alphabet), m.initial, 0)
+                for _ in range(25):
+                    t = phi(c, sys.sig)
+                    got = sorted(canon_key(u) for u in _srs_reducts(m, sys, t))
+                    want = sorted(canon_key(apply_step(sys, t, p, r).after)
+                                  for p, r in find_redexes(sys, t, c.head + 1))
+                    assert got == want, (m, c)
+                    checked += 1
+                    reducts += len(want)
+                    succs = nd_steps(m, c)
+                    if not succs:
+                        break
+                    c = rng.choice(succs)
+        assert checked >= 200 and reducts >= 200
 
 
 class TestRunner:
