@@ -421,11 +421,16 @@ def check_pebbled_reach(m: TmSpec, firings: int = 5,
     trace = greedy_cycle_run(sys, start, fuel, stop_after_firings=want + 1)
     if halt_rules:
         depth, prefix = stable_prefix(trace, want)
-        rep.lines.append(f"stable peb prefix depth: {depth} "
-                         f"({print_term(prefix) if depth == want else 'unstable'})")
+        shown = print_term(prefix) if depth == want else "unstable"
+        rep.lines.append(f"stable peb prefix depth: {depth} ({shown})")
         if depth < want:
             rep.verdict = "unknown"
             rep.witness = f"prefix depth {depth} < {want} within fuel"
+            return _finish(rep, t0)
+        # A run too short to fire the restarts is stable at every depth.
+        if shown != "peb(" * want + "cut" + ")" * want:
+            rep.verdict = "unknown"
+            rep.witness = f"stable prefix is not a peb tower of depth {want}"
             return _finish(rep, t0)
     else:
         got = _count_firings(trace)
@@ -566,6 +571,10 @@ def check_limit_correspondence(m: NdTmSpec, w: OmegaWord,
     start = app(sys.sig.get(m.initial), phi(w, sys.sig))
     res = bounded_normalize(sys, start, fuel=fuel, max_epochs=2)
     if member.kind == "accepted":
+        if not res.found and res.diagnostics["reason"] == "fuel":
+            rep.verdict = "unknown"
+            rep.witness = f"accepted word but no closure found within fuel {fuel}"
+            return _finish(rep, t0)
         if not res.found:
             rep.verdict = "refuted"
             rep.witness = "accepted word but no closure found"
@@ -637,6 +646,8 @@ def run_law(name: str, fixture: Optional[str] = None,
     if unused:
         flags = ", ".join("--" + k.replace("_", "-") for k in unused)
         raise LawError(f"law {name} does not use {flags}")
+    if fuel is not None and fuel < 0:
+        raise LawError("fuel must be >= 0")
     opts = {k: given[k] for k in ("samples", "seed") if given[k] is not None}
     if name == "two-sided-bisim":
         m = load_fixture(fixture) if fixture else load_fixture("m_acc")
@@ -648,14 +659,15 @@ def run_law(name: str, fixture: Optional[str] = None,
         return check_pickn() if samples is None else check_pickn(n_max=samples)
     if name == "restart-cycle":
         m = load_fixture(fixture) if fixture else load_fixture("m_acc")
-        return check_restart_cycle(m, fuel=fuel or 100_000)
+        return check_restart_cycle(m, fuel=100_000 if fuel is None else fuel)
     if name == "pebbled-reach":
         m = load_fixture(fixture) if fixture else load_fixture("m_acc")
-        return check_pebbled_reach(m, fuel=fuel or 100_000)
+        return check_pebbled_reach(m, fuel=100_000 if fuel is None else fuel)
     if name == "norm-probe":
         return check_norm_probe(load_fixture("nd_right"),
                                 load_fixture("nd_pong"),
-                                fuel=fuel or 10_000, as_printed=as_printed)
+                                fuel=10_000 if fuel is None else fuel,
+                                as_printed=as_printed)
     m = load_fixture(fixture) if fixture else load_fixture("nd_right")
     return check_limit_correspondence(m, parse_word("(a)^w", m.alphabet),
-                                      fuel=fuel or 2000)
+                                      fuel=2000 if fuel is None else fuel)

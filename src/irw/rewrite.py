@@ -19,7 +19,7 @@ import heapq
 import random
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -378,13 +378,21 @@ class ClosureAttempt:
     diagnostics: dict
 
 
-def _hole_context_str(u: Term, offset: tuple[int, ...]) -> str:
-    return print_term(replace_at(u, offset, var("HOLE")))
+def _with_context(steps: list[Step], closure: Closure) -> Closure:
+    """The closure with its certificate's context string printed; pump
+    checks leave it empty, so only returned certificates pay for it."""
+    cert = closure.certificate
+    wrapped = subterm_at(steps[cert.cycle_start + cert.cycle_length].before,
+                         cert.hole)
+    context = print_term(replace_at(wrapped, cert.offset, var("HOLE")))
+    return Closure(closure.limit, replace(cert, context_growth=context))
 
 
 def _try_pump(steps: list[Step], i: int, length: int) -> Optional[Closure]:
     """Validate the pump candidate starting at step i with the given cycle
-    length, requiring the pattern to persist to the end of the run."""
+    length, requiring the pattern to persist to the end of the run.
+    The last step's ``after`` is never read, so the search may pass a
+    step it has not applied yet."""
     n = len(steps)
     if i + 2 * length > n:
         return None
@@ -427,7 +435,7 @@ def _try_pump(steps: list[Step], i: int, length: int) -> Optional[Closure]:
         cycle_length=length,
         hole=hole,
         offset=offset,
-        context_growth=_hole_context_str(wrapped, offset),
+        context_growth="",
         min_depth_profile=tuple(profile),
     )
     return Closure(limit, cert)
@@ -442,38 +450,26 @@ def _common_prefix(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
-def close_limit(steps: Iterable[Step], suffix_only: bool = False) -> ClosureAttempt:
+def close_limit(steps: Iterable[Step]) -> ClosureAttempt:
     """Look for a certified pump in a chained run of steps.
 
     Returns the rational limit term and its certificate when the run is
     seen to wrap a fixed nonempty context at strictly increasing depth;
     otherwise returns no closure together with a bounded min-depth
-    witness.  With ``suffix_only`` only pumps whose second iteration ends
-    exactly at the last step are considered (used by the search, which
-    retries at every node).
+    witness.  Every start and period is tried, so this is cubic in the
+    run's length; the search tests only suffix pumps, from per-node
+    history (see _search).
     """
     steps = list(steps)
     n = len(steps)
     for a, b in zip(steps, steps[1:]):
         if a.after is not b.before and not bisim_equal(a.after, b.before):
             raise TrsError("close_limit requires a chained run of steps")
-    if n >= 2:
-        if suffix_only:
-            # A pump repeats its rule ids one period later, so a period
-            # whose last rule id does not repeat is refused in O(1).
-            rids = [s.rule_id for s in steps]
-            candidates = [(n - 2 * length, length)
-                          for length in range(1, n // 2 + 1)
-                          if rids[-1] == rids[-1 - length]
-                          and rids[n - length:] == rids[n - 2 * length:n - length]]
-        else:
-            candidates = [(i, length)
-                          for i in range(n - 1)
-                          for length in range(1, (n - i) // 2 + 1)]
-        for i, length in candidates:
+    for i in range(n - 1):
+        for length in range(1, (n - i) // 2 + 1):
             got = _try_pump(steps, i, length)
             if got is not None:
-                return ClosureAttempt(got, {})
+                return ClosureAttempt(_with_context(steps, got), {})
     min_depth = min((s.depth for s in steps), default=0)
     witness = max((j for j, s in enumerate(steps) if s.depth == min_depth),
                   default=None)
@@ -567,36 +563,67 @@ def run_strategy(trs: Trs, t: Term, strategy: str = "leftmost-outermost",
 # Bounded search
 
 
-@dataclass
+@dataclass(slots=True)
 class _Node:
-    term: Term
+    """A search state.  A step child is pushed unapplied: its ``term`` and
+    ``via_step`` stay None, and ``redex`` names the step, until the child
+    is popped or a returned trace runs through it."""
+
+    term: Optional[Term]
     steps: int
     closures: int
     parent: Optional["_Node"]
     via_step: Optional[Step]
     via_closure: Optional[Closure]
     epoch_len: int
+    redex: Optional[tuple[tuple[int, ...], str]] = None
 
 
 _CLOSE_HISTORY_CAP = 512
 
 
+def _reached(trs: Trs, node: _Node) -> Term:
+    """The node's term, applying the step that leads to it on first use."""
+    if node.term is None:
+        pos, rid = node.redex
+        node.via_step = apply_step(trs, node.parent.term, pos, rid)
+        node.term = node.via_step.after
+    return node.term
+
+
 def _epoch_steps(node: _Node) -> list[Step]:
+    """The steps of an expanded node's epoch, all applied."""
     out: list[Step] = []
-    cur: Optional[_Node] = node
-    while cur is not None and cur.via_step is not None:
+    cur = node
+    while cur.via_step is not None:
+        if out and cur.via_step.after is not out[-1].before:
+            raise TrsError("search history is not a chained run of steps")
         out.append(cur.via_step)
         cur = cur.parent
-        if len(out) > _CLOSE_HISTORY_CAP:
-            return []
     out.reverse()
     return out
 
 
-def _node_trace(node: _Node, start: Term) -> Trace:
+def _pump_periods(rids: list[str]) -> dict[str, list[int]]:
+    """Candidate periods of a suffix pump ending one step after a run
+    with these rule ids, in increasing order, keyed by that step's rule
+    id.  A pump repeats its rule ids one period later."""
+    m = len(rids)
+    table: dict[str, list[int]] = {}
+    for length in range(1, (m + 1) // 2 + 1):
+        if rids[m - length + 1:] == rids[m - 2 * length + 1:m - length]:
+            table.setdefault(rids[m - length], []).append(length)
+    return table
+
+
+def _node_trace(trs: Trs, node: _Node, start: Term) -> Trace:
+    """The trace from start to node.  Steps not yet applied are applied,
+    and each closure's certificate gets its context string."""
     moves: list[tuple[Optional[Step], Optional[Closure]]] = []
-    cur: Optional[_Node] = node
-    while cur is not None and (cur.via_step or cur.via_closure):
+    cur = node
+    while cur.parent is not None:
+        if cur.via_closure is None:
+            _reached(trs, cur)
         moves.append((cur.via_step, cur.via_closure))
         cur = cur.parent
     moves.reverse()
@@ -606,7 +633,7 @@ def _node_trace(node: _Node, start: Term) -> Trace:
         if st is not None:
             pending.append(st)
         else:
-            epochs.append(Epoch(tuple(pending), cl))
+            epochs.append(Epoch(tuple(pending), _with_context(pending, cl)))
             pending = []
     epochs.append(Epoch(tuple(pending)))
     if len(epochs) > 1 and not epochs[-1].steps:
@@ -631,10 +658,18 @@ class ReachResult:
 
 def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
             fuel: int, max_epochs: int, depth_bound: int,
-            index: RedexIndex):
+            index: RedexIndex) -> tuple[Optional[Trace], Optional[Term], dict]:
     """Deterministic best-first search over (steps, closures), preferring
     fewer closures; ties broken by position-then-rule order.  States are
-    memoized modulo bisimilarity via canonical keys."""
+    memoized modulo bisimilarity via canonical keys.  Returns the trace
+    to a goal term and that term, or (None, None, diagnostics).
+
+    A step child is pushed unapplied and applied when popped.  Each
+    expanded node builds its epoch history and period table once, and a
+    child tries only the suffix pumps its rule id allows; a certified
+    limit not yet expanded enters the frontier at once, so a closing run
+    is not starved by level breadth.
+    """
     if not is_ground(start):
         raise TrsError("search requires a ground start term")
     root = _Node(start, 0, 0, None, None, None, 0)
@@ -645,57 +680,63 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
     deepest = root
     pending: Optional[_Node] = None  # goal reached via a fresh closure
     while heap and expansions < fuel:
-        _, _, _, node = heapq.heappop(heap)
+        node = heapq.heappop(heap)[3]
         if pending is not None and node.steps >= pending.steps:
-            return pending, None
-        key = canon_key(node.term)
+            break
+        term = _reached(trs, node)
+        key = canon_key(term)
         if key in done:
             continue
         done.add(key)
         expansions += 1
         if node.steps > deepest.steps:
             deepest = node
-        if goal(node.term, key):
-            return node, None
-        for pos, rid in find_redexes(trs, node.term, depth_bound, index):
-            st = apply_step(trs, node.term, pos, rid)
-            child = _Node(st.after, node.steps + 1, node.closures,
-                          node, st, None, node.epoch_len + 1)
+        if goal(term, key):
+            return _node_trace(trs, node, start), term, {}
+        periods: dict[str, list[int]] = {}
+        if node.closures < max_epochs - 1 and \
+                1 <= node.epoch_len < _CLOSE_HISTORY_CAP:
+            # The last slot holds the child's step while its pumps are tried.
+            hist = _epoch_steps(node)
+            periods = _pump_periods([s.rule_id for s in hist])
+            hist.append(None)
+        for pos, rid in find_redexes(trs, term, depth_bound, index):
+            child = _Node(None, node.steps + 1, node.closures, node, None,
+                          None, node.epoch_len + 1, (pos, rid))
             heapq.heappush(heap, (child.steps, child.closures, seq, child))
             seq += 1
-            # Certified limits enter the frontier as soon as the pump is
-            # visible, so a closing run is not starved by level breadth.
-            if child.closures < max_epochs - 1 and child.epoch_len >= 2:
-                hist = _epoch_steps(child)
-                if len(hist) >= 2:
-                    attempt = close_limit(hist, suffix_only=True)
-                    if attempt.closure is not None:
-                        cl = attempt.closure
-                        lk = canon_key(cl.limit)
-                        gchild = _Node(cl.limit, child.steps,
-                                       child.closures + 1, child, None, cl, 0)
-                        if lk not in done and goal(cl.limit, lk):
-                            if pending is None or \
-                                    (gchild.steps, gchild.closures) < \
-                                    (pending.steps, pending.closures):
-                                pending = gchild
-                        else:
-                            heapq.heappush(heap, (gchild.steps, gchild.closures,
-                                                  seq, gchild))
-                            seq += 1
+            cl = None
+            if rid in periods:
+                hist[-1] = Step(pos, rid, term, None)
+                for length in periods[rid]:
+                    cl = _try_pump(hist, len(hist) - 2 * length, length)
+                    if cl is not None:
+                        break
+            if cl is None:
+                continue
+            lk = canon_key(cl.limit)
+            if lk in done:
+                continue
+            gchild = _Node(cl.limit, child.steps, child.closures + 1, child,
+                           None, cl, 0)
+            if not goal(cl.limit, lk):
+                heapq.heappush(heap, (gchild.steps, gchild.closures, seq, gchild))
+                seq += 1
+            elif pending is None or (gchild.steps, gchild.closures) < \
+                    (pending.steps, pending.closures):
+                pending = gchild
     if pending is not None:
-        return pending, None
-    reason = "fuel" if heap else "frontier"
+        return _node_trace(trs, pending, start), pending.term, {}
     diag = {
-        "reason": reason,
+        "reason": "fuel" if heap else "frontier",
         "expansions": expansions,
         "distinct_terms": len(done),
         "max_steps": deepest.steps,
     }
     diag["stable_prefix_depth"], prefix = stable_prefix(
-        _node_trace(deepest, start), depth_bound)
+        _node_trace(trs, deepest, start), depth_bound)
     diag["stable_prefix"] = print_term(prefix) if prefix is not None else None
-    return None, diag
+    return None, None, diag
 
 
 def bounded_normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL,
@@ -708,10 +749,8 @@ def bounded_normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL,
     def goal(term: Term, key: int) -> bool:
         return is_normal_form(trs, term, index)
 
-    node, diag = _search(trs, t, goal, fuel, max_epochs, depth_bound, index)
-    if node is None:
-        return NormalizeResult(False, None, None, diag)
-    return NormalizeResult(True, _node_trace(node, t), node.term, {})
+    trace, nf, diag = _search(trs, t, goal, fuel, max_epochs, depth_bound, index)
+    return NormalizeResult(trace is not None, trace, nf, diag)
 
 
 def bounded_reach(trs: Trs, source: Term, target: Term,
@@ -726,11 +765,9 @@ def bounded_reach(trs: Trs, source: Term, target: Term,
     def goal(term: Term, key: int) -> bool:
         return key == tkey
 
-    node, diag = _search(trs, source, goal, fuel, max_epochs, depth_bound,
-                         RedexIndex(trs))
-    if node is None:
-        return ReachResult(False, None, diag)
-    return ReachResult(True, _node_trace(node, source), {})
+    trace, _, diag = _search(trs, source, goal, fuel, max_epochs, depth_bound,
+                             RedexIndex(trs))
+    return ReachResult(trace is not None, trace, diag)
 
 
 @dataclass

@@ -189,14 +189,22 @@ def _reachable(t: Term) -> list[Term]:
 
 
 def is_ground(t: Term) -> bool:
-    """True iff no variable node is reachable from t."""
+    """True iff no variable node is reachable from t.  The walk does not
+    enter nodes known ground, and marks the nodes it visits as ground when
+    it meets no variable."""
     if t._ground is None:
-        nodes = _reachable(t)
-        if any(is_var(n) for n in nodes):
-            t._ground = False
-        else:
-            for n in nodes:
-                n._ground = True
+        nodes, stack = {id(t): t}, [t]
+        while stack:
+            n = stack.pop()
+            if n._ground is False or is_var(n):
+                t._ground = False
+                return False
+            for c in n.children:
+                if c._ground is not True and id(c) not in nodes:
+                    nodes[id(c)] = c
+                    stack.append(c)
+        for n in nodes.values():
+            n._ground = True
     return t._ground
 
 

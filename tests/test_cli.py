@@ -228,6 +228,34 @@ class TestLaws:
         assert (code, out) == (3, "")
         assert err == f"error: law {argv[0]} does not use {argv[1]}\n"
 
+    @pytest.mark.parametrize("fuel, prefix", [
+        # Too few steps to fire five restarts: the stable prefix is not
+        # the peb tower, so the law cannot hold.
+        ("30", "peb(peb(peb(peb(run(cut, cut, cut)))))"),
+        # No step at all: the start term is stable at every depth.
+        ("0", "run(T, pickn, pickn)"),
+    ])
+    def test_pebbled_reach_short_run_unknown(self, capsys, fuel, prefix):
+        code, out, _ = run_cli(capsys, "laws", "pebbled-reach", "--fuel", fuel)
+        lines = out.splitlines()
+        assert code == 2 and lines[-1] == "VERDICT: unknown"
+        assert f"stable peb prefix depth: 5 ({prefix})" in lines
+        assert "witness: stable prefix is not a peb tower of depth 5" in lines
+
+    @pytest.mark.parametrize("name", ["restart-cycle", "pebbled-reach",
+                                      "norm-probe", "limit-correspondence"])
+    def test_negative_fuel_refused(self, capsys, name):
+        code, out, err = run_cli(capsys, "laws", name, "--fuel", "-1")
+        assert (code, out, err) == (3, "", "error: fuel must be >= 0\n")
+
+    def test_limit_correspondence_out_of_fuel_unknown(self, capsys):
+        # An accepted word whose search runs out of fuel refutes nothing.
+        code, out, _ = run_cli(capsys, "laws", "limit-correspondence",
+                               "--fuel", "1")
+        assert code == 2 and out.splitlines()[-1] == "VERDICT: unknown"
+        assert "witness: accepted word but no closure found within fuel 1" \
+            in out.splitlines()
+
     def test_seed_only_for_random_laws(self, capsys, monkeypatch):
         monkeypatch.setenv("IRW_SEED", "5")
         for argv, seed in ((["--samples", "2"], "5"),

@@ -639,11 +639,24 @@ class TestRedexIndex:
 # --- the search's pump pre-filter against the unfiltered suffix loop -------
 
 def _suffix_pump(steps):
-    """close_limit(steps, suffix_only=True) before the rule-period filter:
-    try every period whose second iteration ends at the last step."""
+    """The search's suffix pump check without the rule-period filter: try
+    every period whose second iteration ends at the last step."""
     from irw.rewrite import _try_pump
     n = len(steps)
     for length in range(1, n // 2 + 1):
+        got = _try_pump(steps, n - 2 * length, length)
+        if got is not None:
+            return got
+    return None
+
+
+def _filtered_suffix_pump(steps):
+    """The search's check: the periods _pump_periods keeps for the last
+    step's rule id, from the rule ids of the steps before it."""
+    from irw.rewrite import _pump_periods, _try_pump
+    n = len(steps)
+    periods = _pump_periods([s.rule_id for s in steps[:-1]])
+    for length in periods.get(steps[-1].rule_id, ()):
         got = _try_pump(steps, n - 2 * length, length)
         if got is not None:
             return got
@@ -679,7 +692,7 @@ class TestPumpFilter:
             for k in range(2, len(run) + 1):
                 prefix = run[:k]
                 want = _suffix_pump(prefix)
-                got = close_limit(prefix, suffix_only=True).closure
+                got = _filtered_suffix_pump(prefix)
                 assert (got is None) == (want is None)
                 if got is None:
                     continue
@@ -689,3 +702,256 @@ class TestPumpFilter:
                     (wc.cycle_start, wc.cycle_length, wc.hole, wc.offset)
                 assert bisim_equal(got.limit, want.limit)
         assert closed >= 10
+
+    def test_periods_match_rule_id_squares(self):
+        # Period L is kept for rule id r iff the rule ids with r appended
+        # end in a square of half-length L.
+        from irw.rewrite import _pump_periods
+        rng = random.Random(77)
+        for _ in range(3000):
+            rids = [rng.choice("ab" if rng.random() < 0.7 else "abc")
+                    for _ in range(rng.randint(0, 14))]
+            table = _pump_periods(rids)
+            for r in "abc":
+                full = rids + [r]
+                n = len(full)
+                want = [L for L in range(1, n // 2 + 1)
+                        if full[n - L:] == full[n - 2 * L:n - L]]
+                assert table.get(r, []) == want
+
+
+# --- the search against the eager loop it replaced -------------------------
+
+@dataclasses.dataclass
+class _EagerNode:
+    term: object
+    steps: int
+    closures: int
+    parent: object
+    via_step: object
+    via_closure: object
+    epoch_len: int
+
+
+def _eager_epoch_steps(node):
+    out = []
+    cur = node
+    while cur is not None and cur.via_step is not None:
+        out.append(cur.via_step)
+        cur = cur.parent
+        if len(out) > 512:
+            return []
+    out.reverse()
+    return out
+
+
+def _eager_trace(node, start):
+    from irw.rewrite import Trace
+    moves = []
+    cur = node
+    while cur is not None and (cur.via_step or cur.via_closure):
+        moves.append((cur.via_step, cur.via_closure))
+        cur = cur.parent
+    moves.reverse()
+    epochs, pending = [], []
+    for st, cl in moves:
+        if st is not None:
+            pending.append(st)
+        else:
+            epochs.append(Epoch(tuple(pending), cl))
+            pending = []
+    epochs.append(Epoch(tuple(pending)))
+    if len(epochs) > 1 and not epochs[-1].steps:
+        epochs = epochs[:-1]
+    return Trace(start, tuple(epochs))
+
+
+def _eager_suffix_close(hist):
+    """Every period whose last L rule ids repeat, each pump printed with
+    its context when found."""
+    from irw.rewrite import _try_pump
+    from irw.terms import replace_at, subterm_at
+    n = len(hist)
+    rids = [s.rule_id for s in hist]
+    for length in range(1, n // 2 + 1):
+        if rids[-1] != rids[-1 - length] or \
+                rids[n - length:] != rids[n - 2 * length:n - length]:
+            continue
+        got = _try_pump(hist, n - 2 * length, length)
+        if got is not None:
+            c = got.certificate
+            wrapped = subterm_at(hist[c.cycle_start + c.cycle_length].before,
+                                 c.hole)
+            ctx = print_term(replace_at(wrapped, c.offset, var("HOLE")))
+            return Closure(got.limit, dataclasses.replace(c, context_growth=ctx))
+    return None
+
+
+def eager_search(trs, start, goal, fuel, max_epochs, depth_bound):
+    """The search loop before successors were made on demand: every child
+    is applied and pump-checked when its parent is expanded.  Returns
+    (trace, final term, diagnostics, popped step children, applied steps)."""
+    import heapq
+    from irw.rewrite import RedexIndex
+    index = RedexIndex(trs)
+    root = _EagerNode(start, 0, 0, None, None, None, 0)
+    heap = [(0, 0, 0, root)]
+    seq, done, expansions, deepest, pending = 1, set(), 0, root, None
+    popped = applied = 0
+    found = None
+    while heap and expansions < fuel:
+        node = heapq.heappop(heap)[3]
+        if pending is not None and node.steps >= pending.steps:
+            found = pending
+            break
+        popped += node.via_step is not None
+        key = canon_key(node.term)
+        if key in done:
+            continue
+        done.add(key)
+        expansions += 1
+        if node.steps > deepest.steps:
+            deepest = node
+        if goal(node.term, key, index):
+            found = node
+            break
+        for pos, rid in find_redexes(trs, node.term, depth_bound, index):
+            st = apply_step(trs, node.term, pos, rid)
+            applied += 1
+            child = _EagerNode(st.after, node.steps + 1, node.closures, node,
+                               st, None, node.epoch_len + 1)
+            heapq.heappush(heap, (child.steps, child.closures, seq, child))
+            seq += 1
+            if child.closures < max_epochs - 1 and child.epoch_len >= 2:
+                hist = _eager_epoch_steps(child)
+                cl = _eager_suffix_close(hist) if len(hist) >= 2 else None
+                if cl is not None:
+                    lk = canon_key(cl.limit)
+                    gchild = _EagerNode(cl.limit, child.steps,
+                                        child.closures + 1, child, None, cl, 0)
+                    if lk not in done and goal(cl.limit, lk, index):
+                        if pending is None or (gchild.steps, gchild.closures) \
+                                < (pending.steps, pending.closures):
+                            pending = gchild
+                    else:
+                        heapq.heappush(heap, (gchild.steps, gchild.closures,
+                                              seq, gchild))
+                        seq += 1
+    if found is None:
+        found = pending
+    if found is not None:
+        return _eager_trace(found, start), found.term, {}, popped, applied
+    diag = {"reason": "fuel" if heap else "frontier",
+            "expansions": expansions, "distinct_terms": len(done),
+            "max_steps": deepest.steps}
+    diag["stable_prefix_depth"], prefix = stable_prefix(
+        _eager_trace(deepest, start), depth_bound)
+    diag["stable_prefix"] = print_term(prefix) if prefix is not None else None
+    return None, None, diag, popped, applied
+
+
+def _trace_fingerprint(trace):
+    if trace is None:
+        return None
+    out = [print_term(trace.start)]
+    for ep in trace.epochs:
+        out.append([(s.position, s.rule_id) for s in ep.steps])
+        if ep.closure is not None:
+            out.append((canon_key(ep.closure.limit),
+                        dataclasses.astuple(ep.closure.certificate)))
+    return out
+
+
+def _normalize_goal(trs):
+    return lambda term, key, index: is_normal_form(trs, term, index)
+
+
+def _reach_goal(target):
+    tkey = canon_key(target)
+    return lambda term, key, index: key == tkey
+
+
+class TestSearchOracle:
+    def _check(self, trs, t, fuel, epochs, depth=32, target=None):
+        if target is None:
+            res = bounded_normalize(trs, t, fuel=fuel, max_epochs=epochs,
+                                    depth_bound=depth)
+            found, nf = res.found, res.normal_form
+            goal = _normalize_goal(trs)
+        else:
+            res = bounded_reach(trs, t, target, fuel=fuel, max_epochs=epochs,
+                                depth_bound=depth)
+            found, nf = res.reached, res.trace and res.trace.final
+            goal = _reach_goal(target)
+        trace, final, diag, _, _ = eager_search(trs, t, goal, fuel, epochs, depth)
+        assert found == (trace is not None)
+        assert _trace_fingerprint(res.trace) == _trace_fingerprint(trace)
+        if found:
+            assert canon_key(nf) == canon_key(final)
+        assert res.diagnostics == diag
+        return res
+
+    def test_seeded_random_systems(self, dup_sys):
+        from irw.encode import nd_to_srs, phi
+        from irw.laws import gen_nd_machine
+        from irw.omega import parse_word
+        rng = random.Random(2024)
+        kinds = set()
+        for k in range(24):
+            m = gen_nd_machine(rng)
+            srs = nd_to_srs(m)
+            word = rng.choice(["(a)^w", "ab(ba)^w", "(ab)^w", "b(a)^w"])
+            w = parse_word(word, m.alphabet)
+            start = app(srs.sig.get(m.initial), phi(w, srs.sig))
+            res = self._check(srs, start, rng.choice([50, 300]), rng.choice([2, 3]))
+            kinds.add((res.found, bool(res.found and res.trace.closures)))
+        for k in range(60):
+            t = _random_ground(rng, dup_sys.sig, rng.choice([0.0, 0.2]))
+            res = self._check(dup_sys, t, rng.choice([5, 40]), rng.choice([1, 2, 3]),
+                              depth=rng.choice([3, 8]))
+            kinds.add((res.found, bool(res.found and res.trace.closures)))
+            if not res.found:
+                kinds.add(res.diagnostics["reason"])
+        assert {(True, True), (True, False), (False, False),
+                "fuel", "frontier"} <= kinds
+
+    def test_pickn_reach(self, pickn):
+        for n in range(3, 9):
+            target = T(pickn, "ok(" + "S(" * n + "0(end)" + ")" * n + ")")
+            res = self._check(pickn, T(pickn, "pickn"), 10_000, 4, target=target)
+            assert res.reached and res.trace.total_steps == 2 * n + 1
+
+    def test_norm_probe_corpus_slice(self, r_right):
+        from irw.encode import phi
+        from irw.laws import _depth3_corpus, _designated_term, _fixture_words
+        right = load_fixture("nd_right")
+        zs = [phi(w, r_right.sig) for w in _fixture_words(right)]
+        corpus = _depth3_corpus(r_right, right, zs)
+        picked = corpus[3::37] + [T(r_right, "D1(D2(xi))"),
+                                 T(r_right, "D2(D1(xi))"),
+                                 _designated_term(r_right, zs[0])]
+        closures = 0
+        for t in picked:
+            res = self._check(r_right, t, 10_000, 3)
+            assert res.found
+            closures += res.trace.closures
+        assert closures > 0
+
+    def test_steps_applied_on_demand(self, monkeypatch, r_right):
+        import irw.rewrite
+        t = T(r_right, "run(xi, q0(rec X. a(X)), D1(rec X. a(X)), D2(rec X. a(X)))")
+        trace, _, _, popped, eager = eager_search(
+            r_right, t, _normalize_goal(r_right), 10_000, 3, 32)
+        calls = 0
+        real = irw.rewrite.apply_step
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(irw.rewrite, "apply_step", counting)
+        res = bounded_normalize(r_right, t, fuel=10_000, max_epochs=3)
+        assert _trace_fingerprint(res.trace) == _trace_fingerprint(trace)
+        assert calls <= popped + res.trace.total_steps
+        assert 3 * calls < eager

@@ -448,3 +448,37 @@ def test_canon_key_named_cases():
     assert canon_key(Q("ku(a)")) != canon_key(parse_term("ku(a)", Signature(
         [Symbol("ku", 1)])))
     assert is_finite(var("a")) and is_finite(Q("ku(a)"))
+
+
+# --- is_ground against a fresh walk ---------------------------------------
+
+def test_is_ground_matches_fresh_walk():
+    from irw.terms import _reachable
+    rng = random.Random(4242)
+    f = _SYMS[0]
+    seen = set()
+    for _ in range(400):
+        pool = []
+        for _ in range(3):
+            nodes = _random_graph(rng, rng.choice([0.0, 0.2, 0.5]))
+            # Turn some leaves, or whole subgraphs' entries, into variables.
+            if rng.random() < 0.5:
+                for h in rng.sample(nodes, rng.randint(1, len(nodes))):
+                    if not h.children or rng.random() < 0.2:
+                        h._patch(rng.choice("xyz"), ())
+            pool += nodes
+        # New nodes over old ones, as a rewrite step builds a spine over
+        # subterms whose flags may already be cached.
+        for _ in range(6):
+            x, y = rng.choice(pool), rng.choice(pool)
+            knot = Term(None, ())
+            knot._patch(f, (knot, y) if rng.random() < 0.5 else (y, x))
+            pool += [app(f, x, y), knot]
+        rng.shuffle(pool)
+        for q in pool:
+            want = not any(is_var(n) for n in _reachable(q))
+            assert is_ground(q) == want
+            seen.add(want)
+        for q in pool:
+            assert is_ground(q) == (not any(is_var(n) for n in _reachable(q)))
+    assert seen == {True, False}

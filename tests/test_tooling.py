@@ -1,7 +1,10 @@
-"""The benchmark's tracer binds irw functions by name; a rename or a
-deletion must fail here rather than only in the traced benchmark run."""
+"""Checks of the benchmark tooling.  The tracer binds irw functions by
+name, so a rename or a deletion must fail here rather than only in the
+traced benchmark run; and every committed BENCH_*.json must carry the
+fields a speed claim is read from."""
 
 import importlib
+import json
 import runpy
 from pathlib import Path
 
@@ -15,3 +18,32 @@ def test_tracer_targets_resolve():
     for module, function, _, _ in targets:
         fn = getattr(importlib.import_module(f"irw.{module}"), function, None)
         assert callable(fn), f"irw.{module}.{function}"
+
+
+ROOT = TRACER.parent.parent
+
+
+def test_bench_files_carry_their_fields():
+    # A speed claim is recorded as BENCH_*.json at the repo root: per
+    # workload, each end-to-end metric's parent and change medians with
+    # quartiles and the pair count; the traced per-layer numbers; and the
+    # src/ line counts.
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        bench = json.loads(path.read_text())
+        assert bench["end_to_end"], path.name
+        for workload, metrics in bench["end_to_end"].items():
+            assert metrics, (path.name, workload)
+            for metric, row in metrics.items():
+                where = (path.name, workload, metric)
+                assert isinstance(row["pairs"], int) and row["pairs"] >= 1, where
+                for side in ("parent", "change"):
+                    q1, med, q3 = (row[side][k] for k in ("q1", "median", "q3"))
+                    assert all(isinstance(v, (int, float)) for v in (q1, med, q3))
+                    assert q1 <= med <= q3, where
+        assert bench["per_layer"], path.name
+        for metric, row in bench["per_layer"].items():
+            assert set(row) >= {"parent", "change"}, (path.name, metric)
+        for side in ("parent", "change"):
+            assert isinstance(bench["src_loc"][side], int), path.name
