@@ -128,14 +128,6 @@ class NdConfig:
         got = self.writes.get(i)
         return got if got is not None else self.word.at(i)
 
-    def written(self, i: int, f: str) -> "NdConfig":
-        nw = dict(self.writes)
-        if self.word.at(i) == f:
-            nw.pop(i, None)
-        else:
-            nw[i] = f
-        return NdConfig(self.word, self.state, self.head, nw)
-
     def _key(self):
         return (self.state, self.head, tuple(sorted(self.writes.items())))
 
@@ -158,14 +150,19 @@ def nd_steps(m: NdTmSpec, c: NdConfig) -> list[NdConfig]:
 
 def _choices(m: NdTmSpec, c: NdConfig) -> list[tuple[tuple[str, str, str], "NdConfig"]]:
     out = []
-    head_sym = c.symbol_at(c.head)
-    for ch in m.delta.get((c.state, head_sym), ()):
+    base = c.word.at(c.head)
+    for ch in m.delta.get((c.state, c.symbol_at(c.head)), ()):
         q2, f2, d = ch
         if d == "L" and c.head == 0:
             continue
-        nxt = c.written(c.head, f2)
-        out.append((ch, NdConfig(c.word, q2, c.head + (1 if d == "R" else -1),
-                                 nxt.writes)))
+        # The new config owns a copy of c's overlay; a write that restores
+        # the base symbol leaves no entry.
+        nxt = NdConfig(c.word, q2, c.head + (1 if d == "R" else -1), c.writes)
+        if f2 == base:
+            nxt.writes.pop(c.head, None)
+        else:
+            nxt.writes[c.head] = f2
+        out.append((ch, nxt))
     return out
 
 

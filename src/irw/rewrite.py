@@ -124,14 +124,13 @@ class Trs:
         return f"<trs {self.name or '?'} {len(self.rules)} rules>"
 
 
-def match(pattern: Term, subject: Term,
-          binding: Optional[dict[str, Term]] = None) -> Optional[dict[str, Term]]:
+def match(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
     """First-order matching of a finite pattern against a term.
 
     Repeated pattern variables are compared with bisim_equal, so non-linear
     patterns work on rational subjects.
     """
-    bnd = dict(binding) if binding else {}
+    bnd: dict[str, Term] = {}
     todo = [(pattern, subject)]
     while todo:
         p, s = todo.pop()

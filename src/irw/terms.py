@@ -5,7 +5,9 @@ symbol with a fixed arity or a variable name.  Acyclic terms are ordinary
 finite terms; cyclic graphs denote the infinite (rational) tree obtained
 by unfolding.  Equality throughout is equality of unfoldings, never node
 identity.  Terms are immutable once built and safe to share between
-concurrent activities.
+concurrent activities.  Each node caches only its canonical id, one per
+unfolding; finiteness and groundness are recorded per id, so both are a
+table lookup after :func:`canon_key`.
 
 The concrete syntax is::
 
@@ -129,12 +131,11 @@ class Term:
     to build terms.  Compare with :func:`bisim_equal`, not ``==``.
     """
 
-    __slots__ = ("label", "children", "_ground", "_cid")
+    __slots__ = ("label", "children", "_cid")
 
     def __init__(self, label, children: tuple):
         self.label = label
         self.children = children
-        self._ground: Optional[bool] = None
         self._cid: Optional[int] = None
 
     def _patch(self, label, children: tuple) -> None:
@@ -188,26 +189,6 @@ def _reachable(t: Term) -> list[Term]:
     return out
 
 
-def is_ground(t: Term) -> bool:
-    """True iff no variable node is reachable from t.  The walk does not
-    enter nodes known ground, and marks the nodes it visits as ground when
-    it meets no variable."""
-    if t._ground is None:
-        nodes, stack = {id(t): t}, [t]
-        while stack:
-            n = stack.pop()
-            if n._ground is False or is_var(n):
-                t._ground = False
-                return False
-            for c in n.children:
-                if c._ground is not True and id(c) not in nodes:
-                    nodes[id(c)] = c
-                    stack.append(c)
-        for n in nodes.values():
-            n._ground = True
-    return t._ground
-
-
 # ---------------------------------------------------------------------------
 # Canonical ids: maximal sharing of unfoldings
 #
@@ -215,12 +196,14 @@ def is_ground(t: Term) -> bool:
 # (None, name) for a variable, to the id of its unfolding; no two ids have
 # bisimilar unfoldings.  The ids of a new cycle are consecutive, and the
 # first is also keyed by the cycle's rows (a tuple of tuples, never a node
-# key), so that a bisimilar cycle built elsewhere finds them.
+# key), so that a bisimilar cycle built elsewhere finds them.  Finiteness
+# and groundness are properties of the unfolding, so they are kept per id.
 
 _lock = threading.Lock()
 _table: dict[tuple, int] = {}
 _keys: list[tuple] = []        # id -> its node key
 _finite_ids = bytearray()      # id -> 1 iff its unfolding is finite
+_ground_ids = bytearray()      # id -> 1 iff its unfolding has no variable
 
 
 def _settle(n: Term) -> None:
@@ -238,6 +221,8 @@ def _settle(n: Term) -> None:
                 cid = len(_keys)
                 _finite_ids.append(all(_finite_ids[c._cid]
                                        for c in n.children))
+                _ground_ids.append(key[0] is not None and all(
+                    _ground_ids[c._cid] for c in n.children))
                 _keys.append(key)
                 _table[key] = cid
     n._cid = cid
@@ -295,12 +280,17 @@ def _settle_cycle(comp: list[Term]) -> None:
                 for x in refs[rep[c]]]) for c in row_of)
             base = _table.get(rows)
             if base is None:
+                # Each node of the cycle reaches all the others, so all
+                # are ground iff every id they reference outside it is.
+                ground = all(_ground_ids[-1 - x] for row in rows
+                             for x in row[1:] if x < 0)
                 base = len(_keys)
                 for j, row in enumerate(rows):
                     key = (row[0], *[base + x if x >= 0 else -1 - x
                                      for x in row[1:]])
                     _keys.append(key)
                     _finite_ids.append(0)
+                    _ground_ids.append(ground)
                     _table[key] = base + j
                 _table[rows] = base
             known.update((c, base + j) for c, j in row_of.items())
@@ -389,6 +379,11 @@ def is_finite(t: Term) -> bool:
     return bool(_finite_ids[canon_key(t)])
 
 
+def is_ground(t: Term) -> bool:
+    """True iff no variable node is reachable from t."""
+    return bool(_ground_ids[canon_key(t)])
+
+
 def bisim_equal(a: Term, b: Term) -> bool:
     """True iff the infinite unfoldings of a and b are the same tree.
 
@@ -418,14 +413,22 @@ def term_symbols(t: Term) -> set[Symbol]:
     return {n.label for n in _reachable(t) if not is_var(n)}
 
 
+def _path(t: Term, pos: tuple[int, ...]) -> list[Term]:
+    """The nodes met following 1-based child indices from t: t first, the
+    subterm at pos last.  A variable has no children, so no index fits."""
+    spine = [t]
+    for i in pos:
+        kids = spine[-1].children
+        if not 0 < i <= len(kids):
+            raise PositionError(
+                f"invalid position {list(pos)} at depth {len(spine) - 1}")
+        spine.append(kids[i - 1])
+    return spine
+
+
 def subterm_at(t: Term, pos: tuple[int, ...]) -> Term:
     """The subterm reached by following 1-based child indices."""
-    n = t
-    for depth, i in enumerate(pos):
-        if is_var(n) or not 1 <= i <= len(n.children):
-            raise PositionError(f"invalid position {list(pos)} at depth {depth}")
-        n = n.children[i - 1]
-    return n
+    return _path(t, pos)[-1]
 
 
 def replace_at(t: Term, pos: tuple[int, ...], s: Term) -> Term:
@@ -437,13 +440,7 @@ def replace_at(t: Term, pos: tuple[int, ...], s: Term) -> Term:
     """
     if not pos:
         return s
-    spine = [t]
-    n = t
-    for depth, i in enumerate(pos):
-        if is_var(n) or not 1 <= i <= len(n.children):
-            raise PositionError(f"invalid position {list(pos)} at depth {depth}")
-        n = n.children[i - 1]
-        spine.append(n)
+    spine = _path(t, pos)
     new = s
     for depth in range(len(pos) - 1, -1, -1):
         parent = spine[depth]
@@ -484,13 +481,7 @@ def cyclify(t: Term, path: tuple[int, ...]) -> Term:
     obtained by punching a hole into t at `path`."""
     if not path:
         raise TermError("cannot cyclify at the empty path")
-    spine = []
-    n = t
-    for depth, i in enumerate(path):
-        if is_var(n) or not 1 <= i <= len(n.children):
-            raise PositionError(f"invalid position {list(path)} at depth {depth}")
-        spine.append(n)
-        n = n.children[i - 1]
+    spine = _path(t, path)[:-1]
     fresh = [Term(None, ()) for _ in spine]
     for j, node in enumerate(spine):
         kids = list(node.children)

@@ -242,6 +242,15 @@ class TestLaws:
         assert f"stable peb prefix depth: 5 ({prefix})" in lines
         assert "witness: stable prefix is not a peb tower of depth 5" in lines
 
+    def test_pebbled_reach_no_halt_no_step_unknown(self, capsys):
+        # Zero firings in a run of no steps bounds nothing.
+        code, out, _ = run_cli(capsys, "laws", "pebbled-reach", "--fixture",
+                               "m_rej", "--fuel", "0")
+        lines = out.splitlines()
+        assert code == 2 and lines[-1] == "VERDICT: unknown"
+        assert "no halt rules; firings: 0 (expected <= 1)" in lines
+        assert "witness: greedy run took no step within fuel 0" in lines
+
     @pytest.mark.parametrize("name", ["restart-cycle", "pebbled-reach",
                                       "norm-probe", "limit-correspondence"])
     def test_negative_fuel_refused(self, capsys, name):

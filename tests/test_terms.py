@@ -165,10 +165,20 @@ class TestPositions:
         assert print_term(subterm_at(t, (2, 1))) == "end"
 
     def test_invalid_position(self):
-        with pytest.raises(PositionError):
-            subterm_at(P("T"), (1,))
-        with pytest.raises(PositionError):
-            replace_at(P("peb(T)"), (2,), P("T"))
+        # The same message from each of the three walkers.
+        for text, pos, depth in [
+                ("T", (1,), 0),
+                ("peb(T)", (2,), 0),
+                ("peb(T)", (0,), 0),
+                ("f(x, T)", (1, 1), 1),      # a variable on the path
+                ("rec X . f(X, x)", (1, 1, 2, 1), 3)]:
+            for walk in (lambda t: subterm_at(t, pos),
+                         lambda t: replace_at(t, pos, P("T")),
+                         lambda t: cyclify(t, pos)):
+                with pytest.raises(PositionError) as err:
+                    walk(P(text))
+                assert str(err.value) == \
+                    f"invalid position {list(pos)} at depth {depth}"
 
     def test_replace_identity_shape(self):
         t = P("peb(T)")
@@ -482,3 +492,26 @@ def test_is_ground_matches_fresh_walk():
         for q in pool:
             assert is_ground(q) == (not any(is_var(n) for n in _reachable(q)))
     assert seen == {True, False}
+
+    # A cycle whose only variable lies in a cyclic id settled before it, so
+    # the cycle's new ids read groundness off the id they reference; then
+    # bisimilar copies that find those ids.  Symbols of their own keep the
+    # ids new to the table.
+    sig = Signature([Symbol("gk", 2), Symbol("gu", 1), Symbol("gc", 0)])
+    gk, gu = sig.get("gk"), sig.get("gu")
+    for leaf in ("x", "gc"):
+        inner = parse_term(f"rec Y . gk(Y, {leaf})", sig)
+        want = leaf == "gc"
+        assert is_ground(inner) == want
+        keys = set()
+        for entry in (0, 1):
+            knot = Term(None, ())
+            knot._patch(gk, (app(gu, knot), inner))
+            cycle = [knot, knot.children[0]]
+            for q in cycle[entry:] + cycle[:entry]:
+                assert is_ground(q) == want
+                keys.add(canon_key(q))
+        copy = parse_term(f"gu(rec X . gk(gu(X), rec Y . gk(Y, {leaf})))", sig)
+        for q in _reachable(copy):
+            assert is_ground(q) == (not any(is_var(n) for n in _reachable(q)))
+        assert canon_key(copy) in keys and len(keys) == 2
