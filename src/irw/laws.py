@@ -28,7 +28,7 @@ from .omega import (
     parse_word,
 )
 from .rewrite import (
-    RedexIndex, Rule, Trs, apply_step, bounded_normalize, canon_key,
+    Rule, Trs, apply_step, bounded_normalize, canon_key,
     find_redexes, match, stable_prefix, step_reachability, strategy_steps,
     Trace, Epoch,
 )
@@ -147,8 +147,8 @@ def mutate_first_write(trs: Trs) -> Trs:
 # Two-sided step-exact bisimulation
 
 
-def _root_step(trs: Trs, term: Term, index: RedexIndex):
-    reds = find_redexes(trs, term, 0, index)
+def _root_step(trs: Trs, term: Term):
+    reds = find_redexes(trs, term, 0)
     if not reds:
         return None
     if len(reds) > 1:
@@ -168,13 +168,12 @@ def check_two_sided_bisim(m: Optional[TmSpec] = None, samples: int = 100,
     total = 0
     for mm in machines:
         sys = trs if trs is not None else tm_to_trs(mm)
-        index = RedexIndex(sys)
         for s_i in range(samples):
             c = gen_det_config(rng, mm)
             term = encode_config(mm, c)
             for k in range(steps):
                 nxt = tm_step(mm, c)
-                st = _root_step(sys, term, index)
+                st = _root_step(sys, term)
                 if (nxt is None) != (st is None):
                     rep.verdict = "refuted"
                     rep.witness = (f"machine {mm.name} config "
@@ -194,6 +193,9 @@ def check_two_sided_bisim(m: Optional[TmSpec] = None, samples: int = 100,
                 c, term = nxt, st.after
                 total += 1
     rep.lines.append(f"steps compared: {total}")
+    if samples < 1:
+        rep.verdict = "unknown"
+        rep.witness = "no configuration sampled"
     return _finish(rep, t0)
 
 
@@ -630,7 +632,8 @@ LAW_ARGS = {
 
 
 class LawError(ValueError):
-    """An unknown law, or an argument the named law does not use."""
+    """An unknown law, an argument the named law does not use, or a
+    negative sample count or fuel."""
 
 
 def run_law(name: str, fixture: Optional[str] = None,
@@ -649,8 +652,9 @@ def run_law(name: str, fixture: Optional[str] = None,
     if unused:
         flags = ", ".join("--" + k.replace("_", "-") for k in unused)
         raise LawError(f"law {name} does not use {flags}")
-    if fuel is not None and fuel < 0:
-        raise LawError("fuel must be >= 0")
+    for k in ("samples", "fuel"):
+        if given[k] is not None and given[k] < 0:
+            raise LawError(f"{k} must be >= 0")
     opts = {k: given[k] for k in ("samples", "seed") if given[k] is not None}
     if name == "two-sided-bisim":
         m = load_fixture(fixture) if fixture else load_fixture("m_acc")

@@ -33,7 +33,7 @@ from .terms import (
 __all__ = [
     "Rule", "Trs", "TrsError", "NoMatchError", "Step", "PumpCertificate",
     "Closure", "Epoch", "Trace", "StrategyRun", "ClosureAttempt",
-    "NormalizeResult", "ReachResult", "Reachability", "RedexIndex",
+    "NormalizeResult", "ReachResult", "Reachability",
     "DEFAULT_DEPTH_BOUND", "DEFAULT_MAX_EPOCHS", "DEFAULT_FUEL",
     "match", "instantiate", "find_redexes", "apply_step",
     "is_normal_form", "strategy_steps", "run_strategy", "close_limit",
@@ -74,11 +74,22 @@ class Rule:
                 f"rule {self.rid}: rhs variables {sorted(missing)} not in lhs")
 
 
+_NO_REDEX = float("inf")
+
+
 class Trs:
     """An ordered list of rules over a signature.
 
     Rule order is the tie-break order everywhere a choice must be
     deterministic.
+
+    A system keeps its own redex table for find_redexes and
+    is_normal_form, keyed by canonical id, since whether a rule matches
+    depends only on the unfolding: per id, the depth of the shallowest
+    redex (infinite when there is none) and, at a redex, the ids of the
+    rules that match there, in rule order.  Every id below a cached id is
+    cached too, so a term costs only its ids not seen before, whichever
+    run or thread met the others.  The table lives as long as the system.
     """
 
     def __init__(self, sig: Signature, rules: Iterable[Rule], name: str = "",
@@ -89,6 +100,8 @@ class Trs:
         self.construction = construction
         self._by_id: dict[str, Rule] = {}
         self._by_root: dict = {}
+        self._depth: dict[int, float] = {}
+        self._rules: dict[int, tuple[str, ...]] = {}
         for r in self.rules:
             if r.rid in self._by_id:
                 raise TrsError(f"duplicate rule id {r.rid}")
@@ -115,6 +128,58 @@ class Trs:
         """Ids of the rules whose lhs matches at node, in rule order."""
         return tuple(r.rid for r in self._by_root.get(node.label, ())
                      if match(r.lhs, node) is not None)
+
+    def _shallowest(self, t: Term) -> float:
+        """Depth of the shallowest redex in t's unfolding, or inf."""
+        d = self._depth.get(canon_key(t))
+        if d is None:
+            self._fill(t)
+            d = self._depth[t._cid]
+        return d
+
+    def _fill(self, t: Term) -> None:
+        depth = self._depth
+        fresh: dict[int, Term] = {}  # new id -> one node with that id
+        stack = [t]
+        while stack:
+            n = stack.pop()
+            if n._cid not in depth and n._cid not in fresh:
+                fresh[n._cid] = n
+                stack.extend(n.children)
+        # Shortest paths to a redex over the reversed edges among the new
+        # ids, seeded by the redexes and by the depths of cached children.
+        # Cycles rule out a single bottom-up pass.
+        rules: dict[int, tuple[str, ...]] = {}
+        dist: dict[int, float] = {}
+        parents: dict[int, list[int]] = {}
+        for k, n in fresh.items():
+            rids = self.rules_at(n)
+            if rids:
+                rules[k] = rids
+            d = 0 if rids else _NO_REDEX
+            for c in n.children:
+                if c._cid in fresh:
+                    parents.setdefault(c._cid, []).append(k)
+                else:
+                    d = min(d, depth[c._cid] + 1)
+            dist[k] = d
+        heap = [(d, k) for k, d in dist.items() if d < _NO_REDEX]
+        heapq.heapify(heap)
+        while heap:
+            d, k = heapq.heappop(heap)
+            if d > dist[k]:
+                continue
+            for p in parents.get(k, ()):
+                if d + 1 < dist[p]:
+                    dist[p] = d + 1
+                    heapq.heappush(heap, (d + 1, p))
+        # Threads may share a system and read without a lock.  Each table
+        # grows by one update from a dict of int keys, which runs no
+        # Python code and so is not interleaved, and rules go first: a
+        # reader that finds an id's depth finds its rules and the depth
+        # of every id below it.  A race only fills an id twice, alike.
+        self._rules.update(rules)
+        depth.update(dist)
 
     def without(self, *rids: str) -> "Trs":
         return Trs(self.sig, [r for r in self.rules if r.rid not in rids],
@@ -157,106 +222,27 @@ def instantiate(pattern: Term, binding: dict[str, Term]) -> Term:
                 tuple(instantiate(c, binding) for c in pattern.children))
 
 
-_NO_REDEX = float("inf")
-
-
-class RedexIndex:
-    """Redexes per shared node of the terms of one rule system.
-
-    For each node it has seen, the index keeps the depth of the
-    shallowest redex in the node's unfolding (infinite when there is
-    none) and, at a redex, the ids of the rules that match there, in
-    rule order.  Nodes are their own keys: a Term hashes and compares by
-    identity, and a key keeps its node alive.  Every node reachable from
-    a cached node is cached too, so a term that shares its graph with
-    earlier terms, such as the result of a step, costs only its new
-    nodes.  A search or a strategy keeps one index for its whole run.
-    """
-
-    def __init__(self, trs: Trs):
-        self.trs = trs
-        self._depth: dict[Term, float] = {}
-        self._rules: dict[Term, tuple[str, ...]] = {}
-
-    def shallowest(self, t: Term) -> float:
-        """Depth of the shallowest redex in t's unfolding, or inf."""
-        d = self._depth.get(t)
-        if d is None:
-            self._fill(t)
-            d = self._depth[t]
-        return d
-
-    def _fill(self, t: Term) -> None:
-        depth = self._depth
-        fresh: dict[Term, int] = {}
-        stack = [t]
-        while stack:
-            n = stack.pop()
-            if n not in depth and n not in fresh:
-                fresh[n] = len(fresh)
-                stack.extend(n.children)
-        # Shortest paths to a redex over the reversed edges among the new
-        # nodes, seeded by the redexes and by the depths of cached
-        # children.  Cycles rule out a single bottom-up pass.
-        nodes = list(fresh)
-        dist: list[float] = []
-        parents: dict[int, list[int]] = {}
-        for k, n in enumerate(nodes):
-            rids = self.trs.rules_at(n)
-            if rids:
-                self._rules[n] = rids
-            d = 0 if rids else _NO_REDEX
-            for c in n.children:
-                j = fresh.get(c)
-                if j is None:
-                    d = min(d, depth[c] + 1)
-                else:
-                    parents.setdefault(j, []).append(k)
-            dist.append(d)
-        heap = [(d, k) for k, d in enumerate(dist) if d < _NO_REDEX]
-        heapq.heapify(heap)
-        while heap:
-            d, k = heapq.heappop(heap)
-            if d > dist[k]:
-                continue
-            for p in parents.get(k, ()):
-                if d + 1 < dist[p]:
-                    dist[p] = d + 1
-                    heapq.heappush(heap, (d + 1, p))
-        depth.update(zip(nodes, dist))
-
-
-def _index_for(trs: Trs, index: Optional[RedexIndex]) -> RedexIndex:
-    if index is None:
-        return RedexIndex(trs)
-    if index.trs is not trs:
-        raise TrsError("redex index belongs to another rule system")
-    return index
-
-
-def find_redexes(trs: Trs, t: Term, depth_bound: int,
-                 index: Optional[RedexIndex] = None
+def find_redexes(trs: Trs, t: Term, depth_bound: int
                  ) -> list[tuple[tuple[int, ...], str]]:
     """All (position, rule id) pairs with |position| <= depth_bound, in
     lexicographic position order, rule order within a position.
 
     The depth bound is mandatory because rational terms have infinitely
     many positions.  A subterm whose shallowest redex lies beyond the
-    bound is not entered.  Pass the index of the current run to reuse
-    what earlier calls learned; without one a fresh index is built.
+    bound is not entered.  Rules are matched only at canonical ids the
+    system's redex table has not seen, in this call or any earlier one.
     """
     if depth_bound < 0:
         raise TrsError("depth_bound must be >= 0")
-    index = _index_for(trs, index)
-    index.shallowest(t)  # caches every node of t
-    depth, rules = index._depth, index._rules
+    trs._shallowest(t)  # caches every id of t
+    depth, rules = trs._depth, trs._rules
     out: list[tuple[tuple[int, ...], str]] = []
     stack: list[tuple[tuple[int, ...], Term]] = [((), t)]
     while stack:
         pos, node = stack.pop()
-        if depth[node] > depth_bound - len(pos):
+        if depth[node._cid] > depth_bound - len(pos):
             continue
-        for rid in rules.get(node, ()):
+        for rid in rules.get(node._cid, ()):
             out.append((pos, rid))
         if len(pos) < depth_bound:
             for i in range(len(node.children), 0, -1):
@@ -289,16 +275,16 @@ def apply_step(trs: Trs, t: Term, pos: tuple[int, ...], rule_id: str) -> Step:
     return Step(tuple(pos), rule_id, t, after)
 
 
-def is_normal_form(trs: Trs, t: Term,
-                   index: Optional[RedexIndex] = None) -> bool:
+def is_normal_form(trs: Trs, t: Term) -> bool:
     """Decide normality of a ground (finite or rational) term.
 
     A rational term has finitely many distinct nodes; a rule matches at
-    some position iff it matches at one of them.
+    some position iff it matches at one of them.  The answer is read from
+    the system's redex table, filling only ids it has not seen.
     """
     if not is_ground(t):
         raise TrsError("is_normal_form requires a ground term")
-    return _index_for(trs, index).shallowest(t) == _NO_REDEX
+    return trs._shallowest(t) == _NO_REDEX
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +499,9 @@ def strategy_steps(trs: Trs, t: Term,
     at the shallowest such rule.  The first productive redex is taken,
     or with ``rng`` one drawn uniformly from all productive redexes.
     """
-    index = RedexIndex(trs)
     cur = t
     while True:
-        reds = find_redexes(trs, cur, depth_bound, index)
+        reds = find_redexes(trs, cur, depth_bound)
         if order is not None:
             reds.sort(key=lambda pr: order(*pr))
         choices = []
@@ -656,8 +641,8 @@ class ReachResult:
 
 
 def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
-            fuel: int, max_epochs: int, depth_bound: int,
-            index: RedexIndex) -> tuple[Optional[Trace], Optional[Term], dict]:
+            fuel: int, max_epochs: int, depth_bound: int
+            ) -> tuple[Optional[Trace], Optional[Term], dict]:
     """Deterministic best-first search over (steps, closures), preferring
     fewer closures; ties broken by position-then-rule order.  States are
     memoized modulo bisimilarity via canonical keys.  Returns the trace
@@ -699,7 +684,7 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
             hist = _epoch_steps(node)
             periods = _pump_periods([s.rule_id for s in hist])
             hist.append(None)
-        for pos, rid in find_redexes(trs, term, depth_bound, index):
+        for pos, rid in find_redexes(trs, term, depth_bound):
             child = _Node(None, node.steps + 1, node.closures, node, None,
                           None, node.epoch_len + 1, (pos, rid))
             heapq.heappush(heap, (child.steps, child.closures, seq, child))
@@ -743,12 +728,10 @@ def bounded_normalize(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL,
                       depth_bound: int = DEFAULT_DEPTH_BOUND) -> NormalizeResult:
     """Search for a normal form, branching on redex choice and on closing
     the current epoch with a certified omega-limit."""
-    index = RedexIndex(trs)
-
     def goal(term: Term, key: int) -> bool:
-        return is_normal_form(trs, term, index)
+        return is_normal_form(trs, term)
 
-    trace, nf, diag = _search(trs, t, goal, fuel, max_epochs, depth_bound, index)
+    trace, nf, diag = _search(trs, t, goal, fuel, max_epochs, depth_bound)
     return NormalizeResult(trace is not None, trace, nf, diag)
 
 
@@ -764,8 +747,7 @@ def bounded_reach(trs: Trs, source: Term, target: Term,
     def goal(term: Term, key: int) -> bool:
         return key == tkey
 
-    trace, _, diag = _search(trs, source, goal, fuel, max_epochs, depth_bound,
-                             RedexIndex(trs))
+    trace, _, diag = _search(trs, source, goal, fuel, max_epochs, depth_bound)
     return ReachResult(trace is not None, trace, diag)
 
 
@@ -792,12 +774,11 @@ def step_reachability(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL,
     edges: list[tuple[int, int, str]] = []
     q = deque([t])
     expansions = 0
-    index = RedexIndex(trs)
     while q and expansions < fuel:
         cur = q.popleft()
         ck = canon_key(cur)
         expansions += 1
-        for pos, rid in find_redexes(trs, cur, depth_bound, index):
+        for pos, rid in find_redexes(trs, cur, depth_bound):
             st = apply_step(trs, cur, pos, rid)
             nk = canon_key(st.after)
             if nk not in dist:

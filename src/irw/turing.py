@@ -140,18 +140,20 @@ def tm_final(m: TmSpec, c: TmConfig, fuel: int) -> TmOutcome:
     return TmOutcome("timeout", cur, fuel)
 
 
-def _require_numeric(m: TmSpec) -> None:
+def _require_numeric(m: TmSpec, *numerals: int) -> None:
     if "S" not in m.alphabet or "0" not in m.alphabet:
         raise MachineError("machine alphabet must contain S and 0")
+    if min(numerals) < 0:
+        raise MachineError(f"numerals must be >= 0, got {min(numerals)}")
 
 
 def initial_fun_config(m: TmSpec, n: int) -> TmConfig:
-    _require_numeric(m)
+    _require_numeric(m, n)
     return make_config(m, (), m.initial, ("S",) * n + ("0",))
 
 
 def initial_rel_config(m: TmSpec, n: int, k: int) -> TmConfig:
-    _require_numeric(m)
+    _require_numeric(m, n, k)
     return make_config(m, ("S",) * n + ("0",), m.initial, ("S",) * k + ("0",))
 
 

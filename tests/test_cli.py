@@ -99,6 +99,16 @@ class TestTm:
                                "--config", "S S 0")
         assert code == 3
 
+    @pytest.mark.parametrize("argv, bad", [
+        (["fun", "m_acc", "--arg", "-2"], -2),
+        (["rel", "m_acc", "--pair", "-1", "2"], -1),
+        (["rel", "m_acc", "--pair", "2", "-3"], -3),
+    ])
+    def test_negative_numeral_refused(self, capsys, argv, bad):
+        code, out, err = run_cli(capsys, "tm", *argv)
+        assert (code, out) == (3, "")
+        assert err == f"error: numerals must be >= 0, got {bad}\n"
+
 
 class TestTrs:
     @pytest.fixture
@@ -256,6 +266,20 @@ class TestLaws:
     def test_negative_fuel_refused(self, capsys, name):
         code, out, err = run_cli(capsys, "laws", name, "--fuel", "-1")
         assert (code, out, err) == (3, "", "error: fuel must be >= 0\n")
+
+    @pytest.mark.parametrize("argv", [["two-sided-bisim", "--samples", "-3"],
+                                      ["pickn", "--samples", "-1"]])
+    def test_negative_samples_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, "laws", *argv)
+        assert (code, out, err) == (3, "", "error: samples must be >= 0\n")
+
+    def test_two_sided_bisim_no_samples_unknown(self, capsys):
+        code, out, _ = run_cli(capsys, "laws", "two-sided-bisim",
+                               "--samples", "0")
+        lines = out.splitlines()
+        assert code == 2 and lines[-1] == "VERDICT: unknown"
+        assert "steps compared: 0" in lines
+        assert "witness: no configuration sampled" in lines
 
     def test_limit_correspondence_out_of_fuel_unknown(self, capsys):
         # An accepted word whose search runs out of fuel refutes nothing.

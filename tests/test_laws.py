@@ -15,7 +15,7 @@ from irw.laws import (
 from irw.machines import load_fixture
 from irw.omega import NdConfig, nd_steps, parse_word
 from irw.rewrite import (
-    Epoch, RedexIndex, Trace, apply_step, canon_key, find_redexes,
+    Epoch, Trace, apply_step, canon_key, find_redexes,
 )
 from irw.turing import TmSpec
 
@@ -166,9 +166,8 @@ def reference_greedy_run(trs, start, fuel, stop_after_firings=None,
         return 1 if rid.endswith(".halt") else 3
 
     steps, cur, firings = [], start, 0
-    index = RedexIndex(trs)
     for _ in range(fuel):
-        reds = [(p, r) for (p, r) in find_redexes(trs, cur, depth_bound, index)
+        reds = [(p, r) for (p, r) in find_redexes(trs, cur, depth_bound)
                 if priority(r) < 99]
         if not reds:
             break

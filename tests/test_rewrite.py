@@ -527,11 +527,12 @@ class TestPumpStress:
         assert checked == 2
 
 
-# --- the redex index against the plain walk --------------------------------
+# --- the redex table against the plain walk --------------------------------
 
 def _walk_redexes(trs, t, depth_bound):
-    """The plain walk find_redexes made before the index: every position
-    of the unfolding down to the bound, every rule at every node."""
+    """The plain walk find_redexes made before the redex table: every
+    position of the unfolding down to the bound, every rule at every
+    node."""
     out = []
     stack = [((), t)]
     while stack:
@@ -562,7 +563,7 @@ def _has_redex_node(trs, t):
 @pytest.fixture(scope="module")
 def dup_sys():
     # f.dup is non-linear, e keeps runs going, and h and c head no rule,
-    # so some subterms hold no redex and the index may prune them.
+    # so some subterms hold no redex and the table may prune them.
     sig = Signature([Symbol("f", 2), Symbol("g", 1), Symbol("h", 2),
                      Symbol("a", 0), Symbol("b", 0), Symbol("c", 0),
                      Symbol("e", 0)])
@@ -593,47 +594,128 @@ def _random_ground(rng, sig, back):
     return holes[0]
 
 
+def _cold(trs):
+    """The same rules as trs, with an empty redex table."""
+    return Trs(trs.sig, trs.rules)
+
+
 class TestRedexIndex:
     def test_matches_plain_walk(self, dup_sys):
-        from irw.rewrite import RedexIndex
+        # The module fixture's table stays warm across the test; every
+        # question is also asked of a cold system.
         rng = random.Random(1618)
-        shared = RedexIndex(dup_sys)
         kinds = set()
         for _ in range(1500):
             t = _random_ground(rng, dup_sys.sig, rng.choice([0.0, 0.1, 0.3]))
             for d in range(9):
                 want = _walk_redexes(dup_sys, t, d)
+                assert find_redexes(_cold(dup_sys), t, d) == want
                 assert find_redexes(dup_sys, t, d) == want
-                assert find_redexes(dup_sys, t, d, shared) == want
                 kinds.add((d, bool(want)))
             nf = not _has_redex_node(dup_sys, t)
+            assert is_normal_form(_cold(dup_sys), t) == nf
             assert is_normal_form(dup_sys, t) == nf
-            assert is_normal_form(dup_sys, t, shared) == nf
             kinds.add(nf)
         # Both answers occur at every bound, and both normality verdicts.
         assert kinds >= {(d, b) for d in range(9) for b in (True, False)}
         assert {True, False} <= kinds
 
     def test_shared_index_along_a_run(self, dup_sys):
-        from irw.rewrite import RedexIndex
         rng = random.Random(31)
         for k in range(120):
             t = _random_ground(rng, dup_sys.sig, rng.choice([0.0, 0.2]))
             run = run_strategy(dup_sys, t, strategy="seeded-random",
                                fuel=20, depth_bound=6, seed=k)
-            index = RedexIndex(dup_sys)
             terms = [t] + [s.after for s in run.trace.all_steps]
             for u in terms:
                 for d in (0, 2, 6):
-                    assert find_redexes(dup_sys, u, d, index) == \
-                        find_redexes(dup_sys, u, d) == _walk_redexes(dup_sys, u, d)
-                assert is_normal_form(dup_sys, u, index) == \
-                    is_normal_form(dup_sys, u)
+                    assert find_redexes(dup_sys, u, d) == \
+                        find_redexes(_cold(dup_sys), u, d) == \
+                        _walk_redexes(dup_sys, u, d)
+                assert is_normal_form(dup_sys, u) == \
+                    is_normal_form(_cold(dup_sys), u)
 
-    def test_index_of_another_system_refused(self, dup_sys, pickn):
-        from irw.rewrite import RedexIndex
-        with pytest.raises(TrsError, match="another rule system"):
-            find_redexes(dup_sys, T(dup_sys, "b"), 0, RedexIndex(pickn))
+    def test_tables_are_per_system(self):
+        # The full system's warm table must not leak into the system
+        # without the self-loop, although both meet the same ids.
+        sys, start = build_S_prime(load_fixture("m_acc"))
+        assert ((), "run.loop") in find_redexes(sys, start, 6)
+        sub = sys.without("run.loop")
+        got = find_redexes(sub, start, 6)
+        assert all(rid != "run.loop" for _, rid in got)
+        assert got == _walk_redexes(sub, start, 6)
+
+    def test_bisimilar_copy_reuses_the_table(self, dup_sys, monkeypatch):
+        # Keyed by canonical id, not by node: a copy built from fresh
+        # nodes, with its cycle unrolled once, matches no rule again.
+        trs = _cold(dup_sys)
+        calls = []
+        real = Trs.rules_at
+        monkeypatch.setattr(Trs, "rules_at",
+                            lambda self, n: calls.append(n) or real(self, n))
+        t = T(trs, "h(rec X . f(g(X), h(c, e)), b)")
+        want = find_redexes(trs, t, 8)
+        assert want and calls
+        del calls[:]
+        copy = T(trs, "h(f(g(rec X . f(g(X), h(c, e))), h(c, e)), b)")
+        assert find_redexes(trs, copy, 8) == want
+        assert not is_normal_form(trs, copy)
+        assert calls == []
+        # Above a known term only the new id is matched.
+        wrapped = T(trs, "g(h(f(g(rec X . f(g(X), h(c, e))), h(c, e)), b))")
+        assert find_redexes(trs, wrapped, 9) == \
+            [((1,) + pos, rid) for pos, rid in want]
+        assert len(calls) == 1
+
+    def test_shared_between_threads(self, dup_sys):
+        # Four threads ask about the same terms, each built from its own
+        # nodes, and share one cold system per term, so every term is a
+        # full fill.  Thread switches are forced as often as the
+        # interpreter allows; every answer must equal the plain walk's.
+        import sys
+        import threading
+        systems = [_cold(dup_sys) for _ in range(1000)]
+        together = threading.Barrier(4, timeout=60)
+        errors = []
+
+        def ask(trs, t):
+            return [find_redexes(trs, t, d) for d in (6, 3, 0)], \
+                is_normal_form(trs, t)
+
+        def oracle(t):
+            return [_walk_redexes(dup_sys, t, d) for d in (6, 3, 0)], \
+                not _has_redex_node(dup_sys, t)
+
+        def worker(me):
+            rng = random.Random(2718)
+            try:
+                for k, trs in enumerate(systems):
+                    t = _random_ground(rng, dup_sys.sig,
+                                       rng.choice([0.0, 0.1, 0.3]))
+                    together.wait()
+                    # Stagger the threads by 0-3 oracle runs, so that some
+                    # ask while another's fill is being published.
+                    for _ in range((me + k) % 4):
+                        oracle(t)
+                    if ask(trs, t) != oracle(t):
+                        errors.append(print_term(t))
+            except Exception as e:
+                errors.append(repr(e))
+                together.abort()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(me,))
+                       for me in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
 
 
 # --- the search's pump pre-filter against the unfiltered suffix loop -------
@@ -792,8 +874,6 @@ def eager_search(trs, start, goal, fuel, max_epochs, depth_bound):
     is applied and pump-checked when its parent is expanded.  Returns
     (trace, final term, diagnostics, popped step children, applied steps)."""
     import heapq
-    from irw.rewrite import RedexIndex
-    index = RedexIndex(trs)
     root = _EagerNode(start, 0, 0, None, None, None, 0)
     heap = [(0, 0, 0, root)]
     seq, done, expansions, deepest, pending = 1, set(), 0, root, None
@@ -812,10 +892,10 @@ def eager_search(trs, start, goal, fuel, max_epochs, depth_bound):
         expansions += 1
         if node.steps > deepest.steps:
             deepest = node
-        if goal(node.term, key, index):
+        if goal(node.term, key):
             found = node
             break
-        for pos, rid in find_redexes(trs, node.term, depth_bound, index):
+        for pos, rid in find_redexes(trs, node.term, depth_bound):
             st = apply_step(trs, node.term, pos, rid)
             applied += 1
             child = _EagerNode(st.after, node.steps + 1, node.closures, node,
@@ -829,7 +909,7 @@ def eager_search(trs, start, goal, fuel, max_epochs, depth_bound):
                     lk = canon_key(cl.limit)
                     gchild = _EagerNode(cl.limit, child.steps,
                                         child.closures + 1, child, None, cl, 0)
-                    if lk not in done and goal(cl.limit, lk, index):
+                    if lk not in done and goal(cl.limit, lk):
                         if pending is None or (gchild.steps, gchild.closures) \
                                 < (pending.steps, pending.closures):
                             pending = gchild
@@ -863,12 +943,12 @@ def _trace_fingerprint(trace):
 
 
 def _normalize_goal(trs):
-    return lambda term, key, index: is_normal_form(trs, term, index)
+    return lambda term, key: is_normal_form(trs, term)
 
 
 def _reach_goal(target):
     tkey = canon_key(target)
-    return lambda term, key, index: key == tkey
+    return lambda term, key: key == tkey
 
 
 class TestSearchOracle:

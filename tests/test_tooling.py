@@ -1,12 +1,16 @@
-"""Checks of the benchmark tooling.  The tracer binds irw functions by
-name, so a rename or a deletion must fail here rather than only in the
-traced benchmark run; and every committed BENCH_*.json must carry the
-fields a speed claim is read from."""
+"""Checks of the benchmark tooling and the package surface.  The tracer
+binds irw functions by name, and each module's __all__ names what it
+exports, so a rename or a deletion must fail here rather than only in the
+traced benchmark run or at a later `import *`; and every committed
+BENCH_*.json must carry the fields a speed claim is read from."""
 
 import importlib
 import json
+import pkgutil
 import runpy
 from pathlib import Path
+
+import irw
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -18,6 +22,14 @@ def test_tracer_targets_resolve():
     for module, function, _, _ in targets:
         fn = getattr(importlib.import_module(f"irw.{module}"), function, None)
         assert callable(fn), f"irw.{module}.{function}"
+
+
+def test_exports_resolve():
+    # A stale name in __all__ fails only at a later `import *`.
+    for info in pkgutil.iter_modules(irw.__path__):
+        mod = importlib.import_module(f"irw.{info.name}")
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"irw.{info.name}.{name}"
 
 
 ROOT = TRACER.parent.parent
