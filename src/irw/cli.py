@@ -236,7 +236,7 @@ def cmd_omega(args) -> int:
         print("VERDICT: oscillating")
         return EXIT_NEGATIVE
     if args.action == "member":
-        got = omega.membership_semidecide(m, w, fuel=args.fuel, width=args.width)
+        got = omega._membership(runs)
         print(f"VERDICT: {got.kind}")
         return {"accepted": EXIT_OK,
                 "rejected_exhausted": EXIT_NEGATIVE}.get(got.kind, EXIT_UNKNOWN)

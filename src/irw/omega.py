@@ -6,15 +6,19 @@ configuration is a state, a head position ``i >= 0`` and a finite overlay
 of written cells on top of the base word.  Writes that merely restore the
 base symbol are dropped, so overlay equality is semantic.
 
-Run exploration expands the run tree breadth-first, deduplicating
-configurations by (state, head phase within the cycle, local tape window)
-and attaching a lasso certificate when a branch revisits such a key on its
-own ancestry.  A lasso is only certified after a static window check plus
-an explicit replay of the candidate cycle; its net head displacement `d`
-then classifies the run: d > 0 means every position is eventually passed
-and left behind (complete, non-oscillating, hence accepting), d = 0 means
-the same configurations recur forever (oscillating, not complete).
-Anything without a certified lasso stays unknown.
+Run exploration expands the run tree breadth-first as one shared tree of
+nodes with parent links, deduplicating configurations by (state, head
+phase within the cycle, local tape window): each such key has one owner
+node, the first to reach it.  A branch that reaches an owned key ends:
+with a lasso certificate when the owner is its own ancestor, merged
+otherwise.  A run's configuration list is built from the parent links
+only when its branch ends.  A lasso is only certified after a static
+window check plus an explicit replay of the candidate cycle; its net head
+displacement `d` then classifies the run: d > 0 means every position is
+eventually passed and left behind (complete, non-oscillating, hence
+accepting), d = 0 means the same configurations recur forever
+(oscillating, not complete).  Anything without a certified lasso stays
+unknown.
 """
 
 from __future__ import annotations
@@ -111,9 +115,15 @@ def format_word(w: OmegaWord) -> str:
 
 
 class NdConfig:
-    """State, head and finite write overlay on a base omega-word."""
+    """State, head and finite write overlay on a base omega-word.
 
-    __slots__ = ("word", "state", "head", "writes")
+    A configuration is immutable once ``_choices`` has returned it: its
+    key ``(state, head, sorted overlay)`` is computed on first use and
+    cached.  Configurations order by that key, which is what the
+    canonical run order of ``explore_runs`` compares.
+    """
+
+    __slots__ = ("word", "state", "head", "writes", "_k")
 
     def __init__(self, word: OmegaWord, state: str, head: int,
                  writes: Optional[dict[int, str]] = None):
@@ -123,17 +133,23 @@ class NdConfig:
         self.state = state
         self.head = head
         self.writes = dict(writes) if writes else {}
+        self._k = None
 
     def symbol_at(self, i: int) -> str:
         got = self.writes.get(i)
         return got if got is not None else self.word.at(i)
 
     def _key(self):
-        return (self.state, self.head, tuple(sorted(self.writes.items())))
+        if self._k is None:
+            self._k = (self.state, self.head, tuple(sorted(self.writes.items())))
+        return self._k
 
     def __eq__(self, other):
         return isinstance(other, NdConfig) and self.word == other.word \
             and self._key() == other._key()
+
+    def __lt__(self, other):
+        return self._key() < other._key()
 
     def __hash__(self):
         return hash(self._key())
@@ -156,7 +172,8 @@ def _choices(m: NdTmSpec, c: NdConfig) -> list[tuple[tuple[str, str, str], "NdCo
         if d == "L" and c.head == 0:
             continue
         # The new config owns a copy of c's overlay; a write that restores
-        # the base symbol leaves no entry.
+        # the base symbol leaves no entry.  Its overlay is final before
+        # anything can read (and cache) its key.
         nxt = NdConfig(c.word, q2, c.head + (1 if d == "R" else -1), c.writes)
         if f2 == base:
             nxt.writes.pop(c.head, None)
@@ -265,59 +282,74 @@ def _validate_lasso(m: NdTmSpec, configs: list[NdConfig],
     return Lasso(j, k - j, d, (lo, hi), syms)
 
 
+def _path(node) -> tuple[list[NdConfig], list[tuple[str, str, str]]]:
+    """The configurations and choices from the root to a run-tree node."""
+    configs, choices = [], []
+    while node is not None:
+        config, choice, node, _ = node
+        configs.append(config)
+        choices.append(choice)
+    choices.pop()  # the root's
+    configs.reverse()
+    choices.reverse()
+    return configs, choices
+
+
 def explore_runs(m: NdTmSpec, w: OmegaWord, fuel: int = 200, width: int = 64,
                  radius: Optional[int] = None) -> list[RunPrefix]:
     """Breadth-first run-tree expansion up to fuel steps and width frontier.
 
-    Returns the maximal explored branches in a canonical order.  Branch
-    ends: stuck (no successor), lassoed (certified recurrence on the own
-    ancestry), merged (key seen on another branch), failed (recurrence
+    The tree is one set of nodes with parent links, and each dedup key has
+    one owner node, the first to reach it; a run's configurations and
+    choices are built from the links only when its branch ends.  Returns
+    the maximal explored branches in a canonical order.  Branch ends:
+    stuck (no successor), lassoed (certified recurrence on the own
+    ancestry), merged (key owned by another branch), failed (recurrence
     seen but not certifiable), cut (bounds).
     """
     if fuel < 1 or width < 1:
         raise MachineError("fuel and width must be >= 1")
     radius = radius if radius is not None else _default_radius(m, w)
-    start = NdConfig(w, m.initial, 0)
+    # A node is (config, choice, parent, depth).
+    root = (NdConfig(w, m.initial, 0), None, None, 0)
+    owner = {_dedup_key(root[0], w, radius): root}
     runs: list[RunPrefix] = []
-    seen_global: set = set()
-    frontier: list[tuple[list[NdConfig], list, dict]] = [
-        ([start], [], {_dedup_key(start, w, radius): 0})]
-    seen_global.add(_dedup_key(start, w, radius))
+    frontier = [root]
     depth = 0
     while frontier and depth < fuel:
         depth += 1
         nxt_frontier = []
-        for configs, choices, keyidx in frontier:
-            succ = _choices(m, configs[-1])
+        for node in frontier:
+            succ = _choices(m, node[0])
             if not succ:
-                runs.append(RunPrefix(configs, choices, "stuck"))
+                runs.append(RunPrefix(*_path(node), "stuck"))
                 continue
             for ch, nc in succ:
-                key = _dedup_key(nc, w, radius)
-                nconfigs = configs + [nc]
-                nchoices = choices + [ch]
-                if key in keyidx:
-                    j = keyidx[key]
-                    lasso = _validate_lasso(m, nconfigs, nchoices, j,
-                                            len(nconfigs) - 1)
-                    status = "lassoed" if lasso else "failed"
-                    runs.append(RunPrefix(nconfigs, nchoices, status, lasso))
+                child = (nc, ch, node, depth)
+                hit = owner.setdefault(_dedup_key(nc, w, radius), child)
+                if hit is child:
+                    nxt_frontier.append(child)
                     continue
-                if key in seen_global:
-                    runs.append(RunPrefix(nconfigs, nchoices, "merged"))
+                # The key's owner is on this branch iff it is the branch's
+                # node at the owner's depth.
+                anc = node
+                while anc[3] > hit[3]:
+                    anc = anc[2]
+                configs, choices = _path(child)
+                if anc is not hit:
+                    runs.append(RunPrefix(configs, choices, "merged"))
                     continue
-                seen_global.add(key)
-                nkeyidx = dict(keyidx)
-                nkeyidx[key] = len(nconfigs) - 1
-                nxt_frontier.append((nconfigs, nchoices, nkeyidx))
-        if len(nxt_frontier) > width:
-            for configs, choices, _ in nxt_frontier[width:]:
-                runs.append(RunPrefix(configs, choices, "cut"))
-            nxt_frontier = nxt_frontier[:width]
-        frontier = nxt_frontier
-    for configs, choices, _ in frontier:
-        runs.append(RunPrefix(configs, choices, "cut"))
-    runs.sort(key=lambda r: (len(r.configs), [c._key() for c in r.configs]))
+                lasso = _validate_lasso(m, configs, choices, hit[3], depth)
+                runs.append(RunPrefix(configs, choices,
+                                      "lassoed" if lasso else "failed", lasso))
+        for node in nxt_frontier[width:]:
+            runs.append(RunPrefix(*_path(node), "cut"))
+        frontier = nxt_frontier[:width]
+    for node in frontier:
+        runs.append(RunPrefix(*_path(node), "cut"))
+    # Runs share their prefixes' config objects, so comparing the lists
+    # reads keys only where two runs part.
+    runs.sort(key=lambda r: (len(r.configs), r.configs))
     return runs
 
 
@@ -345,7 +377,11 @@ def membership_semidecide(m: NdTmSpec, w: OmegaWord, fuel: int = 200,
     rejected_exhausted only when the whole tree was exhausted and every
     branch ended stuck, merged, or in a certified zero-displacement lasso.
     """
-    runs = explore_runs(m, w, fuel=fuel, width=width, radius=radius)
+    return _membership(explore_runs(m, w, fuel=fuel, width=width, radius=radius))
+
+
+def _membership(runs: list[RunPrefix]) -> Membership:
+    """membership_semidecide's verdict on the runs explore_runs returned."""
     for r in runs:
         if classify_run(r).accepting == "yes":
             return Membership("accepted", r)

@@ -654,6 +654,10 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
     limit not yet expanded enters the frontier at once, so a closing run
     is not starved by level breadth.
     """
+    if fuel < 0:
+        raise TrsError("fuel must be >= 0")
+    if max_epochs < 0:
+        raise TrsError("max_epochs must be >= 0")
     if not is_ground(start):
         raise TrsError("search requires a ground start term")
     root = _Node(start, 0, 0, None, None, None, 0)

@@ -183,6 +183,20 @@ class TestTrs:
                                "--from", "pickn", "--to", "ok(S(S")
         assert code == 3
 
+    @pytest.mark.parametrize("action", [
+        ["normalize", "--term", "pickn"],
+        ["reach", "--from", "pickn", "--to", "ok(0(end))"],
+    ], ids=["normalize", "reach"])
+    @pytest.mark.parametrize("flag, message", [
+        ("--fuel", "fuel must be >= 0"),
+        ("--epochs", "max_epochs must be >= 0"),
+    ])
+    def test_negative_bound_refused(self, capsys, pickn_file, action, flag,
+                                    message):
+        code, out, err = run_cli(capsys, "trs", action[0], pickn_file,
+                                 *action[1:], flag, "-1")
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
 
 class TestOmega:
     def test_member_accepted(self, capsys, tm_file):
@@ -209,6 +223,23 @@ class TestOmega:
         code, _, _ = run_cli(capsys, "omega", "member", tm_file("nd_right"),
                              "--word", "(z)^w")
         assert code == 3
+
+    @pytest.mark.parametrize("name, want_code", [("omega_member_right", 0),
+                                                 ("omega_member_pong", 1)])
+    def test_member_explores_once(self, capsys, monkeypatch, name, want_code):
+        from irw import omega
+        calls = []
+        explore = omega.explore_runs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return explore(*args, **kwargs)
+
+        monkeypatch.setattr(omega, "explore_runs", counted)
+        argv = dict((n, a) for n, _, a in README_COMMANDS)[name]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err, len(calls)) == (want_code, "", 1)
+        assert out == (GOLDEN / f"{name}.out").read_text()
 
 
 class TestLaws:

@@ -245,3 +245,119 @@ class TestLassoStress:
             else:
                 assert cls.oscillating == "yes"
                 assert stats["max_position"] <= 4
+
+
+def reference_explore(m, w, fuel, width, radius=None):
+    """The list-copying explore_runs loop the run tree replaced: every
+    branch carries its own configs, choices and key -> index map."""
+    from irw.omega import (
+        RunPrefix, _choices, _dedup_key, _default_radius, _validate_lasso,
+    )
+    radius = radius if radius is not None else _default_radius(m, w)
+    start = NdConfig(w, m.initial, 0)
+    runs = []
+    seen_global = {_dedup_key(start, w, radius)}
+    frontier = [([start], [], {_dedup_key(start, w, radius): 0})]
+    depth = 0
+    while frontier and depth < fuel:
+        depth += 1
+        nxt_frontier = []
+        for configs, choices, keyidx in frontier:
+            succ = _choices(m, configs[-1])
+            if not succ:
+                runs.append(RunPrefix(configs, choices, "stuck"))
+                continue
+            for ch, nc in succ:
+                key = _dedup_key(nc, w, radius)
+                nconfigs = configs + [nc]
+                nchoices = choices + [ch]
+                if key in keyidx:
+                    lasso = _validate_lasso(m, nconfigs, nchoices, keyidx[key],
+                                            len(nconfigs) - 1)
+                    status = "lassoed" if lasso else "failed"
+                    runs.append(RunPrefix(nconfigs, nchoices, status, lasso))
+                    continue
+                if key in seen_global:
+                    runs.append(RunPrefix(nconfigs, nchoices, "merged"))
+                    continue
+                seen_global.add(key)
+                nkeyidx = dict(keyidx)
+                nkeyidx[key] = len(nconfigs) - 1
+                nxt_frontier.append((nconfigs, nchoices, nkeyidx))
+        if len(nxt_frontier) > width:
+            for configs, choices, _ in nxt_frontier[width:]:
+                runs.append(RunPrefix(configs, choices, "cut"))
+            nxt_frontier = nxt_frontier[:width]
+        frontier = nxt_frontier
+    for configs, choices, _ in frontier:
+        runs.append(RunPrefix(configs, choices, "cut"))
+    runs.sort(key=lambda r: (len(r.configs),
+                             [(c.state, c.head, tuple(sorted(c.writes.items())))
+                              for c in r.configs]))
+    return runs
+
+
+def reference_verdict(runs):
+    for r in runs:
+        if r.lasso is not None and r.lasso.displacement > 0:
+            return "accepted", r
+    if all(r.status in ("stuck", "merged") or
+           (r.status == "lassoed" and r.lasso.displacement == 0)
+           for r in runs):
+        return "rejected_exhausted", None
+    return "unknown", None
+
+
+def run_fingerprint(r):
+    return (r.status, [c._key() for c in r.configs], r.choices, r.lasso)
+
+
+class TestRunTreeOracle:
+    WORDS = ("(a)^w", "(b)^w", "(_)^w", "(ab)^w", "(aab)^w", "a(b)^w",
+             "b(ba)^w", "ab(ba)^w")
+
+    def _check(self, m, w, fuel, width, radius=None):
+        runs = explore_runs(m, w, fuel=fuel, width=width, radius=radius)
+        want = reference_explore(m, w, fuel, width, radius)
+        assert [run_fingerprint(r) for r in runs] == \
+            [run_fingerprint(r) for r in want]
+        for r in runs:
+            for c in r.configs:
+                assert c._key() == (c.state, c.head,
+                                    tuple(sorted(c.writes.items())))
+        got = membership_semidecide(m, w, fuel=fuel, width=width, radius=radius)
+        kind, run = reference_verdict(want)
+        assert got.kind == kind
+        assert (got.run and run_fingerprint(got.run)) == \
+            (run and run_fingerprint(run))
+        return runs
+
+    def test_seeded_machines(self):
+        import random
+        from irw.laws import gen_nd_machine
+        rng = random.Random(5)
+        statuses = set()
+        for i in range(60):
+            m = gen_nd_machine(rng)
+            for wtext in self.WORDS:
+                w = parse_word(wtext, m.alphabet)
+                runs = self._check(m, w, 40, 16, 40 if i % 20 == 0 else None)
+                statuses.update(r.status for r in runs)
+        assert statuses == {"lassoed", "merged", "stuck", "cut", "failed"}
+
+    def test_fixtures(self, right, pong):
+        for m in (right, pong, TWO_BRANCH):
+            for wtext in self.WORDS[:4] + ("ab(ba)^w",):
+                self._check(m, parse_word(wtext, m.alphabet), 120, 64)
+
+    def test_corners(self):
+        import random
+        from irw.laws import gen_nd_machine
+        rng = random.Random(11)
+        for _ in range(12):
+            m = gen_nd_machine(rng)
+            for wtext in ("(a)^w", "ab(ba)^w", "b(ba)^w"):
+                w = parse_word(wtext, m.alphabet)
+                self._check(m, w, 40, 1)
+                self._check(m, w, 1, 64)
+                self._check(m, w, 40, 16, 40)
