@@ -91,6 +91,8 @@ def cmd_tm(args) -> int:
     if args.action == "run":
         if not args.config:
             raise CliError("tm run needs --config")
+        if fuel < 0:
+            raise CliError("fuel must be >= 0")
         c = turing.parse_config(m, args.config)
         print(turing.display_config(c))
         steps = 0

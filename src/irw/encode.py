@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Union
 
 from .omega import NdConfig, NdTmSpec, OmegaWord
 from .rewrite import Rule, Trs, format_trs
-from .terms import Signature, Symbol, Term, TermError, app, var
+from .terms import Signature, Symbol, Term, TermError, app, cyclify, var
 from .turing import TmConfig, TmSpec, make_config
 
 __all__ = [
@@ -307,13 +307,11 @@ def phi(w, sig: Optional[Signature] = None) -> Term:
 
 def _phi_word(w: OmegaWord, sig: Optional[Signature]) -> Term:
     sig = sig or Signature([Symbol(s, 1) for s in set(w.prefix + w.cycle)])
-    cyc = [Term(None, ()) for _ in w.cycle]
-    for i, s in enumerate(w.cycle):
+    for s in w.cycle:
         sym = sig.get(s)
         if sym is None or sym.arity != 1:
             raise EncodeError(f"phi: {s!r} is not a unary symbol")
-        cyc[i]._patch(sym, (cyc[(i + 1) % len(cyc)],))
-    t = cyc[0]
+    t = cyclify(_fold(sig, w.cycle), (1,) * len(w.cycle))
     for s in reversed(w.prefix):
         t = app(sig.get(s), t)
     return t

@@ -6,7 +6,9 @@ search for normalization and reachability.  Reductions are recorded as
 traces made of epochs: a finite run of steps optionally closed by one
 omega-limit.  A limit is only ever attached together with a pump
 certificate stating that the closing run wraps a fixed context forever at
-strictly increasing depth; certificates can be revalidated independently.
+strictly increasing depth.  :func:`validate_certificate` rechecks one by
+rerunning the pump detector on the epoch's own steps, so the recheck is not
+independent of the code that produced it (see ROADMAP item 2).
 
 Limit detection is sound but deliberately incomplete: a reduction that
 converges without exhibiting a literal pump is reported as "no closure
@@ -466,7 +468,11 @@ def close_limit(steps: Iterable[Step]) -> ClosureAttempt:
 
 
 def validate_certificate(epoch: Epoch) -> bool:
-    """Recheck an epoch's closure against its own steps."""
+    """Recheck an epoch's closure by rerunning the pump detector, the code
+    that produced it, on the epoch's steps and comparing the limits.  Of
+    the certificate only ``cycle_start`` and ``cycle_length`` are read;
+    ``hole`` and ``offset`` may be left empty.  A fault of the detector
+    itself goes unseen (ROADMAP item 2)."""
     if epoch.closure is None:
         return True
     cert = epoch.closure.certificate
@@ -658,6 +664,8 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
         raise TrsError("fuel must be >= 0")
     if max_epochs < 0:
         raise TrsError("max_epochs must be >= 0")
+    if depth_bound < 0:
+        raise TrsError("depth_bound must be >= 0")
     if not is_ground(start):
         raise TrsError("search requires a ground start term")
     root = _Node(start, 0, 0, None, None, None, 0)

@@ -7,7 +7,8 @@ by unfolding.  Equality throughout is equality of unfoldings, never node
 identity.  Terms are immutable once built and safe to share between
 concurrent activities.  Each node caches only its canonical id, one per
 unfolding; finiteness and groundness are recorded per id, so both are a
-table lookup after :func:`canon_key`.
+table lookup after :func:`canon_key`.  A node gets its id when it is
+built; a knot (``rec``, :func:`cyclify`) gets its ids when it is tied.
 
 The concrete syntax is::
 
@@ -137,12 +138,15 @@ class Term:
         self.label = label
         self.children = children
         self._cid: Optional[int] = None
+        _settle(self)
 
     def _patch(self, label, children: tuple) -> None:
-        # Internal: used while tying recursive knots (parser, cyclify,
-        # phi).  A placeholder must not reach canon_key or any other
-        # cached query before its knot is tied: canon_key trusts the ids
-        # cached on descendants, so a stale one would be believed.
+        # Internal: ties a recursive knot (the parser's rec, cyclify).  A
+        # placeholder Term(None, ()) has no id, nor has any node built over
+        # it, until the knot is tied and settled; a node with an id must
+        # not change, or the id it and its ancestors carry would go stale.
+        if self._cid is not None:
+            raise TermError("cannot patch a term that has a canonical id")
         self.label = label
         self.children = children
 
@@ -169,9 +173,6 @@ def var(name: str) -> Term:
 
 def is_var(t: Term) -> bool:
     return isinstance(t.label, str)
-
-
-CUT_TERM = app(CUT)
 
 
 def _reachable(t: Term) -> list[Term]:
@@ -207,12 +208,16 @@ _ground_ids = bytearray()      # id -> 1 iff its unfolding has no variable
 
 
 def _settle(n: Term) -> None:
-    """Give n its id; every child of n already has one."""
+    """Give n its id, unless n is a placeholder or a child has none."""
     lab = n.label
     if lab.__class__ is str:
         key = (None, lab)
+    elif lab is None:
+        return
     else:
         key = (lab.name, *[c._cid for c in n.children])
+        if None in key:
+            return
     cid = _table.get(key)
     if cid is None:
         with _lock:
@@ -341,37 +346,16 @@ def canon_key(t: Term) -> int:
     """The canonical id of t: two terms get equal ids iff they are
     bisimilar.
 
-    A post-order walk settles the nodes without an id, each by one table
-    lookup of its label and its children's ids.  Only when the walk meets
-    a node on its own path does it run Tarjan, from that node, and
-    minimize each cyclic component it finds.  Ids are cached per node.
+    Every node gets its id when it is built, so this is a slot read,
+    except on a node built while a knot was open; Tarjan then settles
+    what it reaches, minimizing each cyclic component.
     """
-    if t._cid is not None:
-        return t._cid
-    work: list[tuple[Term, int]] = [(t, 0)]
-    onpath = {id(t)}
-    while work:
-        n, i = work[-1]
-        kids = n.children
-        while i < len(kids) and kids[i]._cid is not None:
-            i += 1
-        if i == len(kids):
-            work.pop()
-            onpath.discard(id(n))
-            _settle(n)
-            continue
-        work[-1] = (n, i + 1)
-        c = kids[i]
-        if id(c) not in onpath:
-            onpath.add(id(c))
-            work.append((c, 0))
-            continue
-        # A cycle through c: everything reachable from c gets its id, and
-        # so do the path nodes from c down, a suffix of the path.
-        _settle_from(c)
-        while work and work[-1][0]._cid is not None:
-            onpath.discard(id(work.pop()[0]))
+    if t._cid is None:
+        _settle_from(t)
     return t._cid
+
+
+CUT_TERM = app(CUT)
 
 
 def is_finite(t: Term) -> bool:
@@ -487,6 +471,7 @@ def cyclify(t: Term, path: tuple[int, ...]) -> Term:
         kids = list(node.children)
         kids[path[j] - 1] = fresh[j + 1] if j + 1 < len(fresh) else fresh[0]
         fresh[j]._patch(node.label, tuple(kids))
+    canon_key(fresh[0])
     return fresh[0]
 
 
@@ -605,6 +590,8 @@ class _Parser:
             raise TermSyntaxError(f"unguarded recursion for {name!r}", line, col)
         self.pending.discard(id(hole))
         hole._patch(body.label, body.children)
+        if not self.pending:  # the outermost knot is tied
+            canon_key(hole)
         return hole
 
 

@@ -84,6 +84,16 @@ class TestTm:
         assert "S S qa 0" in lines
         assert "VERDICT: final" in out
 
+    @pytest.mark.parametrize("action", [
+        ["run", "--config", "q0 S S 0"],
+        ["fun", "--arg", "2"],
+        ["rel", "--pair", "2", "3"],
+    ], ids=["run", "fun", "rel"])
+    def test_negative_fuel_refused(self, capsys, tm_file, action):
+        code, out, err = run_cli(capsys, "tm", action[0], tm_file("m_acc"),
+                                 *action[1:], "--fuel", "-3")
+        assert (code, out, err) == (3, "", "error: fuel must be >= 0\n")
+
     def test_rel_runs_machine_once(self, capsys, monkeypatch):
         from irw import turing
         calls = []
@@ -162,6 +172,16 @@ class TestTrs:
         assert out.splitlines()[-1] == "VERDICT: normal-form"
         assert len(out.splitlines()) == int(fuel) + 2
 
+    def test_trace_without_reentry_does_not_close(self, capsys, tmp_path):
+        # Each step wraps k at a deeper position, but the s run it eats is
+        # finite: the trace reaches a normal form, never a limit.
+        trs_file = tmp_path / "hsk.trs"
+        trs_file.write_text("sig h/1 s/1 k/1 a/0\nrule r: h(s(x)) -> k(h(x))\n")
+        code, out, _ = run_cli(capsys, "trs", "trace", str(trs_file),
+                               "--term", "h(s(s(s(s(a)))))", "--fuel", "10")
+        assert code == 0
+        assert out.splitlines()[-1] == "VERDICT: normal-form"
+
     def test_trace_exhausted_reports_prefix(self, capsys, tm_file, tmp_path):
         out_file = tmp_path / "ext.trs"
         run_cli(capsys, "compile", "base", tm_file("m_ext"), "-o", str(out_file))
@@ -184,15 +204,18 @@ class TestTrs:
         assert code == 3
 
     @pytest.mark.parametrize("action", [
-        ["normalize", "--term", "pickn"],
-        ["reach", "--from", "pickn", "--to", "ok(0(end))"],
+        ["normalize", "--term", "ok(0(end))"],
+        ["reach", "--from", "pickn", "--to", "pickn"],
     ], ids=["normalize", "reach"])
     @pytest.mark.parametrize("flag, message", [
         ("--fuel", "fuel must be >= 0"),
         ("--epochs", "max_epochs must be >= 0"),
+        ("--depth", "depth_bound must be >= 0"),
     ])
     def test_negative_bound_refused(self, capsys, pickn_file, action, flag,
                                     message):
+        # The start is already the goal: a bound must be refused up front,
+        # before the search finds it.
         code, out, err = run_cli(capsys, "trs", action[0], pickn_file,
                                  *action[1:], flag, "-1")
         assert (code, out, err) == (3, "", f"error: {message}\n")

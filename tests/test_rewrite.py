@@ -199,6 +199,16 @@ class TestCloseLimit:
         assert got.closure is not None
         assert bisim_equal(got.closure.limit, phi(w, srs.sig))
 
+    def test_pump_needs_reentry(self):
+        # h(s(x)) -> k(h(x)) shifts h down one s at a time, with the same
+        # rule at strictly increasing depth, but the subterm after one
+        # cycle, h(s(s(s(a)))), is not the seed h(s(s(s(s(a))))): the run
+        # ends when the s run does, so no limit may be certified.
+        trs = parse_trs("sig h/1 s/1 k/1 a/0\nrule r: h(s(x)) -> k(h(x))\n")
+        res = bounded_normalize(trs, T(trs, "h(s(s(s(s(a)))))"), fuel=100)
+        assert res.found and res.trace.closures == 0
+        assert print_term(res.normal_form) == "k(k(k(k(h(a)))))"
+
     def test_certificate_revalidates(self, xi_only):
         run = run_strategy(xi_only, T(xi_only, "xi"), fuel=5)
         got = close_limit(run.trace.all_steps)

@@ -419,13 +419,18 @@ def test_canon_key_matches_bisim_walk():
         for _ in range(4):
             x, y = rng.sample(pool, 2)
             knot = Term(None, ())
+            over = app(f, x, knot)  # no id while the knot is open
+            assert over._cid is None
             knot._patch(f, (knot, y) if rng.random() < 0.5 else (y, knot))
-            pool += [app(f, x, y), knot]
+            pool += [app(f, x, y), knot, over]
         # Intern in a random order, some subterms first, into a table that
         # already holds the classes of earlier rounds and earlier tests.
         rng.shuffle(pool)
         for x in pool:
             assert isinstance(canon_key(x), int)
+        # A node over settled children is born with its id.
+        pool += [app(f, *rng.sample(pool, 2)) for _ in range(4)]
+        assert all(x._cid is not None for x in pool[-4:])
         for i, x in enumerate(pool):
             for y in pool[i:]:
                 assert (canon_key(x) == canon_key(y)) == bisim_equal(x, y)
@@ -458,6 +463,56 @@ def test_canon_key_named_cases():
     assert canon_key(Q("ku(a)")) != canon_key(parse_term("ku(a)", Signature(
         [Symbol("ku", 1)])))
     assert is_finite(var("a")) and is_finite(Q("ku(a)"))
+
+
+# --- ids at birth ----------------------------------------------------------
+
+def _all_settled(t):
+    from irw.terms import _reachable
+    return all(n._cid is not None for n in _reachable(t))
+
+
+class TestIdsAtBirth:
+    def test_built_nodes_carry_ids(self):
+        from irw.encode import phi
+        from irw.omega import parse_word
+        from irw.rewrite import instantiate
+        a, T = SIG.get("a"), P("T")
+        built = [
+            app(a, T), var("x"), P("f(a(T), x)"),
+            P("q0(rec X . a(X), rec Y . f(Y, rec Z . g(Y)))"),
+            replace_at(P("f(a(T), T)"), (1, 1), P("b(T)")),
+            replace_at(P("rec X . a(b(X))"), (1, 1, 1), T),
+            instantiate(P("f(x, a(x))"), {"x": P("b(T)")}),
+            truncate_prefix(P("rec X . a(X)"), 3),
+            cyclify(P("a(b(pickn))"), (1, 1)),
+            phi(parse_word("ab(ba)^w")),
+        ]
+        for t in built:
+            assert _all_settled(t), print_term(t)
+
+    def test_patch_of_a_settled_node_refused(self):
+        for t in (app(SIG.get("a"), P("T")), P("rec X . a(X)"), var("x")):
+            key = t._cid
+            with pytest.raises(TermError):
+                t._patch(SIG.get("g"), (t,))
+            assert t._cid == key
+
+    @pytest.mark.parametrize("word, rec_text", [
+        ("(a)^w", "rec X . a(X)"),
+        ("ab(ba)^w", "a(b(rec X . b(a(X))))"),
+        ("b_(ab)^w", "b(_(rec X . a(b(X))))"),
+        ("(abab)^w", "rec X . a(b(X))"),
+        ("aab(ab)^w", "a(rec X . a(b(X)))"),
+    ])
+    def test_phi_id_is_its_rec_form_id(self, word, rec_text):
+        from irw.encode import phi
+        from irw.omega import parse_word
+        sig = Signature([Symbol(s, 1) for s in "ab_"])
+        t = phi(parse_word(word), sig)
+        assert t._cid is not None
+        assert t._cid == parse_term(rec_text, sig)._cid
+        assert bisim_equal(t, parse_term(rec_text, sig))
 
 
 # --- is_ground against a fresh walk ---------------------------------------
