@@ -11,14 +11,17 @@ nodes with parent links, deduplicating configurations by (state, head
 phase within the cycle, local tape window): each such key has one owner
 node, the first to reach it.  A branch that reaches an owned key ends:
 with a lasso certificate when the owner is its own ancestor, merged
-otherwise.  A run's configuration list is built from the parent links
-only when its branch ends.  A lasso is only certified after a static
-window check plus an explicit replay of the candidate cycle; its net head
-displacement `d` then classifies the run: d > 0 means every position is
-eventually passed and left behind (complete, non-oscillating, hence
-accepting), d = 0 means the same configurations recur forever
-(oscillating, not complete).  Anything without a certified lasso stays
-unknown.
+otherwise.  A node keeps its window, and a child's window is slid from
+its parent's by one cell; overlays are copy-on-write, and a step that
+writes back the symbol it read shares its parent's.  So a new
+configuration costs a constant number of interpreted operations.  A
+run's configuration list is built from the parent links only when its
+branch ends.  A lasso is only certified after a static window check plus an
+explicit replay of the candidate cycle; its net head displacement `d`
+then classifies the run: d > 0 means every position is eventually passed
+and left behind (complete, non-oscillating, hence accepting), d = 0 means
+the same configurations recur forever (oscillating, not complete).
+Anything without a certified lasso stays unknown.
 """
 
 from __future__ import annotations
@@ -117,10 +120,11 @@ def format_word(w: OmegaWord) -> str:
 class NdConfig:
     """State, head and finite write overlay on a base omega-word.
 
-    A configuration is immutable once ``_choices`` has returned it: its
-    key ``(state, head, sorted overlay)`` is computed on first use and
-    cached.  Configurations order by that key, which is what the
-    canonical run order of ``explore_runs`` compares.
+    A configuration is immutable once ``_choices`` has returned it, which
+    may share one overlay dict among several configurations: its key
+    ``(state, head, sorted overlay)`` is computed on first use and cached.
+    Configurations order by that key, which is what the canonical run
+    order of ``explore_runs`` compares.  The constructor copies ``writes``.
     """
 
     __slots__ = ("word", "state", "head", "writes", "_k")
@@ -145,8 +149,8 @@ class NdConfig:
         return self._k
 
     def __eq__(self, other):
-        return isinstance(other, NdConfig) and self.word == other.word \
-            and self._key() == other._key()
+        return isinstance(other, NdConfig) and self._key() == other._key() \
+            and self.word == other.word
 
     def __lt__(self, other):
         return self._key() < other._key()
@@ -164,21 +168,35 @@ def nd_steps(m: NdTmSpec, c: NdConfig) -> list[NdConfig]:
     return [nc for _, nc in _choices(m, c)]
 
 
+_new_config = object.__new__  # a config without the constructor's copy
+
+
 def _choices(m: NdTmSpec, c: NdConfig) -> list[tuple[tuple[str, str, str], "NdConfig"]]:
     out = []
-    base = c.word.at(c.head)
-    for ch in m.delta.get((c.state, c.symbol_at(c.head)), ()):
+    word, head, writes = c.word, c.head, c.writes
+    base = word.at(head)
+    got = writes.get(head)
+    read = base if got is None else got
+    for ch in m.delta.get((c.state, read), ()):
         q2, f2, d = ch
-        if d == "L" and c.head == 0:
+        if d == "L" and head == 0:
             continue
-        # The new config owns a copy of c's overlay; a write that restores
-        # the base symbol leaves no entry.  Its overlay is final before
-        # anything can read (and cache) its key.
-        nxt = NdConfig(c.word, q2, c.head + (1 if d == "R" else -1), c.writes)
-        if f2 == base:
-            nxt.writes.pop(c.head, None)
+        # A step that writes back what it read shares c's overlay (unless
+        # that holds a cell restoring the base symbol, which is dropped);
+        # any other gets its own copy, where a write restoring the base
+        # symbol leaves no entry.  The overlay is final before anything
+        # can read (and cache) the new config's key.
+        if f2 == read and got != base:
+            nw = writes
         else:
-            nxt.writes[c.head] = f2
+            nw = dict(writes)
+            if f2 == base:
+                nw.pop(head, None)
+            else:
+                nw[head] = f2
+        nxt = _new_config(NdConfig)
+        nxt.word, nxt.state, nxt.writes, nxt._k = word, q2, nw, None
+        nxt.head = head + 1 if d == "R" else head - 1
         out.append((ch, nxt))
     return out
 
@@ -218,6 +236,9 @@ def _default_radius(m: NdTmSpec, w: OmegaWord) -> int:
 
 
 def _dedup_key(c: NdConfig, w: OmegaWord, radius: int):
+    """The key explore_runs deduplicates by: state, head phase and the
+    cells within radius of the head ("<" left of cell 0).  explore_runs
+    slides each child's window from its parent's; this is the definition."""
     p, cl = len(w.prefix), len(w.cycle)
     if c.head < p:
         phase = ("abs", c.head)
@@ -284,15 +305,12 @@ def _validate_lasso(m: NdTmSpec, configs: list[NdConfig],
 
 def _path(node) -> tuple[list[NdConfig], list[tuple[str, str, str]]]:
     """The configurations and choices from the root to a run-tree node."""
-    configs, choices = [], []
+    nodes = []
     while node is not None:
-        config, choice, node, _ = node
-        configs.append(config)
-        choices.append(choice)
-    choices.pop()  # the root's
-    configs.reverse()
-    choices.reverse()
-    return configs, choices
+        nodes.append(node)
+        node = node[2]
+    nodes.reverse()
+    return [n[0] for n in nodes], [n[1] for n in nodes[1:]]
 
 
 def explore_runs(m: NdTmSpec, w: OmegaWord, fuel: int = 200, width: int = 64,
@@ -309,10 +327,17 @@ def explore_runs(m: NdTmSpec, w: OmegaWord, fuel: int = 200, width: int = 64,
     """
     if fuel < 1 or width < 1:
         raise MachineError("fuel and width must be >= 1")
-    radius = radius if radius is not None else _default_radius(m, w)
-    # A node is (config, choice, parent, depth).
-    root = (NdConfig(w, m.initial, 0), None, None, 0)
-    owner = {_dedup_key(root[0], w, radius): root}
+    r = radius if radius is not None else _default_radius(m, w)
+    if r < 0:
+        raise MachineError("radius must be >= 0")
+    p, cl = len(w.prefix), len(w.cycle)
+    phases = [("abs", i) for i in range(p)] + [("cyc", i) for i in range(cl)]
+    # A node is (config, choice, parent, depth, window): the window is the
+    # last part of its dedup key, slid from the parent's by one cell.
+    start = NdConfig(w, m.initial, 0)
+    key = _dedup_key(start, w, r)
+    root = (start, None, None, 0, key[2])
+    owner = {key: root}
     runs: list[RunPrefix] = []
     frontier = [root]
     depth = 0
@@ -324,9 +349,20 @@ def explore_runs(m: NdTmSpec, w: OmegaWord, fuel: int = 200, width: int = 64,
             if not succ:
                 runs.append(RunPrefix(*_path(node), "stuck"))
                 continue
+            pw = node[4]
             for ch, nc in succ:
-                child = (nc, ch, node, depth)
-                hit = owner.setdefault(_dedup_key(nc, w, radius), child)
+                h = nc.head
+                f2 = ch[1]
+                if r == 0:
+                    win = (nc.symbol_at(h),)
+                elif ch[2] == "R":
+                    win = pw[1:r] + (f2,) + pw[r + 1:] + (nc.symbol_at(h + r),)
+                else:
+                    win = ((nc.symbol_at(h - r) if h >= r else "<",) + pw[:r]
+                           + (f2,) + pw[r + 1:2 * r])
+                child = (nc, ch, node, depth, win)
+                phase = phases[h] if h < p else phases[p + (h - p) % cl]
+                hit = owner.setdefault((nc.state, phase, win), child)
                 if hit is child:
                     nxt_frontier.append(child)
                     continue
@@ -349,7 +385,7 @@ def explore_runs(m: NdTmSpec, w: OmegaWord, fuel: int = 200, width: int = 64,
         runs.append(RunPrefix(*_path(node), "cut"))
     # Runs share their prefixes' config objects, so comparing the lists
     # reads keys only where two runs part.
-    runs.sort(key=lambda r: (len(r.configs), r.configs))
+    runs.sort(key=lambda run: (len(run.configs), run.configs))
     return runs
 
 

@@ -79,6 +79,22 @@ class TestSteps:
         c = NdConfig(parse_word("(a)^w"), "q0", 0)
         succ = nd_steps(right, c)[0]
         assert succ.writes == {}
+        # an overlay cell given to the constructor that restores the base
+        # symbol is dropped by the next write there, even one that writes
+        # back what it read
+        c = NdConfig(parse_word("(a)^w"), "q0", 0, {0: "a", 3: "b"})
+        assert nd_steps(right, c)[0].writes == {3: "b"}
+
+    def test_overlays_shared_only_when_unchanged(self):
+        m = parse_machine("machine w\nkind nondet-one-sided\nstates q0\n"
+                          "initial q0\nblank _\nalphabet _ a b\n"
+                          "delta q0 a -> q0 a R\ndelta q0 a -> q0 b R\nend")
+        given = {1: "b"}
+        c = NdConfig(parse_word("(a)^w"), "q0", 0, given)
+        assert c.writes == given and c.writes is not given
+        same, wrote = nd_steps(m, c)
+        assert same.writes is c.writes
+        assert wrote.writes == {0: "b", 1: "b"} and c.writes == {1: "b"}
 
     def test_one_sidedness_everywhere(self, pong):
         w = parse_word("(a)^w")
@@ -105,6 +121,14 @@ class TestExplore:
         assert r.status == "lassoed" and r.lasso.displacement == 0
         heads = [c.head for c in r.configs]
         assert heads == [0, 1, 0]
+
+    def test_negative_radius_refused(self, right):
+        w = parse_word("(a)^w")
+        with pytest.raises(MachineError):
+            explore_runs(right, w, fuel=5, radius=-3)
+        with pytest.raises(MachineError):
+            membership_semidecide(right, w, fuel=5, radius=-1)
+        assert explore_runs(right, w, fuel=5, radius=0)[0].status == "lassoed"
 
     def test_stuck_run(self):
         m = parse_machine("machine s\nkind nondet-one-sided\nstates q0\n"
@@ -247,11 +271,28 @@ class TestLassoStress:
                 assert stats["max_position"] <= 4
 
 
+def reference_steps(m, c):
+    """Successors straight from the delta table, each on a fresh overlay
+    with every cell that holds its base symbol filtered out; it shares no
+    code with omega._choices."""
+    out = []
+    for q2, f2, d in m.delta.get((c.state, c.symbol_at(c.head)), ()):
+        if d == "L" and c.head == 0:
+            continue
+        cells = dict(c.writes)
+        cells[c.head] = f2
+        writes = {i: s for i, s in cells.items() if s != c.word.at(i)}
+        head = c.head + 1 if d == "R" else c.head - 1
+        out.append(((q2, f2, d), NdConfig(c.word, q2, head, writes)))
+    return out
+
+
 def reference_explore(m, w, fuel, width, radius=None):
     """The list-copying explore_runs loop the run tree replaced: every
-    branch carries its own configs, choices and key -> index map."""
+    branch carries its own configs, choices and key -> index map, and
+    every key is computed from scratch by _dedup_key."""
     from irw.omega import (
-        RunPrefix, _choices, _dedup_key, _default_radius, _validate_lasso,
+        RunPrefix, _dedup_key, _default_radius, _validate_lasso,
     )
     radius = radius if radius is not None else _default_radius(m, w)
     start = NdConfig(w, m.initial, 0)
@@ -263,7 +304,7 @@ def reference_explore(m, w, fuel, width, radius=None):
         depth += 1
         nxt_frontier = []
         for configs, choices, keyidx in frontier:
-            succ = _choices(m, configs[-1])
+            succ = reference_steps(m, configs[-1])
             if not succ:
                 runs.append(RunPrefix(configs, choices, "stuck"))
                 continue
@@ -361,3 +402,32 @@ class TestRunTreeOracle:
                 self._check(m, w, 40, 1)
                 self._check(m, w, 1, 64)
                 self._check(m, w, 40, 16, 40)
+                # small radii: windows reach left of cell 0 ("<") and
+                # span the prefix; at radius 0 the window is the head cell
+                for radius in (0, 1, 2):
+                    self._check(m, w, 40, 16, radius)
+
+
+class TestSharedOverlays:
+    def test_runs_replay_with_fresh_overlays(self):
+        # Configurations share overlay dicts once explored; replaying each
+        # run's choices on fresh dicts must give the same overlay and key
+        # for every configuration, after the whole exploration is over.
+        import random
+        from irw.laws import gen_nd_machine
+        rng = random.Random(3)
+        configs = 0
+        for i in range(40):
+            m = gen_nd_machine(rng)
+            for wtext in ("(a)^w", "ab(ba)^w", "(_b)^w"):
+                w = parse_word(wtext, m.alphabet)
+                for radius in (None, 0, 2):
+                    for r in explore_runs(m, w, fuel=40, width=16, radius=radius):
+                        cur = NdConfig(w, m.initial, 0)
+                        assert r.configs[0]._key() == cur._key()
+                        for ch, c in zip(r.choices, r.configs[1:]):
+                            cur = dict(reference_steps(m, cur))[ch]
+                            assert c.writes == cur.writes, (i, wtext, radius)
+                            assert c._key() == cur._key(), (i, wtext, radius)
+                            configs += 1
+        assert configs > 5_000
