@@ -69,7 +69,13 @@ def render_report(r: LawReport) -> str:
     return "\n".join(out)
 
 
-def _finish(rep: LawReport, t0: float) -> LawReport:
+def _finish(rep: LawReport, t0: float, verdict: Optional[str] = None,
+            witness: Optional[str] = None) -> LawReport:
+    """Stamp the elapsed time, and the verdict and witness when given."""
+    if verdict is not None:
+        rep.verdict = verdict
+    if witness is not None:
+        rep.witness = witness
     rep.elapsed = time.perf_counter() - t0
     return rep
 
@@ -175,57 +181,29 @@ def check_two_sided_bisim(m: Optional[TmSpec] = None, samples: int = 100,
                 nxt = tm_step(mm, c)
                 st = _root_step(sys, term)
                 if (nxt is None) != (st is None):
-                    rep.verdict = "refuted"
-                    rep.witness = (f"machine {mm.name} config "
+                    return _finish(rep, t0, "refuted",
+                                   f"machine {mm.name} config "
                                    f"'{display_config(c)}' step {k}: one side "
                                    f"halted")
-                    return _finish(rep, t0)
                 if nxt is None:
                     break
                 dec = decode_config(mm, st.after)
                 if dec != nxt:
-                    rep.verdict = "refuted"
-                    rep.witness = (f"machine {mm.name} config "
+                    return _finish(rep, t0, "refuted",
+                                   f"machine {mm.name} config "
                                    f"'{display_config(c)}' step {k}: "
                                    f"'{display_config(dec)}' vs "
                                    f"'{display_config(nxt)}'")
-                    return _finish(rep, t0)
                 c, term = nxt, st.after
                 total += 1
     rep.lines.append(f"steps compared: {total}")
     if samples < 1:
-        rep.verdict = "unknown"
-        rep.witness = "no configuration sampled"
+        return _finish(rep, t0, "unknown", "no configuration sampled")
     return _finish(rep, t0)
 
 
 # ---------------------------------------------------------------------------
 # One-sided stepwise bisimulation
-
-
-def _state_position(m: NdTmSpec, t: Term):
-    pos = ()
-    node = t
-    while not is_var(node):
-        if node.label.name in m.states:
-            return pos
-        if not node.children:
-            return None
-        pos = pos + (1,)
-        node = node.children[0]
-    return None
-
-
-def _srs_reducts(m: NdTmSpec, trs: Trs, t: Term) -> list[Term]:
-    # Every rule mentions exactly one state symbol, at its root or at depth
-    # one, and the subject has exactly one state node: redexes live at the
-    # state node or its parent.
-    pos = _state_position(m, t)
-    if pos is None:
-        return []
-    spots = [pos, pos[:-1]] if pos else [pos]
-    return [apply_step(trs, t, p, rid).after
-            for p in spots for rid in trs.rules_at(subterm_at(t, p))]
 
 
 def check_srs_bisim(m: Optional[NdTmSpec] = None,
@@ -253,14 +231,17 @@ def check_srs_bisim(m: Optional[NdTmSpec] = None,
                 succs = nd_steps(mm, c)
                 term = phi(c, sys.sig)
                 want = sorted(set(canon_key(phi(cc, sys.sig)) for cc in succs))
-                gotl = sorted(set(canon_key(u) for u in _srs_reducts(mm, sys, term)))
+                # The state sits at depth c.head, and every rule is rooted
+                # there or one above it.
+                gotl = sorted(set(
+                    canon_key(apply_step(sys, term, p, rid).after)
+                    for p, rid in find_redexes(sys, term, c.head)))
                 if want != gotl:
-                    rep.verdict = "refuted"
-                    rep.witness = (f"machine {mm.name} word "
-                                   f"{''.join(w.prefix)}({''.join(w.cycle)})^w "
-                                   f"level {level} config {c!r}: successor "
-                                   f"sets differ")
-                    return _finish(rep, t0)
+                    return _finish(rep, t0, "refuted",
+                                   f"machine {mm.name} word "
+                                   f"{''.join(w.prefix)}({''.join(w.cycle)})"
+                                   f"^w level {level} config {c!r}: "
+                                   f"successor sets differ")
                 checked += 1
                 for cc in succs:
                     if cc not in seen:
@@ -308,21 +289,18 @@ def check_pickn(n_max: int = 50, fuel: int = 40_000) -> LawReport:
     rep = LawReport("pickn", "holds", samples=n_max + 1)
     for key, term in reach.terms.items():
         if not _pickn_shape_ok(term):
-            rep.verdict = "refuted"
-            rep.witness = f"off-shape reduct {print_term(term)}"
-            return _finish(rep, t0)
+            return _finish(rep, t0, "refuted",
+                           f"off-shape reduct {print_term(term)}")
     for n in range(n_max + 1):
         goal = "ok(" + "S(" * n + "0(end)" + ")" * n + ")"
         key = canon_key(parse_term(goal, trs.sig))
         dist = reach.dist.get(key)
         if dist is None:
-            rep.verdict = "unknown"
-            rep.witness = f"n={n} not reached within fuel {fuel}"
-            return _finish(rep, t0)
+            return _finish(rep, t0, "unknown",
+                           f"n={n} not reached within fuel {fuel}")
         if dist != 2 * n + 1:
-            rep.verdict = "refuted"
-            rep.witness = f"n={n}: shortest {dist} != {2 * n + 1}"
-            return _finish(rep, t0)
+            return _finish(rep, t0, "refuted",
+                           f"n={n}: shortest {dist} != {2 * n + 1}")
     rep.lines.append(f"reducts seen: {len(reach.terms)}")
     return _finish(rep, t0)
 
@@ -377,16 +355,15 @@ def check_restart_cycle(m: TmSpec, firings: int = 5,
         rep.lines.append(f"halt rules: {len(halt_rules)}; firings: {got} "
                          f"in {trace.total_steps} steps")
         if got < firings:
-            rep.verdict = "unknown"
-            rep.witness = f"only {got} firings within fuel {fuel}"
+            return _finish(rep, t0, "unknown",
+                           f"only {got} firings within fuel {fuel}")
         return _finish(rep, t0)
     producers = [r.rid for r in sys.rules
                  if any(s.name == "T" for s in term_symbols(r.rhs))
                  and not any(s.name == "T" for s in term_symbols(r.lhs))]
     if producers:
-        rep.verdict = "refuted"
-        rep.witness = f"unexpected T-producing rules {producers}"
-        return _finish(rep, t0)
+        return _finish(rep, t0, "refuted",
+                       f"unexpected T-producing rules {producers}")
     reach = step_reachability(sys, start, fuel=min(fuel, 1000))
     # Product walk: can any explored path fire the restart rule twice?
     adj: dict[int, list[tuple[int, str]]] = {}
@@ -406,8 +383,8 @@ def check_restart_cycle(m: TmSpec, firings: int = 5,
     rep.lines.append(f"no halt rules; max firings over {len(best)} explored "
                      f"terms: {worst}")
     if worst > 1:
-        rep.verdict = "refuted"
-        rep.witness = f"a path with {worst} firings exists"
+        return _finish(rep, t0, "refuted",
+                       f"a path with {worst} firings exists")
     return _finish(rep, t0)
 
 
@@ -427,26 +404,22 @@ def check_pebbled_reach(m: TmSpec, firings: int = 5,
         shown = print_term(prefix) if depth == want else "unstable"
         rep.lines.append(f"stable peb prefix depth: {depth} ({shown})")
         if depth < want:
-            rep.verdict = "unknown"
-            rep.witness = f"prefix depth {depth} < {want} within fuel"
-            return _finish(rep, t0)
+            return _finish(rep, t0, "unknown",
+                           f"prefix depth {depth} < {want} within fuel")
         # A run too short to fire the restarts is stable at every depth.
         if shown != "peb(" * want + "cut" + ")" * want:
-            rep.verdict = "unknown"
-            rep.witness = f"stable prefix is not a peb tower of depth {want}"
-            return _finish(rep, t0)
+            return _finish(rep, t0, "unknown",
+                           f"stable prefix is not a peb tower of depth {want}")
     else:
         got = _count_firings(trace)
         rep.lines.append(f"no halt rules; firings: {got} (expected <= 1)")
         # A run of no steps bounds nothing.
         if not trace.total_steps:
-            rep.verdict = "unknown"
-            rep.witness = f"greedy run took no step within fuel {fuel}"
-            return _finish(rep, t0)
+            return _finish(rep, t0, "unknown",
+                           f"greedy run took no step within fuel {fuel}")
         if got > 1:
-            rep.verdict = "refuted"
-            rep.witness = f"{got} firings without halt rules"
-            return _finish(rep, t0)
+            return _finish(rep, t0, "refuted",
+                           f"{got} firings without halt rules")
     with_loop = step_reachability(sys, start, fuel=1000)
     without = step_reachability(sys.without("run.loop"), start, fuel=1000)
     same = set(with_loop.dist) == set(without.dist)
@@ -454,8 +427,8 @@ def check_pebbled_reach(m: TmSpec, firings: int = 5,
                      f"{len(with_loop.dist)}/{len(without.dist)} keys, "
                      f"equal={same}")
     if not same:
-        rep.verdict = "refuted"
-        rep.witness = "self-loop rule changed the reachable set"
+        return _finish(rep, t0, "refuted",
+                       "self-loop rule changed the reachable set")
     return _finish(rep, t0)
 
 
@@ -508,10 +481,9 @@ def check_norm_probe(mpos: NdTmSpec, mneg: NdTmSpec, fuel: int = 10_000,
             Rpos = build_R(mpos, as_printed=True)
         r1 = Rpos.rule("run.restart")
         if match(r1.lhs, r1.rhs) is not None:
-            rep.verdict = "refuted"
-            rep.witness = ("restart rule matches its own rhs; every "
+            return _finish(rep, t0, "refuted",
+                           "restart rule matches its own rhs; every "
                            "application re-enables it at the same position")
-            return _finish(rep, t0)
     else:
         Rpos = build_R(mpos)
     zs = [phi(w, Rpos.sig) for w in _fixture_words(mpos)]
@@ -521,15 +493,13 @@ def check_norm_probe(mpos: NdTmSpec, mneg: NdTmSpec, fuel: int = 10_000,
         if not res.found:
             # failure to certify within bounds never refutes: the limit
             # detector is incomplete by design
-            rep.verdict = "unknown"
-            rep.witness = (f"corpus term {print_term(t)} did not normalize "
+            return _finish(rep, t0, "unknown",
+                           f"corpus term {print_term(t)} did not normalize "
                            f"within fuel {fuel}")
-            return _finish(rep, t0)
     # res is the designated term's, the corpus's last.
     if res.normal_form.label.name != "bot":
-        rep.verdict = "unknown"
-        rep.witness = f"designated term did not reach bot within fuel {fuel}"
-        return _finish(rep, t0)
+        return _finish(rep, t0, "unknown",
+                       f"designated term did not reach bot within fuel {fuel}")
     rep.lines.append(f"positive corpus normalized: {len(corpus)} terms; "
                      f"designated reached bot in {res.trace.total_steps} "
                      f"steps, {res.trace.closures} closures")
@@ -538,10 +508,9 @@ def check_norm_probe(mpos: NdTmSpec, mneg: NdTmSpec, fuel: int = 10_000,
     des_neg = _designated_term(Rneg, zneg)
     res_neg = bounded_normalize(Rneg, des_neg, fuel=fuel, max_epochs=epochs)
     if res_neg.found:
-        rep.verdict = "refuted"
-        rep.witness = (f"negative designated term normalized to "
+        return _finish(rep, t0, "refuted",
+                       f"negative designated term normalized to "
                        f"{print_term(res_neg.normal_form)}")
-        return _finish(rep, t0)
     rep.lines.append(f"negative designated term exhausted: "
                      f"{res_neg.diagnostics['reason']} after "
                      f"{res_neg.diagnostics['expansions']} expansions")
@@ -550,15 +519,14 @@ def check_norm_probe(mpos: NdTmSpec, mneg: NdTmSpec, fuel: int = 10_000,
     qreach = step_reachability(Rneg, qz, fuel=1000)
     for key, term in qreach.terms.items():
         if not _contains(term, states | {"bot"}):
-            rep.verdict = "refuted"
-            rep.witness = f"state-and-bot-free reduct {print_term(term)}"
-            return _finish(rep, t0)
+            return _finish(rep, t0, "refuted",
+                           f"state-and-bot-free reduct {print_term(term)}")
     xireach = step_reachability(Rneg, parse_term("xi", Rneg.sig), fuel=1000)
     for key, term in xireach.terms.items():
         if _contains(term, states | {"bot"}):
-            rep.verdict = "refuted"
-            rep.witness = f"generator reduct contains state/bot: {print_term(term)}"
-            return _finish(rep, t0)
+            return _finish(rep, t0, "refuted",
+                           f"generator reduct contains state/bot: "
+                           f"{print_term(term)}")
     rep.lines.append(f"reduct disjointness: {len(qreach.terms)} head reducts "
                      f"vs {len(xireach.terms)} generator reducts")
     rep.samples = len(corpus)
@@ -577,46 +545,38 @@ def check_limit_correspondence(m: NdTmSpec, w: OmegaWord,
     res = bounded_normalize(sys, start, fuel=fuel, max_epochs=2)
     if member.kind == "accepted":
         if not res.found and res.diagnostics["reason"] == "fuel":
-            rep.verdict = "unknown"
-            rep.witness = f"accepted word but no closure found within fuel {fuel}"
-            return _finish(rep, t0)
+            return _finish(rep, t0, "unknown",
+                           f"accepted word but no closure found within "
+                           f"fuel {fuel}")
         if not res.found:
-            rep.verdict = "refuted"
-            rep.witness = "accepted word but no closure found"
-            return _finish(rep, t0)
+            return _finish(rep, t0, "refuted",
+                           "accepted word but no closure found")
         bad = [s for s in term_symbols(res.normal_form)
                if s.name not in m.alphabet]
         if bad:
-            rep.verdict = "refuted"
-            rep.witness = f"limit is not a ground tape term: {bad}"
-            return _finish(rep, t0)
+            return _finish(rep, t0, "refuted",
+                           f"limit is not a ground tape term: {bad}")
         rep.lines.append(f"limit: {print_term(res.normal_form)} after "
                          f"{res.trace.total_steps} steps, "
                          f"{res.trace.closures} closures")
     elif member.kind == "rejected_exhausted":
         if res.found:
-            rep.verdict = "refuted"
-            rep.witness = (f"rejected word but head term normalized to "
+            return _finish(rep, t0, "refuted",
+                           f"rejected word but head term normalized to "
                            f"{print_term(res.normal_form)}")
-            return _finish(rep, t0)
         depth = res.diagnostics.get("stable_prefix_depth", -1)
         rep.lines.append(f"no closure; stable depth witness: {depth}")
         if depth > 1:
-            rep.verdict = "refuted"
-            rep.witness = f"rewrite activity left depth {depth} unexpectedly"
-            return _finish(rep, t0)
+            return _finish(rep, t0, "refuted",
+                           f"rewrite activity left depth {depth} unexpectedly")
     else:
-        rep.verdict = "unknown"
-        rep.witness = "membership unknown within bounds"
+        return _finish(rep, t0, "unknown", "membership unknown within bounds")
     return _finish(rep, t0)
 
 
 # ---------------------------------------------------------------------------
 # CLI entry
 
-
-LAW_NAMES = ("two-sided-bisim", "srs-bisim", "pickn", "restart-cycle",
-             "pebbled-reach", "norm-probe", "limit-correspondence")
 
 # The optional run_law arguments each law reads; "seed" marks the laws
 # that draw at random.
@@ -629,6 +589,7 @@ LAW_ARGS = {
     "norm-probe": {"fuel", "as_printed"},
     "limit-correspondence": {"fixture", "fuel"},
 }
+LAW_NAMES = tuple(LAW_ARGS)
 
 
 class LawError(ValueError):

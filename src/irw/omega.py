@@ -124,7 +124,8 @@ class NdConfig:
     may share one overlay dict among several configurations: its key
     ``(state, head, sorted overlay)`` is computed on first use and cached.
     Configurations order by that key, which is what the canonical run
-    order of ``explore_runs`` compares.  The constructor copies ``writes``.
+    order of ``explore_runs`` compares.  The constructor copies
+    ``writes`` without the cells that restore the base symbol.
     """
 
     __slots__ = ("word", "state", "head", "writes", "_k")
@@ -136,7 +137,8 @@ class NdConfig:
         self.word = word
         self.state = state
         self.head = head
-        self.writes = dict(writes) if writes else {}
+        self.writes = {i: f for i, f in writes.items()
+                       if f != word.at(i)} if writes else {}
         self._k = None
 
     def symbol_at(self, i: int) -> str:
@@ -175,18 +177,16 @@ def _choices(m: NdTmSpec, c: NdConfig) -> list[tuple[tuple[str, str, str], "NdCo
     out = []
     word, head, writes = c.word, c.head, c.writes
     base = word.at(head)
-    got = writes.get(head)
-    read = base if got is None else got
+    read = writes.get(head, base)
     for ch in m.delta.get((c.state, read), ()):
         q2, f2, d = ch
         if d == "L" and head == 0:
             continue
-        # A step that writes back what it read shares c's overlay (unless
-        # that holds a cell restoring the base symbol, which is dropped);
-        # any other gets its own copy, where a write restoring the base
-        # symbol leaves no entry.  The overlay is final before anything
-        # can read (and cache) the new config's key.
-        if f2 == read and got != base:
+        # A step that writes back what it read shares c's overlay; any
+        # other gets its own copy, where a write restoring the base symbol
+        # leaves no entry.  The overlay is final before anything can read
+        # (and cache) the new config's key.
+        if f2 == read:
             nw = writes
         else:
             nw = dict(writes)

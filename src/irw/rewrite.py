@@ -6,9 +6,12 @@ search for normalization and reachability.  Reductions are recorded as
 traces made of epochs: a finite run of steps optionally closed by one
 omega-limit.  A limit is only ever attached together with a pump
 certificate stating that the closing run wraps a fixed context forever at
-strictly increasing depth.  :func:`validate_certificate` rechecks one by
-rerunning the pump detector on the epoch's own steps, so the recheck is not
-independent of the code that produced it (see ROADMAP item 2).
+strictly increasing depth.  The pump detector assumes a chained run of
+genuine steps and does not retest what that implies; :func:`replay_trace`
+establishes it by re-applying every step before it rechecks a closure.
+:func:`validate_certificate` rechecks one by rerunning the pump detector on
+the epoch's own steps, so the recheck is not independent of the code that
+produced it (see ROADMAP item 2).
 
 Limit detection is sound but deliberately incomplete: a reduction that
 converges without exhibiting a literal pump is reported as "no closure
@@ -378,8 +381,14 @@ def _with_context(steps: list[Step], closure: Closure) -> Closure:
 def _try_pump(steps: list[Step], i: int, length: int) -> Optional[Closure]:
     """Validate the pump candidate starting at step i with the given cycle
     length, requiring the pattern to persist to the end of the run.
-    The last step's ``after`` is never read, so the search may pass a
-    step it has not applied yet."""
+
+    The steps must be a chained run of genuine steps: close_limit and
+    validate_certificate check the chain, replay_trace re-applies each
+    step first, and the search applies the steps of its history.  Then
+    every step from i on lies below ``hole``, so the term one cycle on
+    equals t0 outside it, and the step depths grow by |offset| per
+    cycle; neither is tested again.  The last step's ``after`` is never
+    read, so the search may pass a step it has not applied yet."""
     n = len(steps)
     if i + 2 * length > n:
         return None
@@ -408,14 +417,8 @@ def _try_pump(steps: list[Step], i: int, length: int) -> Optional[Closure]:
         return None
     if not bisim_equal(reentry, seed):
         return None
-    if not bisim_equal(replace_at(t0, hole, wrapped), t1):
-        return None
-    profile = []
-    for k in range(0, (n - i) // length):
-        block = steps[i + k * length:i + (k + 1) * length]
-        profile.append(min(s.depth for s in block))
-    if any(b <= a for a, b in zip(profile, profile[1:])):
-        return None
+    first = min(s.depth for s in steps[i:i + length])
+    profile = [first + k * len(offset) for k in range((n - i) // length)]
     limit = replace_at(t0, hole, cyclify(wrapped, offset))
     cert = PumpCertificate(
         cycle_start=i,
@@ -449,9 +452,8 @@ def close_limit(steps: Iterable[Step]) -> ClosureAttempt:
     """
     steps = list(steps)
     n = len(steps)
-    for a, b in zip(steps, steps[1:]):
-        if a.after is not b.before and not bisim_equal(a.after, b.before):
-            raise TrsError("close_limit requires a chained run of steps")
+    if not _chained(steps):
+        raise TrsError("close_limit requires a chained run of steps")
     for i in range(n - 1):
         for length in range(1, (n - i) // 2 + 1):
             got = _try_pump(steps, i, length)
@@ -467,16 +469,27 @@ def close_limit(steps: Iterable[Step]) -> ClosureAttempt:
     })
 
 
+def _chained(steps: list[Step]) -> bool:
+    """Each step starts from the term the step before it ended with."""
+    return all(a.after is b.before or bisim_equal(a.after, b.before)
+               for a, b in zip(steps, steps[1:]))
+
+
 def validate_certificate(epoch: Epoch) -> bool:
     """Recheck an epoch's closure by rerunning the pump detector, the code
     that produced it, on the epoch's steps and comparing the limits.  Of
     the certificate only ``cycle_start`` and ``cycle_length`` are read;
-    ``hole`` and ``offset`` may be left empty.  A fault of the detector
-    itself goes unseen (ROADMAP item 2)."""
+    ``hole`` and ``offset`` may be left empty.  An epoch whose steps do
+    not chain is refused.  That each step is genuine is assumed, not
+    checked: replay_trace re-applies every step before it calls this.  A
+    fault of the detector itself goes unseen (ROADMAP item 2)."""
     if epoch.closure is None:
         return True
+    steps = list(epoch.steps)
+    if not _chained(steps):
+        return False
     cert = epoch.closure.certificate
-    redo = _try_pump(list(epoch.steps), cert.cycle_start, cert.cycle_length)
+    redo = _try_pump(steps, cert.cycle_start, cert.cycle_length)
     if redo is None:
         return False
     return bisim_equal(redo.limit, epoch.closure.limit)
@@ -822,9 +835,8 @@ def limit_approximant(trace: Trace, d: int) -> Approximant:
     last too-shallow step index.
     """
     steps = trace.all_steps
-    shallow = [j for j, s in enumerate(steps) if s.depth < d]
-    if shallow and shallow[-1] == len(steps) - 1:
-        return Approximant(False, None, shallow[-1])
+    if steps and steps[-1].depth < d:
+        return Approximant(False, None, len(steps) - 1)
     return Approximant(True, truncate_prefix(trace.final, d), None)
 
 

@@ -10,13 +10,14 @@ from irw.laws import (
     check_limit_correspondence, check_pickn, check_restart_cycle, check_srs_bisim,
     check_pebbled_reach, check_norm_probe, check_two_sided_bisim,
     gen_det_machine, gen_nd_machine, greedy_cycle_run, mutate_first_write,
-    render_report, run_law, _srs_reducts,
+    render_report, run_law,
 )
 from irw.machines import load_fixture
 from irw.omega import NdConfig, nd_steps, parse_word
 from irw.rewrite import (
-    Epoch, Trace, apply_step, canon_key, find_redexes,
+    Epoch, Rule, Trace, Trs, apply_step, canon_key, find_redexes,
 )
+from irw.terms import app, var
 from irw.turing import TmSpec
 
 
@@ -79,6 +80,17 @@ class TestSrsBisim:
         bad = mutate_first_write(nd_to_srs(right))
         rep = check_srs_bisim(right, trs=bad)
         assert rep.verdict == "refuted"
+
+    def test_tape_rule_above_the_head_refutes(self, right):
+        # The added rule holds no state symbol.  On (a)^w it matches at the
+        # root once the head is at position 2, two cells above the state,
+        # where no rule of the machine system is rooted.
+        srs = nd_to_srs(right)
+        a, b, x = srs.sig.get("a"), srs.sig.get("b"), var("x")
+        tape = Rule("tape", app(a, app(a, x)), app(b, app(a, x)))
+        rep = check_srs_bisim(right, trs=Trs(srs.sig, srs.rules + (tape,)))
+        assert rep.verdict == "refuted"
+        assert "successor sets differ" in rep.witness
 
 
 class TestPickn:
@@ -222,6 +234,9 @@ class TestGreedyDriverOracle:
 
 class TestSrsReductsOracle:
     def test_matches_whole_term_redexes(self):
+        # The law enumerates redexes down to the head's depth: every
+        # machine rule is rooted at the state or one above it, so a deeper
+        # walk finds nothing more.
         rng = random.Random(5)
         checked = reducts = 0
         for _ in range(12):
@@ -231,9 +246,8 @@ class TestSrsReductsOracle:
                 c = NdConfig(parse_word(text, m.alphabet), m.initial, 0)
                 for _ in range(25):
                     t = phi(c, sys.sig)
-                    got = sorted(canon_key(u) for u in _srs_reducts(m, sys, t))
-                    want = sorted(canon_key(apply_step(sys, t, p, r).after)
-                                  for p, r in find_redexes(sys, t, c.head + 1))
+                    got = find_redexes(sys, t, c.head)
+                    want = find_redexes(sys, t, c.head + 4)
                     assert got == want, (m, c)
                     checked += 1
                     reducts += len(want)

@@ -79,11 +79,16 @@ class TestSteps:
         c = NdConfig(parse_word("(a)^w"), "q0", 0)
         succ = nd_steps(right, c)[0]
         assert succ.writes == {}
-        # an overlay cell given to the constructor that restores the base
-        # symbol is dropped by the next write there, even one that writes
-        # back what it read
+        # the constructor drops an overlay cell that restores the base
+        # symbol, so a step that writes back what it read keeps none
         c = NdConfig(parse_word("(a)^w"), "q0", 0, {0: "a", 3: "b"})
+        assert c.writes == {3: "b"}
         assert nd_steps(right, c)[0].writes == {3: "b"}
+
+    def test_constructor_equality_is_semantic(self):
+        w = parse_word("(a)^w")
+        c, d = NdConfig(w, "q0", 0, {0: "a"}), NdConfig(w, "q0", 0)
+        assert c == d and hash(c) == hash(d)
 
     def test_overlays_shared_only_when_unchanged(self):
         m = parse_machine("machine w\nkind nondet-one-sided\nstates q0\n"

@@ -14,7 +14,8 @@ from irw.rewrite import (
     step_reachability, validate_certificate,
 )
 from irw.terms import (
-    Signature, Symbol, app, bisim_equal, parse_term, print_term, var,
+    Signature, Symbol, app, bisim_equal, parse_term, print_term, replace_at,
+    subterm_at, var,
 )
 
 
@@ -38,6 +39,21 @@ def xi_only():
 
 def T(trs, s):
     return parse_term(s, trs.sig)
+
+
+def _check_implied_facts(steps, closure):
+    """The two facts of a closure that the pump detector does not test,
+    since a chained run of genuine steps implies them: the term one cycle
+    on equals the cycle's start outside the hole, and the certificate's
+    profile is each block's minimum step depth, strictly increasing."""
+    cert = closure.certificate
+    i, L, hole = cert.cycle_start, cert.cycle_length, cert.hole
+    t0, t1 = steps[i].before, steps[i + L].before
+    assert bisim_equal(replace_at(t0, hole, subterm_at(t1, hole)), t1)
+    profile = tuple(min(s.depth for s in steps[i + k * L:i + (k + 1) * L])
+                    for k in range((len(steps) - i) // L))
+    assert cert.min_depth_profile == profile
+    assert all(b > a for a, b in zip(profile, profile[1:]))
 
 
 class TestMatching:
@@ -214,6 +230,22 @@ class TestCloseLimit:
         got = close_limit(run.trace.all_steps)
         ep = Epoch(tuple(run.trace.all_steps), got.closure)
         assert validate_certificate(ep)
+
+    def test_certificate_needs_a_chained_run(self, xi_only):
+        # Three steps of the xi tower, then three genuine steps of another
+        # term at the positions the pump predicts: the rule ids, positions
+        # and the first cycle are a pump, but the epoch is no reduction.
+        steps, cur = [], T(xi_only, "xi")
+        for depth in range(6):
+            if depth == 3:
+                cur = T(xi_only, "b(b(b(xi)))")
+            steps.append(apply_step(xi_only, cur, (1,) * depth, "xi.a"))
+            cur = steps[-1].after
+        with pytest.raises(TrsError):
+            close_limit(steps)
+        got = close_limit(steps[:3]).closure
+        assert got is not None
+        assert not validate_certificate(Epoch(tuple(steps), got))
 
     @pytest.mark.parametrize("rids, wrong", [
         # a pump of period 1 from step 1: from step 0 the rule ids differ
@@ -521,6 +553,7 @@ class TestPumpStress:
         for trs, steps in cases:
             att = close_limit(steps)
             assert att.closure is not None
+            _check_implied_facts(steps, att.closure)
             self._extend_and_check(trs, steps, att.closure)
 
     def test_search_closures_predict_reduction(self, r_right):
@@ -532,6 +565,7 @@ class TestPumpStress:
         checked = 0
         for ep in res.trace.epochs:
             if ep.closure is not None:
+                _check_implied_facts(list(ep.steps), ep.closure)
                 self._extend_and_check(r_right, list(ep.steps), ep.closure)
                 checked += 1
         assert checked == 2
@@ -783,12 +817,16 @@ class TestPumpFilter:
         for run in self._runs(xi_only, r_right):
             for k in range(2, len(run) + 1):
                 prefix = run[:k]
+                full = close_limit(prefix).closure
+                if full is not None:
+                    _check_implied_facts(prefix, full)
                 want = _suffix_pump(prefix)
                 got = _filtered_suffix_pump(prefix)
                 assert (got is None) == (want is None)
                 if got is None:
                     continue
                 closed += 1
+                _check_implied_facts(prefix, got)
                 gc, wc = got.certificate, want.certificate
                 assert (gc.cycle_start, gc.cycle_length, gc.hole, gc.offset) == \
                     (wc.cycle_start, wc.cycle_length, wc.hole, wc.offset)
