@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Union
 
 from .omega import NdConfig, NdTmSpec, OmegaWord
 from .rewrite import Rule, Trs, format_trs
-from .terms import Signature, Symbol, Term, TermError, app, cyclify, var
+from .terms import Signature, Symbol, Term, TermError, app, var
 from .turing import TmConfig, TmSpec, make_config
 
 __all__ = [
@@ -138,8 +138,10 @@ def tm_to_trs(m: TmSpec) -> Trs:
     return Trs(sig, rules, name=m.name, construction="base")
 
 
-def _fold(sig: Signature, seq: Sequence[str]) -> Term:
-    t = app(END)
+def _fold(sig: Signature, seq: Sequence[str],
+          t: Optional[Term] = None) -> Term:
+    """Fold seq nearest-first into unary applications over t (or `end`)."""
+    t = app(END) if t is None else t
     for f in reversed(seq):
         t = app(sig.get(f), t)
     return t
@@ -307,20 +309,12 @@ def phi(w, sig: Optional[Signature] = None) -> Term:
 
 def _phi_word(w: OmegaWord, sig: Optional[Signature]) -> Term:
     sig = sig or Signature([Symbol(s, 1) for s in set(w.prefix + w.cycle)])
-    for s in w.cycle:
-        sym = sig.get(s)
-        if sym is None or sym.arity != 1:
-            raise EncodeError(f"phi: {s!r} is not a unary symbol")
-    t = cyclify(_fold(sig, w.cycle), (1,) * len(w.cycle))
-    for s in reversed(w.prefix):
-        t = app(sig.get(s), t)
-    return t
+    return _fold(sig, w.prefix, _cycle(sig, w.cycle))
 
 
 def _phi_config(c: NdConfig, sig: Optional[Signature]) -> Term:
     w = c.word
-    upto = max([c.head] + [p + 1 for p in c.writes]) if c.writes else c.head
-    upto = max(upto, len(w.prefix))
+    upto = max([c.head, len(w.prefix)] + [p + 1 for p in c.writes])
     # Rebase: explicit overlaid prefix up to `upto`, then the pure cycle.
     shift = (upto - len(w.prefix)) % len(w.cycle)
     tail_cycle = w.cycle[shift:] + w.cycle[:shift]
@@ -328,14 +322,19 @@ def _phi_config(c: NdConfig, sig: Optional[Signature]) -> Term:
     if sig is None:
         names = set(flat) | set(tail_cycle) | {c.state}
         sig = Signature([Symbol(s, 1) for s in names])
-    suffix = _phi_word(OmegaWord(flat[c.head:], tail_cycle), sig)
+    tail = _cycle(sig, tail_cycle)
     qsym = sig.get(c.state)
     if qsym is None or qsym.arity != 1:
         raise EncodeError(f"phi: state {c.state!r} is not a unary symbol")
-    t = app(qsym, suffix)
-    for s in reversed(flat[:c.head]):
-        t = app(sig.get(s), t)
-    return t
+    return _fold(sig, flat[:c.head] + (c.state,) + flat[c.head:], tail)
+
+
+def _cycle(sig: Signature, cycle: tuple[str, ...]) -> Term:
+    """The cyclic tail, built once per signature and rotation."""
+    try:
+        return sig.unary_cycle(cycle)
+    except TermError as e:
+        raise EncodeError(f"phi: {e}") from None
 
 
 def build_R(m: NdTmSpec, as_printed: bool = False) -> Trs:

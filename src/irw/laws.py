@@ -166,7 +166,11 @@ def check_two_sided_bisim(m: Optional[TmSpec] = None, samples: int = 100,
                           steps: int = 50, seed: int = 7,
                           trs: Optional[Trs] = None) -> LawReport:
     """Random configs, lockstep replay: decoded system traces must equal
-    machine traces one step to one step, including where both halt."""
+    machine traces one step to one step, including where both halt.
+    Negative steps are refused with LawError; with no configuration or
+    no step to compare the verdict is unknown."""
+    if steps < 0:
+        raise LawError(f"two-sided-bisim needs steps >= 0, got {steps}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     machines = [m] if m is not None else [gen_det_machine(rng)]
@@ -199,6 +203,8 @@ def check_two_sided_bisim(m: Optional[TmSpec] = None, samples: int = 100,
     rep.lines.append(f"steps compared: {total}")
     if samples < 1:
         return _finish(rep, t0, "unknown", "no configuration sampled")
+    if steps == 0:
+        return _finish(rep, t0, "unknown", "no step compared")
     return _finish(rep, t0)
 
 
@@ -212,7 +218,12 @@ def check_srs_bisim(m: Optional[NdTmSpec] = None,
                     trs: Optional[Trs] = None) -> LawReport:
     """Frontier-synchronized breadth-first comparison: at every level the
     one-step successor set of each kept configuration must equal the
-    one-step reduct set of its term image, modulo bisimilarity."""
+    one-step reduct set of its term image, modulo bisimilarity.  A
+    negative depth or a width below 1 is refused with LawError; with
+    nothing checked the verdict is unknown."""
+    if depth < 0 or width < 1:
+        raise LawError(f"srs-bisim needs depth >= 0 and width >= 1, "
+                       f"got depth {depth}, width {width}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
     mm = m if m is not None else gen_nd_machine(rng)
@@ -223,14 +234,20 @@ def check_srs_bisim(m: Optional[NdTmSpec] = None,
     rep = LawReport("srs-bisim", "holds", seed=seed)
     checked = 0
     for w in words:
-        frontier = [NdConfig(w, mm.initial, 0)]
+        root = NdConfig(w, mm.initial, 0)
+        frontier = [root]
+        # Each distinct configuration's image is built once, as a
+        # successor, and read as a term at the next level.
+        images = {root: phi(root, sys.sig)}
         for level in range(depth):
-            nxt = []
-            seen = set()
+            nxt: dict[NdConfig, Term] = {}
             for c in frontier:
                 succs = nd_steps(mm, c)
-                term = phi(c, sys.sig)
-                want = sorted(set(canon_key(phi(cc, sys.sig)) for cc in succs))
+                for cc in succs:
+                    if cc not in nxt:
+                        nxt[cc] = phi(cc, sys.sig)
+                term = images[c]
+                want = sorted(set(canon_key(nxt[cc]) for cc in succs))
                 # The state sits at depth c.head, and every rule is rooted
                 # there or one above it.
                 gotl = sorted(set(
@@ -243,16 +260,14 @@ def check_srs_bisim(m: Optional[NdTmSpec] = None,
                                    f"^w level {level} config {c!r}: "
                                    f"successor sets differ")
                 checked += 1
-                for cc in succs:
-                    if cc not in seen:
-                        seen.add(cc)
-                        nxt.append(cc)
-            nxt.sort(key=lambda c: c._key())
-            frontier = nxt[:width]
+            frontier = sorted(nxt, key=lambda c: c._key())[:width]
+            images = nxt
             if not frontier:
                 break
     rep.samples = checked
     rep.lines.append(f"configs checked: {checked}")
+    if checked == 0:
+        return _finish(rep, t0, "unknown", "no configuration sampled")
     return _finish(rep, t0)
 
 
@@ -594,7 +609,8 @@ LAW_NAMES = tuple(LAW_ARGS)
 
 class LawError(ValueError):
     """An unknown law, an argument the named law does not use, or a
-    negative sample count or fuel."""
+    bound out of range: a negative sample count, fuel, depth or step
+    count, or a width below 1."""
 
 
 def run_law(name: str, fixture: Optional[str] = None,

@@ -80,10 +80,16 @@ CUT = Symbol("cut", 0)
 
 
 class Signature:
-    """A set of symbols with unique names."""
+    """A set of symbols with unique names.
+
+    A signature also keeps the cyclic terms :meth:`unary_cycle` built over
+    it, keyed by their name sequence.  A declared symbol never changes,
+    so a kept term stays valid as the signature grows.
+    """
 
     def __init__(self, symbols: Iterable[Symbol] = ()):
         self._by_name: dict[str, Symbol] = {}
+        self._cycles: dict[tuple[str, ...], Term] = {}
         for s in symbols:
             self.declare(s)
 
@@ -99,6 +105,24 @@ class Signature:
 
     def get(self, name: str) -> Optional[Symbol]:
         return self._by_name.get(name)
+
+    def unary_cycle(self, names: tuple[str, ...]) -> Term:
+        """``rec X . f1(f2(...fn(X)))`` for the unary symbols f1..fn named.
+
+        Built once per signature and sequence: a rotation of the sequence
+        is another sequence, with its own term.  Threads that miss at once
+        each build one; all get the same ids, so keeping either is right.
+        """
+        t = self._cycles.get(names)
+        if t is None:
+            t = Term(None, ())  # a placeholder leaf, cut off by cyclify
+            for n in reversed(names):
+                sym = self._by_name.get(n)
+                if sym is None or sym.arity != 1:
+                    raise TermError(f"{n!r} is not a unary symbol")
+                t = Term(sym, (t,))
+            t = self._cycles[names] = cyclify(t, (1,) * len(names))
+        return t
 
     def __contains__(self, name: str) -> bool:
         return name in self._by_name

@@ -8,13 +8,15 @@ from irw.encode import (
     compile_construction, decode_config, emit_trs_file, encode_config,
     nd_to_srs, pebble_trs, phi, pickn_trs, tm_to_trs,
 )
-from irw.laws import gen_det_machine, gen_det_config
+from irw.laws import gen_det_machine, gen_det_config, gen_nd_machine
 from irw.machines import load_fixture, parse_machine
-from irw.omega import NdConfig, nd_steps, parse_word
+from irw.omega import NdConfig, OmegaWord, nd_steps, parse_word
 from irw.rewrite import (
     apply_step, canon_key, find_redexes, is_normal_form, match, parse_trs,
 )
-from irw.terms import bisim_equal, parse_term, print_term, term_symbols
+from irw.terms import (
+    Signature, bisim_equal, parse_term, print_term, term_symbols,
+)
 from irw.turing import make_config, tm_step
 
 
@@ -290,6 +292,75 @@ class TestPhi:
         t = phi(c, sig)
         want = parse_term("b(b(q0(b(rec X . a(b(X))))))", sig)
         assert bisim_equal(t, want)
+
+    def test_tail_symbol_not_unary(self, right):
+        sig = nd_to_srs(right).sig
+        for w in (OmegaWord(("a",), ("a", "end")),
+                  NdConfig(OmegaWord((), ("c",)), "q0", 1)):
+            with pytest.raises(EncodeError, match="is not a unary symbol"):
+                phi(w, sig)
+
+
+def _configs_within(m, word, levels=30, width=16):
+    """Every configuration reached in `levels` breadth-first levels from
+    the initial one, expanding the `width` least of each level."""
+    frontier = [NdConfig(word, m.initial, 0)]
+    seen = set(frontier)
+    for _ in range(levels):
+        nxt = [cc for c in frontier for cc in nd_steps(m, c)]
+        nxt = [cc for cc in dict.fromkeys(nxt) if cc not in seen]
+        seen.update(nxt)
+        frontier = sorted(nxt)[:width]
+    return seen
+
+
+def _spine_matches(t, c):
+    """Walk the image's unary spine past every explicit cell and twice
+    round the cycle: the state at the head, symbol_at(i) elsewhere."""
+    w = c.word
+    upto = max([c.head, len(w.prefix)] + [p + 1 for p in c.writes])
+    for i in range(upto + 2 * len(w.cycle) + 1):
+        want = c.state if i == c.head else c.symbol_at(i - (i > c.head))
+        if (t.label.name, t.label.arity) != (want, 1):
+            return False
+        t = t.children[0]
+    return True
+
+
+class TestConfigImages:
+    """Config images against the tape, by a walk that shares no code with
+    phi; and an image over a warm signature against one over a fresh copy
+    (whose cyclic tails are all built anew)."""
+
+    def _check(self, m, texts):
+        sig = nd_to_srs(m).sig
+        checked = rotated = written = 0
+        for text in texts:
+            w = parse_word(text, m.alphabet)
+            for c in sorted(_configs_within(m, w)):
+                t = phi(c, sig)
+                assert _spine_matches(t, c), (m, text, c)
+                assert canon_key(phi(c, Signature(sig))) == canon_key(t)
+                checked += 1
+                rotated += c.head > len(w.prefix) and len(w.cycle) > 1
+                written += bool(c.writes)
+        return checked, rotated, written
+
+    def test_fixture_words(self, right, pong):
+        # Neither fixture writes; nd_right drifts right through every
+        # rotation of (ba), nd_pong stays at cells 0 and 1.
+        assert self._check(right, ("(a)^w", "ab(ba)^w")) == (62, 28, 0)
+        assert self._check(pong, ("(a)^w", "ab(ba)^w")) == (4, 0, 0)
+
+    def test_random_machines(self):
+        rng = random.Random(41)
+        totals = [0, 0, 0]
+        for _ in range(8):
+            got = self._check(gen_nd_machine(rng),
+                              ("(a)^w", "ab(ba)^w", "b_(ab)^w", "(_ab)^w"))
+            totals = [a + b for a, b in zip(totals, got)]
+        checked, rotated, written = totals
+        assert checked >= 2000 and rotated >= 1000 and written >= 2000
 
 
 class TestProbeSystem:

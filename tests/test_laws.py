@@ -7,7 +7,7 @@ from irw.encode import (
     EncodeWarning, build_S, build_S_prime, nd_to_srs, phi, tm_to_trs,
 )
 from irw.laws import (
-    check_limit_correspondence, check_pickn, check_restart_cycle, check_srs_bisim,
+    LawError, check_limit_correspondence, check_pickn, check_restart_cycle, check_srs_bisim,
     check_pebbled_reach, check_norm_probe, check_two_sided_bisim,
     gen_det_machine, gen_nd_machine, greedy_cycle_run, mutate_first_write,
     render_report, run_law,
@@ -63,6 +63,15 @@ class TestTwoSidedBisim:
         b = check_two_sided_bisim(macc, samples=25, steps=25, seed=3)
         assert (a.verdict, a.witness, a.lines) == (b.verdict, b.witness, b.lines)
 
+    def test_no_step_compared_is_unknown(self, macc):
+        rep = check_two_sided_bisim(macc, samples=5, steps=0)
+        assert (rep.verdict, rep.witness) == ("unknown", "no step compared")
+        assert rep.lines == ["steps compared: 0"]
+
+    def test_negative_steps_refused(self, macc):
+        with pytest.raises(LawError, match="steps"):
+            check_two_sided_bisim(macc, samples=5, steps=-2)
+
 
 class TestSrsBisim:
     def test_fixtures_hold(self, right, pong):
@@ -91,6 +100,19 @@ class TestSrsBisim:
         rep = check_srs_bisim(right, trs=Trs(srs.sig, srs.rules + (tape,)))
         assert rep.verdict == "refuted"
         assert "successor sets differ" in rep.witness
+
+
+    @pytest.mark.parametrize("bounds", [{"depth": 0}, {"words": []}])
+    def test_nothing_sampled_is_unknown(self, pong, bounds):
+        rep = check_srs_bisim(pong, **bounds)
+        assert (rep.verdict, rep.witness) == ("unknown", "no configuration sampled")
+        assert rep.samples == 0 and rep.lines == ["configs checked: 0"]
+
+    @pytest.mark.parametrize("bounds", [{"depth": -3}, {"width": 0},
+                                        {"width": -1}])
+    def test_bounds_out_of_range_refused(self, pong, bounds):
+        with pytest.raises(LawError, match="depth >= 0 and width >= 1"):
+            check_srs_bisim(pong, **bounds)
 
 
 class TestPickn:
