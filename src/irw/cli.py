@@ -3,7 +3,8 @@
 Subcommands: compile, tm, trs, omega, laws.  Output is line-oriented text
 with a trailing machine-parseable ``VERDICT:`` line.  Exit codes are
 uniform across commands: 0 success/holds, 1 refuted or negative witness,
-2 unknown/exhausted, 3 input error, 4 internal error.  IRW_SEED provides
+2 unknown/exhausted, 3 input error (among them a ``trs`` or ``laws`` flag
+that the action or law does not use), 4 internal error.  IRW_SEED provides
 the default seed of ``trs trace --strategy random`` and of the laws that
 draw at random.
 """
@@ -135,7 +136,24 @@ def _parse_ground(trs: rewrite.Trs, text: str) -> terms.Term:
     return terms.parse_term(text, trs.sig, ground=True)
 
 
+# The flags each trs action reads besides --fuel, --depth and --show-terms;
+# any other flag given is refused rather than ignored.
+TRS_FLAGS = {"trace": ("term", "strategy", "seed"),
+             "normalize": ("term", "epochs"),
+             "reach": ("from", "to", "epochs")}
+
+
 def cmd_trs(args) -> int:
+    given = {"term": args.term, "from": args.src, "to": args.dst,
+             "epochs": args.epochs, "strategy": args.strategy,
+             "seed": args.seed}
+    unused = [k for k, v in given.items()
+              if v is not None and k not in TRS_FLAGS.get(args.action, ())]
+    if unused:
+        raise CliError(f"trs {args.action} does not use "
+                       + ", ".join("--" + k for k in unused))
+    epochs = (rewrite.DEFAULT_MAX_EPOCHS if args.epochs is None
+              else args.epochs)
     trs = _load_trs(args.trs)
     if args.action == "trace":
         if not args.term:
@@ -179,7 +197,7 @@ def cmd_trs(args) -> int:
             raise CliError("trs normalize needs --term")
         t = _parse_ground(trs, args.term)
         res = rewrite.bounded_normalize(trs, t, fuel=args.fuel,
-                                        max_epochs=args.epochs,
+                                        max_epochs=epochs,
                                         depth_bound=args.depth)
         if res.found:
             print(rewrite.render_trace(res.trace, show_terms=args.show_terms))
@@ -196,7 +214,7 @@ def cmd_trs(args) -> int:
         s = _parse_ground(trs, args.src)
         t = _parse_ground(trs, args.dst)
         res = rewrite.bounded_reach(trs, s, t, fuel=args.fuel,
-                                    max_epochs=args.epochs,
+                                    max_epochs=epochs,
                                     depth_bound=args.depth)
         if res.reached:
             print(rewrite.render_trace(res.trace, show_terms=args.show_terms))
@@ -285,9 +303,9 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--from", dest="src")
     r.add_argument("--to", dest="dst")
     r.add_argument("--fuel", type=int, default=rewrite.DEFAULT_FUEL)
-    r.add_argument("--epochs", type=int, default=rewrite.DEFAULT_MAX_EPOCHS)
+    r.add_argument("--epochs", type=int)
     r.add_argument("--depth", type=int, default=rewrite.DEFAULT_DEPTH_BOUND)
-    r.add_argument("--strategy", default="lo",
+    r.add_argument("--strategy",
                    choices=["lo", "leftmost-outermost", "random", "greedy"])
     r.add_argument("--seed", type=int)
     r.add_argument("--show-terms", action="store_true")

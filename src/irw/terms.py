@@ -9,6 +9,9 @@ concurrent activities.  Each node caches only its canonical id, one per
 unfolding; finiteness and groundness are recorded per id, so both are a
 table lookup after :func:`canon_key`.  A node gets its id when it is
 built; a knot (``rec``, :func:`cyclify`) gets its ids when it is tied.
+:func:`cyclify` remembers the root id of each knot it settles, keyed by
+the id it was given and the path, so tying the same knot again reads its
+ids off the table instead of minimizing the cycle again.
 
 The concrete syntax is::
 
@@ -223,12 +226,16 @@ def _reachable(t: Term) -> list[Term]:
 # first is also keyed by the cycle's rows (a tuple of tuples, never a node
 # key), so that a bisimilar cycle built elsewhere finds them.  Finiteness
 # and groundness are properties of the unfolding, so they are kept per id.
+# The knot memo maps (id of t, path) to the root id of cyclify(t, path):
+# that unfolding depends on t's unfolding and the path alone.  It lives
+# and grows with the table, so whatever resets the table must clear it.
 
 _lock = threading.Lock()
 _table: dict[tuple, int] = {}
 _keys: list[tuple] = []        # id -> its node key
 _finite_ids = bytearray()      # id -> 1 iff its unfolding is finite
 _ground_ids = bytearray()      # id -> 1 iff its unfolding has no variable
+_knots: dict[tuple[int, tuple[int, ...]], int] = {}
 
 
 def _settle(n: Term) -> None:
@@ -486,7 +493,13 @@ def truncate_prefix(t: Term, d: int) -> Term:
 def cyclify(t: Term, path: tuple[int, ...]) -> Term:
     """A rational term equal to t with the subterm at `path` tied back to
     the root, i.e. the infinite unfolding C[C[C[...]]] of the context C
-    obtained by punching a hole into t at `path`."""
+    obtained by punching a hole into t at `path`.
+
+    The knot's nodes are always new, built from t's own, so the result
+    prints as t's graph.  When t has an id and the same knot was tied
+    before, from any t with that id, its ids are read off the table: the
+    root's from the knot memo, each later node's from its parent's key.
+    Otherwise the knot is settled (Tarjan and cycle minimization)."""
     if not path:
         raise TermError("cannot cyclify at the empty path")
     spine = _path(t, path)[:-1]
@@ -495,7 +508,17 @@ def cyclify(t: Term, path: tuple[int, ...]) -> Term:
         kids = list(node.children)
         kids[path[j] - 1] = fresh[j + 1] if j + 1 < len(fresh) else fresh[0]
         fresh[j]._patch(node.label, tuple(kids))
-    canon_key(fresh[0])
+    memo = (t._cid, path)
+    cid = _knots.get(memo)
+    if cid is None:
+        cid = canon_key(fresh[0])
+        if memo[0] is not None:  # t had an id before the knot settled
+            with _lock:
+                _knots[memo] = cid
+    else:
+        for n, i in zip(fresh, path):
+            n._cid = cid
+            cid = _keys[cid][i]
     return fresh[0]
 
 

@@ -220,6 +220,50 @@ class TestTrs:
                                  *action[1:], flag, "-1")
         assert (code, out, err) == (3, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("action, extra, message", [
+        (["trace", "--term", "pickn"], ["--epochs", "3"], "--epochs"),
+        (["trace", "--term", "pickn"], ["--from", "pickn"], "--from"),
+        (["trace", "--term", "pickn"], ["--to", "pickn"], "--to"),
+        (["normalize", "--term", "pickn"], ["--from", "pickn"], "--from"),
+        (["normalize", "--term", "pickn"], ["--to", "pickn"], "--to"),
+        (["normalize", "--term", "pickn"], ["--strategy", "lo"], "--strategy"),
+        (["normalize", "--term", "pickn"], ["--seed", "5"], "--seed"),
+        (["reach", "--from", "pickn", "--to", "pickn"], ["--term", "pickn"],
+         "--term"),
+        (["reach", "--from", "pickn", "--to", "pickn"],
+         ["--strategy", "greedy"], "--strategy"),
+        (["reach", "--from", "pickn", "--to", "pickn"], ["--seed", "5"],
+         "--seed"),
+        (["normalize", "--term", "pickn"],
+         ["--seed", "5", "--to", "pickn", "--strategy", "random"],
+         "--to, --strategy, --seed"),
+    ])
+    def test_unused_flag_refused(self, capsys, pickn_file, action, extra,
+                                 message):
+        code, out, err = run_cli(capsys, "trs", action[0], pickn_file,
+                                 *action[1:], *extra)
+        assert (code, out) == (3, "")
+        assert err == f"error: trs {action[0]} does not use {message}\n"
+
+    def test_unused_flag_refused_before_reading_the_file(self, capsys,
+                                                         tmp_path):
+        code, _, err = run_cli(capsys, "trs", "reach",
+                               str(tmp_path / "missing.trs"), "--from", "a",
+                               "--to", "a", "--seed", "1")
+        assert (code, err) == (3, "error: trs reach does not use --seed\n")
+
+    @pytest.mark.parametrize("argv, default", [
+        (["trace", "--term", "pickn", "--fuel", "4"], ["--strategy", "lo"]),
+        (["normalize", "--term", "pickn", "--fuel", "4"], ["--epochs", "4"]),
+        (["reach", "--from", "pickn", "--to", "ok(S(0(end)))"],
+         ["--epochs", "4"]),
+    ], ids=["trace", "normalize", "reach"])
+    def test_omitted_flag_takes_its_default(self, capsys, pickn_file, argv,
+                                            default):
+        runs = [run_cli(capsys, "trs", argv[0], pickn_file, *argv[1:], *more)
+                for more in ([], default)]
+        assert runs[0] == runs[1]
+
 
 class TestOmega:
     def test_member_accepted(self, capsys, tm_file):

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from irw import terms
 from irw.terms import (
     PositionError, Signature, Symbol, Term, TermError, TermSyntaxError,
     app, bisim_equal, canon_key, cyclify, is_finite, is_ground, is_var, var,
@@ -235,6 +236,88 @@ class TestCyclify:
     def test_empty_path_rejected(self):
         with pytest.raises(TermError):
             cyclify(P("a(pickn)"), ())
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_memo_hit_gives_the_settled_ids(self, data):
+        # Every knot tied from t, and from bisimilar copies of other
+        # shapes, along every path up to length 3: a memo hit must give
+        # each spine node the id the first call gave it and the id the
+        # parser gives the printed knot, and ids must agree with the
+        # bisim_equal walk.  A copy without an id is settled, not looked
+        # up, and must not leave a memo entry behind, even when settling
+        # the knot gives the copy its id.
+        if data.draw(st.booleans()):
+            t = data.draw(_term_strategy())
+        else:
+            rng = data.draw(st.randoms(use_true_random=False))
+            t = _random_graph(rng, rng.choice([0.0, 0.2, 0.5]))[0]
+        canon_key(t)
+        copy = _unrolled(t, 2, True)
+        canon_key(copy)
+        nodes = []
+        for path in _valid_paths(t, 3):
+            first = _spine(cyclify(t, path), path)
+            assert (t._cid, path) in terms._knots
+            knot = cyclify(t, path)
+            spines = [first, _spine(knot, path),
+                      _spine(cyclify(copy, path), path),
+                      _spine(cyclify(_unrolled(t, 2, True), path), path)]
+            parsed = _spine(parse_term(print_term(knot), _RSIG), path)
+            ids = [n._cid for n in first]
+            assert None not in ids
+            for spine in spines:
+                assert [n._cid for n in spine] == ids
+            assert [canon_key(n) for n in parsed] == ids
+            nodes += [n for spine in spines for n in spine]
+        assert all(cid is not None for cid, _ in terms._knots)
+        for i, x in enumerate(nodes):
+            for y in nodes[i + 1:]:
+                assert (x._cid == y._cid) == bisim_equal(x, y)
+
+    def test_memo_hit_prints_its_own_graph(self):
+        t = P("f(g(f(T, rec X . g(X))), T)")
+        u = P("f(g(f(T, g(rec Y . g(Y)))), T)")
+        assert canon_key(t) == canon_key(u)
+        path = (1, 1, 1)
+        a = cyclify(t, path)
+        b = cyclify(u, path)  # a memo hit, from another graph
+        assert print_term(a) == "rec X . f(g(f(X, rec Y . g(Y))), T)"
+        assert print_term(b) == "rec X . f(g(f(X, g(rec Y . g(Y)))), T)"
+        assert [n._cid for n in _spine(b, path)] == [
+            n._cid for n in _spine(a, path)]
+
+    def test_unary_cycle(self):
+        # unary_cycle ties a placeholder chain, which has no id to key
+        # the memo by.
+        sig = Signature([Symbol("ua", 1), Symbol("ub", 1)])
+        t = sig.unary_cycle(("ua", "ub"))
+        assert print_term(t) == "rec X . ua(ub(X))"
+        assert sig.unary_cycle(("ua", "ub")) is t
+        want = parse_term("rec X . ua(ub(X))", sig)
+        assert [n._cid for n in _spine(t, (1, 1))] == [
+            canon_key(n) for n in _spine(want, (1, 1))]
+        assert sig.unary_cycle(("ub", "ua"))._cid == t.children[0]._cid
+        again = Signature(sig).unary_cycle(("ua", "ub"))
+        assert again is not t and again._cid == t._cid
+        assert all(cid is not None for cid, _ in terms._knots)
+
+
+def _valid_paths(t, upto):
+    """Every non-empty position of t of length at most upto."""
+    out, todo = [], [((), t)]
+    while todo:
+        path, n = todo.pop()
+        if path:
+            out.append(path)
+        if len(path) < upto:
+            todo += [(path + (i,), c) for i, c in enumerate(n.children, 1)]
+    return out
+
+
+def _spine(t, path):
+    """The nodes met following path from t, the subterm at path left out."""
+    return [subterm_at(t, path[:j]) for j in range(len(path))]
 
 
 # --- randomized properties -------------------------------------------------

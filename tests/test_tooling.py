@@ -1,13 +1,16 @@
 """Checks of the benchmark tooling and the package surface.  The tracer
 binds irw functions by name, and each module's __all__ names what it
 exports, so a rename or a deletion must fail here rather than only in the
-traced benchmark run or at a later `import *`; and every committed
-BENCH_*.json must carry the fields a speed claim is read from."""
+traced benchmark run or at a later `import *`; every committed
+BENCH_*.json must carry the fields a speed claim is read from; and the
+package imports nothing outside itself and the standard library."""
 
+import ast
 import importlib
 import json
 import pkgutil
 import runpy
+import sys
 from pathlib import Path
 
 import irw
@@ -59,3 +62,22 @@ def test_bench_files_carry_their_fields():
             assert set(row) >= {"parent", "change"}, (path.name, metric)
         for side in ("parent", "change"):
             assert isinstance(bench["src_loc"][side], int), path.name
+
+
+def test_package_is_stdlib_only():
+    # irw promises to run on a bare Python: every import in its modules
+    # names an irw module or a standard-library one.
+    paths = sorted((ROOT / "src" / "irw").glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "irw" or top in sys.stdlib_module_names, (
+                    path.name, node.lineno, name)
