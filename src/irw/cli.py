@@ -3,10 +3,10 @@
 Subcommands: compile, tm, trs, omega, laws.  Output is line-oriented text
 with a trailing machine-parseable ``VERDICT:`` line.  Exit codes are
 uniform across commands: 0 success/holds, 1 refuted or negative witness,
-2 unknown/exhausted, 3 input error (among them a ``trs`` or ``laws`` flag
-that the action or law does not use), 4 internal error.  IRW_SEED provides
-the default seed of ``trs trace --strategy random`` and of the laws that
-draw at random.
+2 unknown/exhausted, 3 input error (among them a malformed command line,
+and a ``trs`` or ``laws`` flag that the action or law does not use), 4
+internal error; ``--help`` exits 0.  IRW_SEED provides the default seed
+of ``trs trace --strategy random`` and of the laws that draw at random.
 """
 
 from __future__ import annotations
@@ -28,6 +28,14 @@ EXIT_INTERNAL = 4
 
 class CliError(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Refuses a malformed command line with CliError, so that it exits 3,
+    not argparse's 2 (the ``unknown`` code); subparsers share the class."""
+
+    def error(self, message):
+        raise CliError(f"{self.prog}: {message}")
 
 
 def _env_seed() -> int:
@@ -276,8 +284,7 @@ def cmd_laws(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="irw", description="infinitary rewriting workbench")
+    ap = _Parser(prog="irw", description="infinitary rewriting workbench")
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compile", help="compile a machine into a rewrite system")
@@ -331,9 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (CliError, terms.TermError, turing.MachineError,
             encode.EncodeError, laws.LawError) as e:

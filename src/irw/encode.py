@@ -318,7 +318,9 @@ def _phi_config(c: NdConfig, sig: Optional[Signature]) -> Term:
     # Rebase: explicit overlaid prefix up to `upto`, then the pure cycle.
     shift = (upto - len(w.prefix)) % len(w.cycle)
     tail_cycle = w.cycle[shift:] + w.cycle[:shift]
-    flat = tuple(c.symbol_at(i) for i in range(upto))
+    flat = list(w.cells(upto))
+    for i, f in c.writes.items():
+        flat[i] = f
     if sig is None:
         names = set(flat) | set(tail_cycle) | {c.state}
         sig = Signature([Symbol(s, 1) for s in names])
@@ -326,7 +328,8 @@ def _phi_config(c: NdConfig, sig: Optional[Signature]) -> Term:
     qsym = sig.get(c.state)
     if qsym is None or qsym.arity != 1:
         raise EncodeError(f"phi: state {c.state!r} is not a unary symbol")
-    return _fold(sig, flat[:c.head] + (c.state,) + flat[c.head:], tail)
+    flat.insert(c.head, c.state)
+    return _fold(sig, flat, tail)
 
 
 def _cycle(sig: Signature, cycle: tuple[str, ...]) -> Term:

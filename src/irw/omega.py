@@ -82,6 +82,13 @@ class OmegaWord:
             return self.prefix[i]
         return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
 
+    def cells(self, n: int) -> tuple[str, ...]:
+        """The first n cells, at(0) .. at(n - 1), in one slice."""
+        k = n - len(self.prefix)
+        if k <= 0:
+            return self.prefix[:n]
+        return self.prefix + (self.cycle * -(-k // len(self.cycle)))[:k]
+
     def normalized(self) -> "OmegaWord":
         cyc = list(self.cycle)
         for p in range(1, len(cyc)):

@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .terms import (
     PositionError, Signature, Symbol, Term, TermError, TermSyntaxError,
     bisim_equal, canon_key, cyclify, is_finite, is_ground, is_var,
-    _tokenize, parse_term, print_term, replace_at, subterm_at,
+    _path, _rebuild, _tokenize, parse_term, print_term, replace_at, subterm_at,
     term_symbols, truncate_prefix, var, variables,
 )
 
@@ -236,6 +236,10 @@ def find_redexes(trs: Trs, t: Term, depth_bound: int
     many positions.  A subterm whose shallowest redex lies beyond the
     bound is not entered.  Rules are matched only at canonical ids the
     system's redex table has not seen, in this call or any earlier one.
+
+    A node whose shallowest redex lies d below it heads none above that
+    depth, so a chain of up to d single children below it is passed with
+    no lookup and no push; only the node the chain ends at can head one.
     """
     if depth_bound < 0:
         raise TrsError("depth_bound must be >= 0")
@@ -245,13 +249,22 @@ def find_redexes(trs: Trs, t: Term, depth_bound: int
     stack: list[tuple[tuple[int, ...], Term]] = [((), t)]
     while stack:
         pos, node = stack.pop()
-        if depth[node._cid] > depth_bound - len(pos):
+        d = depth[node._cid]
+        if d > depth_bound - len(pos):
             continue
+        k = 0
+        kids = node.children
+        while k < d and len(kids) == 1:
+            node = kids[0]
+            kids = node.children
+            k += 1
+        if k:
+            pos += (1,) * k
         for rid in rules.get(node._cid, ()):
             out.append((pos, rid))
         if len(pos) < depth_bound:
-            for i in range(len(node.children), 0, -1):
-                stack.append((pos + (i,), node.children[i - 1]))
+            for i in range(len(kids), 0, -1):
+                stack.append((pos + (i,), kids[i - 1]))
     return out
 
 
@@ -272,12 +285,13 @@ class Step:
 def apply_step(trs: Trs, t: Term, pos: tuple[int, ...], rule_id: str) -> Step:
     """Rewrite t at pos with the named rule; the position must match."""
     rule = trs.rule(rule_id)
-    sub = subterm_at(t, tuple(pos))
-    bnd = match(rule.lhs, sub)
+    pos = tuple(pos)
+    spine = _path(t, pos)
+    bnd = match(rule.lhs, spine[-1])
     if bnd is None:
         raise NoMatchError(f"rule {rule_id} does not match at {list(pos)}")
-    after = replace_at(t, tuple(pos), instantiate(rule.rhs, bnd))
-    return Step(tuple(pos), rule_id, t, after)
+    after = _rebuild(spine, pos, instantiate(rule.rhs, bnd))
+    return Step(pos, rule_id, t, after)
 
 
 def is_normal_form(trs: Trs, t: Term) -> bool:

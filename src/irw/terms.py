@@ -240,15 +240,26 @@ _knots: dict[tuple[int, tuple[int, ...]], int] = {}
 
 def _settle(n: Term) -> None:
     """Give n its id, unless n is a placeholder or a child has none."""
+    # Keyed by arity, so that a unary spine costs one tuple per node; the
+    # keys are the same whichever branch builds them.
     lab = n.label
     if lab.__class__ is str:
         key = (None, lab)
     elif lab is None:
         return
     else:
-        key = (lab.name, *[c._cid for c in n.children])
-        if None in key:
-            return
+        kids = n.children
+        if len(kids) == 1:
+            c = kids[0]._cid
+            if c is None:
+                return
+            key = (lab.name, c)
+        elif not kids:
+            key = (lab.name,)
+        else:
+            key = (lab.name, *[c._cid for c in kids])
+            if None in key:
+                return
     cid = _table.get(key)
     if cid is None:
         with _lock:
@@ -446,6 +457,21 @@ def subterm_at(t: Term, pos: tuple[int, ...]) -> Term:
     return _path(t, pos)[-1]
 
 
+def _rebuild(spine: list[Term], pos: tuple[int, ...], s: Term) -> Term:
+    """s in place of spine[-1], each node above it on _path's spine for
+    pos rebuilt fresh."""
+    new = s
+    for depth in range(len(pos) - 1, -1, -1):
+        parent = spine[depth]
+        kids = parent.children
+        if len(kids) == 1:
+            new = Term(parent.label, (new,))
+        else:
+            i = pos[depth]
+            new = Term(parent.label, kids[:i - 1] + (new,) + kids[i:])
+    return new
+
+
 def replace_at(t: Term, pos: tuple[int, ...], s: Term) -> Term:
     """t with the subtree at pos replaced by s.
 
@@ -453,16 +479,7 @@ def replace_at(t: Term, pos: tuple[int, ...], s: Term) -> Term:
     a cycle entry is unrolled just far enough to make pos addressable.
     The input term is unchanged.
     """
-    if not pos:
-        return s
-    spine = _path(t, pos)
-    new = s
-    for depth in range(len(pos) - 1, -1, -1):
-        parent = spine[depth]
-        kids = list(parent.children)
-        kids[pos[depth] - 1] = new
-        new = Term(parent.label, tuple(kids))
-    return new
+    return _rebuild(_path(t, pos), pos, s)
 
 
 def truncate_prefix(t: Term, d: int) -> Term:

@@ -407,6 +407,30 @@ class TestLaws:
         assert err == "error: IRW_SEED must be an integer, got 'x'\n"
 
 
+class TestUsageErrors:
+    # argparse alone exits 2, the `unknown` verdict code; a malformed
+    # command line is an input error like any other.
+    @pytest.mark.parametrize("argv, msg", [
+        (["trs", "trace", "x.trs", "--bogus", "1"],
+         "error: irw: unrecognized arguments: --bogus 1\n"),
+        (["omega", "member", "nd_right", "--word", "(a)^w", "--fuel", "abc"],
+         "error: irw omega: argument --fuel: invalid int value: 'abc'\n"),
+        (["laws", "nosuch"], "error: irw laws: argument name: invalid choice:"),
+        ([], "error: irw: the following arguments are required: command\n"),
+    ])
+    def test_exits_3(self, capsys, argv, msg):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(msg)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["laws", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: irw")
+
+
 class TestInternalError:
     def test_crash_exits_4(self, capsys):
         # The recursive term parser overflows the stack on this term.

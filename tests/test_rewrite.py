@@ -9,13 +9,14 @@ from irw.machines import load_fixture
 from irw.rewrite import (
     Closure, Epoch, NoMatchError, Rule, Trs, TrsError, apply_step,
     bounded_normalize, bounded_reach, canon_key, close_limit, find_redexes,
-    format_trs, is_normal_form, limit_approximant, match, parse_trs,
+    format_trs, instantiate, is_normal_form, limit_approximant, match,
+    parse_trs,
     render_trace, replay_trace, run_strategy, stable_prefix,
     step_reachability, validate_certificate,
 )
 from irw.terms import (
-    Signature, Symbol, app, bisim_equal, parse_term, print_term, replace_at,
-    subterm_at, var,
+    PositionError, Signature, Symbol, Term, app, bisim_equal, parse_term,
+    print_term, replace_at, subterm_at, var,
 )
 
 
@@ -135,6 +136,45 @@ class TestApply:
     def test_no_match_error(self, pickn):
         with pytest.raises(NoMatchError):
             apply_step(pickn, T(pickn, "pickn"), (), "c.ok")
+
+    def test_one_walk_matches_two(self, dup_sys):
+        # apply_step walks the path once; the reference is the composition
+        # of two walks it replaced, subterm_at and then replace_at.
+        rng = random.Random(2207)
+        checked = 0
+        for _ in range(400):
+            t = _random_ground(rng, dup_sys.sig, rng.choice([0.0, 0.1, 0.3]))
+            for pos, rid in find_redexes(dup_sys, t, 6):
+                rule = dup_sys.rule(rid)
+                bnd = match(rule.lhs, subterm_at(t, pos))
+                want = replace_at(t, pos, instantiate(rule.rhs, bnd))
+                for p in (pos, list(pos)):
+                    st = apply_step(dup_sys, t, p, rid)
+                    assert (st.position, st.rule_id, st.before) == (pos, rid, t)
+                    assert canon_key(st.after) == canon_key(want)
+                    assert bisim_equal(st.after, want)
+                # Both share the rebuild, so check its shape apart: each
+                # node on the path keeps its label and its other children.
+                for j, i in enumerate(pos):
+                    new, old = subterm_at(st.after, pos[:j]), subterm_at(t, pos[:j])
+                    assert new.label == old.label
+                    assert len(new.children) == len(old.children)
+                    assert all(x is y for k, (x, y) in enumerate(
+                        zip(new.children, old.children), 1) if k != i)
+                checked += 1
+        assert checked > 500
+
+    def test_bad_step_refused(self, dup_sys):
+        t = T(dup_sys, "f(g(b), h(c, e))")
+        for pos in [(3,), (0,), (1, 2), (1, 1, 1), (2, 3)]:
+            with pytest.raises(PositionError):
+                apply_step(dup_sys, t, pos, "b")
+        with pytest.raises(NoMatchError):
+            apply_step(dup_sys, t, (), "f.dup")
+        with pytest.raises(NoMatchError):
+            apply_step(dup_sys, t, [2, 1], "e")
+        assert print_term(apply_step(dup_sys, t, [1, 1], "b").after) == \
+            "f(g(a), h(c, e))"
 
 
 class TestNormalForms:
@@ -623,7 +663,6 @@ def _random_ground(rng, sig, back):
     """The root of a random ground term graph: forward edges share
     subterms, edges to an earlier node or itself (probability `back`)
     tie cycles."""
-    from irw.terms import Term
     syms = [sig.get(n) for n in ("f", "g", "h", "h", "a", "b", "c", "c", "e")]
     n = rng.randint(1, 14)
     holes = [Term(None, ()) for _ in range(n)]
@@ -663,6 +702,42 @@ class TestRedexIndex:
         # Both answers occur at every bound, and both normality verdicts.
         assert kinds >= {(d, b) for d in range(9) for b in (True, False)}
         assert {True, False} <= kinds
+        # Chains 50-200 long, mostly of s, which heads no rule, so that
+        # find_redexes walks through them down to the shallowest redex;
+        # now and then a g (a redex over a g) or a binary node whose other
+        # child is small.  Below: a random graph or a cyclic unary tail.
+        # The bounds fall below, at and above the shallowest redex, and
+        # in the middle of the chain.
+        sig = dup_sys.sig.merged(Signature([Symbol("s", 1)]))
+        chained = Trs(sig, dup_sys.rules)
+        sides = [parse_term(x, sig) for x in ("a", "b", "c", "e", "g(b)")]
+        kinds = set()
+        for _ in range(80):
+            if rng.random() < 0.5:
+                t = _random_ground(rng, sig, rng.choice([0.0, 0.3]))
+            else:
+                t = sig.unary_cycle(tuple(rng.choice("ssg")
+                                          for _ in range(rng.randint(1, 4))))
+            n = rng.randint(50, 200)
+            binary = False
+            for _ in range(n):
+                r = rng.random()
+                if r < 0.02:
+                    side = rng.choice(sides)
+                    kids = (side, t) if rng.random() < 0.5 else (t, side)
+                    t = Term(sig.get(rng.choice("fh")), kids)
+                    binary = True
+                else:
+                    t = app(sig.get("g" if r < 0.08 else "s"), t)
+            full = _walk_redexes(chained, t, n + 4)
+            first = min((len(p) for p, _ in full), default=n + 4)
+            for d in {first - 1, first, first + 1, rng.randrange(n), n + 4}:
+                if d >= 0:
+                    want = _walk_redexes(chained, t, d)
+                    assert find_redexes(_cold(chained), t, d) == want
+                    assert find_redexes(chained, t, d) == want
+            kinds.add((first > 20, binary))
+        assert kinds == {(a, b) for a in (True, False) for b in (True, False)}
 
     def test_shared_index_along_a_run(self, dup_sys):
         rng = random.Random(31)
