@@ -240,8 +240,9 @@ _knots: dict[tuple[int, tuple[int, ...]], int] = {}
 
 def _settle(n: Term) -> None:
     """Give n its id, unless n is a placeholder or a child has none."""
-    # Keyed by arity, so that a unary spine costs one tuple per node; the
-    # keys are the same whichever branch builds them.
+    # A unary node is keyed (name, child_id) without the comprehension, so
+    # that a unary spine costs one tuple per node; the key is the one the
+    # general branch would build.
     lab = n.label
     if lab.__class__ is str:
         key = (None, lab)
@@ -254,8 +255,6 @@ def _settle(n: Term) -> None:
             if c is None:
                 return
             key = (lab.name, c)
-        elif not kids:
-            key = (lab.name,)
         else:
             key = (lab.name, *[c._cid for c in kids])
             if None in key:
@@ -464,11 +463,8 @@ def _rebuild(spine: list[Term], pos: tuple[int, ...], s: Term) -> Term:
     for depth in range(len(pos) - 1, -1, -1):
         parent = spine[depth]
         kids = parent.children
-        if len(kids) == 1:
-            new = Term(parent.label, (new,))
-        else:
-            i = pos[depth]
-            new = Term(parent.label, kids[:i - 1] + (new,) + kids[i:])
+        i = pos[depth]
+        new = Term(parent.label, kids[:i - 1] + (new,) + kids[i:])
     return new
 
 
