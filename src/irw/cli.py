@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Subcommands: compile, tm, trs, omega, laws.  Output is line-oriented text
-with a trailing machine-parseable ``VERDICT:`` line.  Exit codes are
-uniform across commands: 0 success/holds, 1 refuted or negative witness,
-2 unknown/exhausted, 3 input error (among them a malformed command line,
-and a ``trs`` or ``laws`` flag that the action or law does not use), 4
-internal error; ``--help`` exits 0.  IRW_SEED provides the default seed
-of ``trs trace --strategy random`` and of the laws that draw at random.
+with a trailing machine-parseable ``VERDICT:`` line, whose word maps to
+the exit code through one table, ``VERDICT_EXIT``: 0 success/holds, 1
+refuted or negative witness, 2 unknown/exhausted.  3 is an input error (a
+malformed command line, or an input that its action does not read, see
+``USES``), 4 an internal error; ``--help`` exits 0.  IRW_SEED provides the
+default seed of ``trs trace --strategy random`` and of the laws that draw
+at random.
 """
 
 from __future__ import annotations
@@ -19,11 +20,47 @@ from pathlib import Path
 
 from . import encode, laws, machines, omega, rewrite, terms, turing
 
-EXIT_OK = 0
-EXIT_NEGATIVE = 1
-EXIT_UNKNOWN = 2
 EXIT_INPUT = 3
 EXIT_INTERNAL = 4
+
+# Each verdict word's exit code: 0 holds, 1 refuted (a negative witness),
+# 2 unknown within the bounds.
+VERDICT_EXIT = {
+    **dict.fromkeys(("ok", "final", "value", "holds", "closed", "normal-form",
+                     "looping", "found", "reached", "accepting", "accepted"),
+                    0),
+    **dict.fromkeys(("undefined", "fails", "refuted", "oscillating",
+                     "rejected_exhausted"), 1),
+    **dict.fromkeys(("timeout", "unknown", "exhausted"), 2),
+}
+
+
+def _verdict(word: str) -> int:
+    """Print the ``VERDICT:`` line and return its exit code.  The code is
+    looked up first, so a word missing from VERDICT_EXIT raises (exit 4)
+    before any verdict is printed."""
+    code = VERDICT_EXIT[word]
+    print(f"VERDICT: {word}")
+    return code
+
+
+# The inputs each (command, action) reads besides those all actions of the
+# command read (compile -o, tm --fuel, trs --fuel, --depth and
+# --show-terms).  Any other input given is refused before a file is read.
+# A random trace counts as an action of its own: only it reads --seed.
+# laws checks its flags against laws.LAW_ARGS.
+USES = {
+    **{("compile", c): ("machine",) for c in encode.CONSTRUCTIONS},
+    ("compile", "pickn"): (),
+    ("compile", "R"): ("machine", "--as-printed"),
+    ("tm", "run"): ("--config",),
+    ("tm", "fun"): ("--arg",),
+    ("tm", "rel"): ("--pair",),
+    ("trs", "trace"): ("--term", "--strategy"),
+    ("trs", "trace --strategy random"): ("--term", "--strategy", "--seed"),
+    ("trs", "normalize"): ("--term", "--epochs"),
+    ("trs", "reach"): ("--from", "--to", "--epochs"),
+}
 
 
 class CliError(Exception):
@@ -36,6 +73,26 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")
+
+
+def _refuse_unused(args) -> None:
+    """Refuse an input given that its action does not read (see USES)."""
+    cmd = args.command
+    action = (args.construction if cmd == "compile"
+              else getattr(args, "action", None))
+    key = (cmd, action)
+    if key == ("trs", "trace") and args.strategy == "random":
+        key = (cmd, "trace --strategy random")
+    if key not in USES:
+        return
+    names = {n.lstrip("-").replace("-", "_"): n
+             for (c, _), ns in USES.items() if c == cmd for n in ns}
+    # vars(args) holds the inputs in the order the parser defines them.
+    unused = [names[k] for k, v in vars(args).items()
+              if k in names and v not in (None, False)
+              and names[k] not in USES[key]]
+    if unused:
+        raise CliError(f"{cmd} {action} does not use " + ", ".join(unused))
 
 
 def _env_seed() -> int:
@@ -69,11 +126,7 @@ def _print_warnings(ws) -> None:
 
 
 def cmd_compile(args) -> int:
-    m = None
-    if args.construction != "pickn":
-        if not args.machine:
-            raise CliError(f"construction {args.construction} needs a machine file")
-        m = _load_machine(args.machine)
+    m = _load_machine(args.machine) if args.machine else None
     with warnings.catch_warnings(record=True) as ws:
         warnings.simplefilter("always")
         trs, start = encode.compile_construction(
@@ -88,8 +141,7 @@ def cmd_compile(args) -> int:
     print(f"rules: {len(trs.rules)}")
     if start is not None:
         print(f"start: {terms.print_term(start)}")
-    print("VERDICT: ok")
-    return EXIT_OK
+    return _verdict("ok")
 
 
 def cmd_tm(args) -> int:
@@ -112,128 +164,82 @@ def cmd_tm(args) -> int:
             c = nxt
             steps += 1
             print(turing.display_config(c))
-        final = turing.tm_step(m, c) is None
         print(f"steps: {steps}")
-        print(f"VERDICT: {'final' if final else 'timeout'}")
-        return EXIT_OK if final else EXIT_UNKNOWN
+        return _verdict("final" if turing.tm_step(m, c) is None else "timeout")
     if args.action == "fun":
         if args.arg is None:
             raise CliError("tm fun needs --arg N")
         got = turing.eval_fun(m, args.arg, fuel)
         if got.kind == "value":
             print(f"value: {got.value}")
-            print("VERDICT: value")
-            return EXIT_OK
-        print(f"VERDICT: {got.kind}")
-        return EXIT_UNKNOWN if got.kind == "unknown" else EXIT_NEGATIVE
-    if args.action == "rel":
-        if not args.pair:
-            raise CliError("tm rel needs --pair N K")
-        n, k = args.pair
-        c = turing.initial_rel_config(m, n, k)
-        out = turing.tm_final(m, c, fuel)
-        print(turing.display_config(out.config))
-        print(f"steps: {out.steps}")
-        verdict = turing.rel_verdict(m, out)
-        print(f"VERDICT: {verdict}")
-        return {"holds": EXIT_OK, "fails": EXIT_NEGATIVE}.get(verdict, EXIT_UNKNOWN)
-    raise CliError(f"unknown tm action {args.action}")
+        return _verdict(got.kind)
+    if not args.pair:
+        raise CliError("tm rel needs --pair N K")
+    out = turing.tm_final(m, turing.initial_rel_config(m, *args.pair), fuel)
+    print(turing.display_config(out.config))
+    print(f"steps: {out.steps}")
+    return _verdict(turing.rel_verdict(m, out))
 
 
 def _parse_ground(trs: rewrite.Trs, text: str) -> terms.Term:
     return terms.parse_term(text, trs.sig, ground=True)
 
 
-# The flags each trs action reads besides --fuel, --depth and --show-terms;
-# any other flag given is refused rather than ignored.
-TRS_FLAGS = {"trace": ("term", "strategy", "seed"),
-             "normalize": ("term", "epochs"),
-             "reach": ("from", "to", "epochs")}
-
-
 def cmd_trs(args) -> int:
-    given = {"term": args.term, "from": args.src, "to": args.dst,
-             "epochs": args.epochs, "strategy": args.strategy,
-             "seed": args.seed}
-    unused = [k for k, v in given.items()
-              if v is not None and k not in TRS_FLAGS.get(args.action, ())]
-    if unused:
-        raise CliError(f"trs {args.action} does not use "
-                       + ", ".join("--" + k for k in unused))
-    epochs = (rewrite.DEFAULT_MAX_EPOCHS if args.epochs is None
-              else args.epochs)
     trs = _load_trs(args.trs)
+    bounds = {"fuel": args.fuel, "depth_bound": args.depth}
     if args.action == "trace":
         if not args.term:
             raise CliError("trs trace needs --term")
         t = _parse_ground(trs, args.term)
         seeded = args.strategy == "random"
-        seed = args.seed
-        if seed is None:
-            seed = _env_seed() if seeded else 0
+        seed = 0
+        if seeded:
+            seed = _env_seed() if args.seed is None else args.seed
+        greedy = laws.greedy_order if args.strategy == "greedy" else None
         run = rewrite.run_strategy(
             trs, t, strategy="seeded-random" if seeded else "leftmost-outermost",
-            fuel=args.fuel, depth_bound=args.depth, seed=seed,
-            order=laws.greedy_order if args.strategy == "greedy" else None)
+            seed=seed, order=greedy, **bounds)
         print(rewrite.render_trace(run.trace, show_terms=args.show_terms))
-        steps = run.trace.all_steps
-        attempt = rewrite.close_limit(steps) if len(steps) >= 2 else None
-        if attempt is not None and attempt.closure is not None:
-            cl = attempt.closure
+        cl = rewrite.close_limit(run.trace.all_steps).closure
+        if cl is not None:
             print(f"omega-limit: {terms.print_term(cl.limit)}")
             cert = cl.certificate
             print(f"pump: start={cert.cycle_start} len={cert.cycle_length} "
                   f"context={cert.context_growth} "
                   f"depths={list(cert.min_depth_profile)}")
-            print("VERDICT: closed")
-            return EXIT_OK
+            return _verdict("closed")
         if not run.fuel_exhausted:
-            final = run.trace.final
-            if rewrite.is_normal_form(trs, final):
-                print("VERDICT: normal-form")
-            else:
-                print("VERDICT: looping")
-            return EXIT_OK
+            nf = rewrite.is_normal_form(trs, run.trace.final)
+            return _verdict("normal-form" if nf else "looping")
         depth, prefix = rewrite.stable_prefix(run.trace, args.depth)
         print(f"stable-prefix depth: {depth}")
         if prefix is not None:
             print(f"stable-prefix: {terms.print_term(prefix)}")
-        print("VERDICT: exhausted")
-        return EXIT_UNKNOWN
+        return _verdict("exhausted")
+    if args.epochs is not None:
+        bounds["max_epochs"] = args.epochs
     if args.action == "normalize":
         if not args.term:
             raise CliError("trs normalize needs --term")
-        t = _parse_ground(trs, args.term)
-        res = rewrite.bounded_normalize(trs, t, fuel=args.fuel,
-                                        max_epochs=epochs,
-                                        depth_bound=args.depth)
-        if res.found:
-            print(rewrite.render_trace(res.trace, show_terms=args.show_terms))
-            print(f"normal-form: {terms.print_term(res.normal_form)}")
-            print("VERDICT: found")
-            return EXIT_OK
-        for k, v in sorted(res.diagnostics.items()):
-            print(f"{k}: {v}")
-        print("VERDICT: exhausted")
-        return EXIT_UNKNOWN
-    if args.action == "reach":
-        if not args.src or not args.dst:
+        res = rewrite.bounded_normalize(
+            trs, _parse_ground(trs, args.term), **bounds)
+    else:
+        src, dst = vars(args)["from"], args.to
+        if not src or not dst:
             raise CliError("trs reach needs --from and --to")
-        s = _parse_ground(trs, args.src)
-        t = _parse_ground(trs, args.dst)
-        res = rewrite.bounded_reach(trs, s, t, fuel=args.fuel,
-                                    max_epochs=epochs,
-                                    depth_bound=args.depth)
-        if res.reached:
-            print(rewrite.render_trace(res.trace, show_terms=args.show_terms))
-            print(f"steps: {res.trace.total_steps}")
-            print("VERDICT: reached")
-            return EXIT_OK
+        res = rewrite.bounded_reach(trs, _parse_ground(trs, src),
+                                    _parse_ground(trs, dst), **bounds)
+    if res.trace is None:
         for k, v in sorted(res.diagnostics.items()):
             print(f"{k}: {v}")
-        print("VERDICT: exhausted")
-        return EXIT_UNKNOWN
-    raise CliError(f"unknown trs action {args.action}")
+        return _verdict("exhausted")
+    print(rewrite.render_trace(res.trace, show_terms=args.show_terms))
+    if args.action == "normalize":
+        print(f"normal-form: {terms.print_term(res.normal_form)}")
+        return _verdict("found")
+    print(f"steps: {res.trace.total_steps}")
+    return _verdict("reached")
 
 
 def cmd_omega(args) -> int:
@@ -249,26 +255,16 @@ def cmd_omega(args) -> int:
             line += (f", lasso start={r.lasso.cycle_start} "
                      f"len={r.lasso.cycle_length} d={r.lasso.displacement:+d}")
         print(line)
-    if args.action == "classify":
-        classes = [omega.classify_run(r) for r in runs]
-        certain = [c for c in classes if c.accepting != "unknown"]
-        for i, c in enumerate(classes):
-            print(f"run {i}: complete={c.complete} oscillating={c.oscillating} "
-                  f"accepting={c.accepting}")
-        if not certain:
-            print("VERDICT: unknown")
-            return EXIT_UNKNOWN
-        if any(c.accepting == "yes" for c in certain):
-            print("VERDICT: accepting")
-            return EXIT_OK
-        print("VERDICT: oscillating")
-        return EXIT_NEGATIVE
     if args.action == "member":
-        got = omega._membership(runs)
-        print(f"VERDICT: {got.kind}")
-        return {"accepted": EXIT_OK,
-                "rejected_exhausted": EXIT_NEGATIVE}.get(got.kind, EXIT_UNKNOWN)
-    raise CliError(f"unknown omega action {args.action}")
+        return _verdict(omega._membership(runs).kind)
+    classes = [omega.classify_run(r) for r in runs]
+    for i, c in enumerate(classes):
+        print(f"run {i}: complete={c.complete} oscillating={c.oscillating} "
+              f"accepting={c.accepting}")
+    certain = {c.accepting for c in classes} - {"unknown"}
+    if not certain:
+        return _verdict("unknown")
+    return _verdict("accepting" if "yes" in certain else "oscillating")
 
 
 def cmd_laws(args) -> int:
@@ -278,9 +274,9 @@ def cmd_laws(args) -> int:
     rep = laws.run_law(args.name, fixture=args.fixture, seed=seed,
                        samples=args.samples, fuel=args.fuel,
                        as_printed=args.as_printed)
+    code = VERDICT_EXIT[rep.verdict]    # render_report prints the verdict
     print(laws.render_report(rep))
-    return {"holds": EXIT_OK, "refuted": EXIT_NEGATIVE}.get(rep.verdict,
-                                                            EXIT_UNKNOWN)
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -307,8 +303,8 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("action", choices=["trace", "normalize", "reach"])
     r.add_argument("trs")
     r.add_argument("--term")
-    r.add_argument("--from", dest="src")
-    r.add_argument("--to", dest="dst")
+    r.add_argument("--from")
+    r.add_argument("--to")
     r.add_argument("--fuel", type=int, default=rewrite.DEFAULT_FUEL)
     r.add_argument("--epochs", type=int)
     r.add_argument("--depth", type=int, default=rewrite.DEFAULT_DEPTH_BOUND)
@@ -340,6 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _refuse_unused(args)
         return args.fn(args)
     except (CliError, terms.TermError, turing.MachineError,
             encode.EncodeError, laws.LawError) as e:

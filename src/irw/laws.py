@@ -632,26 +632,20 @@ def run_law(name: str, fixture: Optional[str] = None,
     for k in ("samples", "fuel"):
         if given[k] is not None and given[k] < 0:
             raise LawError(f"{k} must be >= 0")
-    opts = {k: given[k] for k in ("samples", "seed") if given[k] is not None}
-    if name == "two-sided-bisim":
-        m = load_fixture(fixture) if fixture else load_fixture("m_acc")
-        return check_two_sided_bisim(m, **opts)
-    if name == "srs-bisim":
-        m = load_fixture(fixture) if fixture else load_fixture("nd_pong")
-        return check_srs_bisim(m, **opts)
+    # Only the arguments given are passed: each check states its defaults.
+    opts = {k: v for k, v in given.items() if v is not None and k != "fixture"}
     if name == "pickn":
         return check_pickn() if samples is None else check_pickn(n_max=samples)
-    if name == "restart-cycle":
-        m = load_fixture(fixture) if fixture else load_fixture("m_acc")
-        return check_restart_cycle(m, fuel=100_000 if fuel is None else fuel)
-    if name == "pebbled-reach":
-        m = load_fixture(fixture) if fixture else load_fixture("m_acc")
-        return check_pebbled_reach(m, fuel=100_000 if fuel is None else fuel)
     if name == "norm-probe":
         return check_norm_probe(load_fixture("nd_right"),
-                                load_fixture("nd_pong"),
-                                fuel=10_000 if fuel is None else fuel,
-                                as_printed=as_printed)
-    m = load_fixture(fixture) if fixture else load_fixture("nd_right")
-    return check_limit_correspondence(m, parse_word("(a)^w", m.alphabet),
-                                      fuel=2000 if fuel is None else fuel)
+                                load_fixture("nd_pong"), **opts)
+    if name == "limit-correspondence":
+        m = load_fixture(fixture or "nd_right")
+        return check_limit_correspondence(m, parse_word("(a)^w", m.alphabet),
+                                          **opts)
+    if name == "srs-bisim":
+        return check_srs_bisim(load_fixture(fixture or "nd_pong"), **opts)
+    check = {"two-sided-bisim": check_two_sided_bisim,
+             "restart-cycle": check_restart_cycle,
+             "pebbled-reach": check_pebbled_reach}[name]
+    return check(load_fixture(fixture or "m_acc"), **opts)

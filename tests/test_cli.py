@@ -54,6 +54,17 @@ class TestCompile:
         code, _, err = run_cli(capsys, "compile", "S", "nowhere.tm")
         assert code == 3
 
+    @pytest.mark.parametrize("argv, message", [
+        (["pickn", "m_acc"], "compile pickn does not use machine"),
+        (["pickn", "--as-printed"], "compile pickn does not use --as-printed"),
+        (["S", "m_acc", "--as-printed"], "compile S does not use --as-printed"),
+        (["pickn", "nowhere.tm", "--as-printed"],
+         "compile pickn does not use machine, --as-printed"),
+    ])
+    def test_unused_input_refused(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "compile", *argv)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
 
 class TestTm:
     def test_rel_holds(self, capsys, tm_file):
@@ -103,6 +114,21 @@ class TestTm:
         code, out, _ = run_cli(capsys, "tm", "rel", "m_acc", "--pair", "2", "3")
         assert code == 0 and "VERDICT: holds" in out
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "m_acc", "--config", "q0", "--arg", "3"],
+         "tm run does not use --arg"),
+        (["fun", "m_acc", "--arg", "2", "--config", "q0"],
+         "tm fun does not use --config"),
+        (["rel", "m_acc", "--pair", "1", "1", "--arg", "5"],
+         "tm rel does not use --arg"),
+        (["run", "nowhere.tm", "--config", "q0", "--pair", "1", "1"],
+         "tm run does not use --pair"),
+    ])
+    def test_unused_flag_refused(self, capsys, argv, message):
+        # Refused before the machine file is read.
+        code, out, err = run_cli(capsys, "tm", *argv)
+        assert (code, out, err) == (3, "", f"error: {message}\n")
 
     def test_bad_config_is_input_error(self, capsys, tm_file):
         code, _, err = run_cli(capsys, "tm", "run", tm_file("m_acc"),
@@ -237,6 +263,12 @@ class TestTrs:
         (["normalize", "--term", "pickn"],
          ["--seed", "5", "--to", "pickn", "--strategy", "random"],
          "--to, --strategy, --seed"),
+        # A trace reads --seed only with --strategy random.
+        (["trace", "--term", "pickn"], ["--seed", "3"], "--seed"),
+        (["trace", "--term", "pickn", "--strategy", "greedy"], ["--seed", "3"],
+         "--seed"),
+        (["trace", "--term", "pickn", "--strategy", "random"],
+         ["--epochs", "2"], "--epochs"),
     ])
     def test_unused_flag_refused(self, capsys, pickn_file, action, extra,
                                  message):
@@ -431,6 +463,19 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: irw")
 
 
+# One library call per command family, made to crash.
+CRASHES = [
+    ("encode", "compile_construction", ["compile", "pickn"]),
+    ("turing", "tm_final", ["tm", "rel", "m_acc", "--pair", "1", "1"]),
+    ("rewrite", "bounded_reach",
+     ["trs", "reach", str(Path(__file__).parent / "golden" / "pickn.trs"),
+      "--from", "pickn", "--to", "pickn"]),
+    ("omega", "explore_runs",
+     ["omega", "member", "nd_right", "--word", "(a)^w"]),
+    ("laws", "run_law", ["laws", "pickn"]),
+]
+
+
 class TestInternalError:
     def test_crash_exits_4(self, capsys):
         # The recursive term parser overflows the stack on this term.
@@ -440,6 +485,37 @@ class TestInternalError:
         assert (code, out) == (4, "")
         assert err.startswith("internal error: RecursionError")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("module, name, argv", CRASHES,
+                             ids=[c[2][0] for c in CRASHES])
+    def test_crash_in_each_command_exits_4(self, capsys, monkeypatch, module,
+                                           name, argv):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(f"irw.{module}.{name}", crash)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 4
+        assert err == "internal error: RuntimeError: boom\n"
+        assert "VERDICT:" not in out
+
+
+class TestVerdictExit:
+    # A verdict word with no exit code is a fault of the program: it exits
+    # 4 and prints no verdict, rather than passing for `unknown`.
+    def test_unknown_word_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr("irw.turing.rel_verdict", lambda m, out: "maybe")
+        code, out, err = run_cli(capsys, "tm", "rel", "m_acc",
+                                 "--pair", "1", "1")
+        assert code == 4 and err == "internal error: KeyError: 'maybe'\n"
+        assert "steps:" in out and "VERDICT:" not in out
+
+    def test_unknown_law_verdict_exits_4(self, capsys, monkeypatch):
+        from irw.laws import LawReport
+        monkeypatch.setattr("irw.laws.run_law",
+                            lambda *a, **kw: LawReport("pickn", "maybe"))
+        code, out, err = run_cli(capsys, "laws", "pickn")
+        assert (code, out) == (4, "")
+        assert err == "internal error: KeyError: 'maybe'\n"
 
 
 class TestFixtureFallback:

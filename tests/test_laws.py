@@ -292,6 +292,22 @@ class TestRunner:
         with pytest.raises(ValueError):
             run_law("nosuch")
 
+    @pytest.mark.parametrize("name, check", [
+        ("restart-cycle", "check_restart_cycle"),
+        ("pebbled-reach", "check_pebbled_reach"),
+        ("norm-probe", "check_norm_probe"),
+        ("limit-correspondence", "check_limit_correspondence"),
+    ])
+    def test_fuel_default_lives_in_the_check(self, monkeypatch, name, check):
+        # run_law passes only the arguments given, so a check's own
+        # signature is the one place its default fuel is stated.
+        from irw import laws
+        seen = []
+        monkeypatch.setattr(laws, check, lambda *a, **kw: seen.append(kw))
+        run_law(name)
+        run_law(name, fuel=3)
+        assert seen == [{}, {"fuel": 3}]
+
     def test_default_samples_per_law(self):
         assert run_law("pickn").samples == 51
         assert run_law("two-sided-bisim").samples == 100

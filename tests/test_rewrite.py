@@ -231,6 +231,12 @@ class TestCloseLimit:
         prof = got.closure.certificate.min_depth_profile
         assert all(b > a for a, b in zip(prof, prof[1:]))
 
+    def test_short_runs_give_no_closure(self, xi_only):
+        # trs trace calls close_limit on every run, however short.
+        run = run_strategy(xi_only, T(xi_only, "xi"), fuel=1)
+        for steps in ([], run.trace.all_steps):
+            assert close_limit(steps).closure is None
+
     def test_root_self_loop_refused(self):
         sig = Signature([Symbol("r", 1), Symbol("e", 0)])
         P = lambda s: parse_term(s, sig)

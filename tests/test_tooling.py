@@ -81,3 +81,74 @@ def test_package_is_stdlib_only():
                 top = name.split(".")[0]
                 assert top == "irw" or top in sys.stdlib_module_names, (
                     path.name, node.lineno, name)
+
+
+def _parse(module):
+    path = ROOT / "src" / "irw" / f"{module}.py"
+    return ast.parse(path.read_text(), str(path))
+
+
+def test_verdict_line_built_in_two_places():
+    # Every command's verdict leaves through cli._verdict, which looks up
+    # its exit code; laws.render_report prints a law's verdict for it.
+    owners = set()
+
+    def visit(node, owner, docs):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner.split('.')[0]}.{node.name}"
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "VERDICT:" in node.value and node not in docs):
+            owners.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, docs)
+
+    for info in pkgutil.iter_modules(irw.__path__):
+        tree = _parse(info.name)
+        docs = [n.body[0].value for n in ast.walk(tree)
+                if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                and n.body and isinstance(n.body[0], ast.Expr)]
+        visit(tree, f"{info.name}.<module>", docs)
+    assert owners == {"cli._verdict", "laws.render_report"}
+
+
+def _words(expr):
+    """The words an expression can evaluate to: a string constant, or
+    either branch of a conditional expression."""
+    if isinstance(expr, ast.IfExp):
+        return _words(expr.body) | _words(expr.orelse)
+    if isinstance(expr, ast.Constant) and isinstance(expr.value, str):
+        return {expr.value}
+    return set()
+
+
+def _passed(tree, callee, index):
+    """The words passed as argument ``index`` of each call to ``callee``."""
+    return {w for call in ast.walk(tree)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+            and call.func.id == callee and len(call.args) > index
+            for w in _words(call.args[index])}
+
+
+def test_every_verdict_word_has_an_exit_code():
+    # The words the library returns (FunResult kinds, rel_verdict results,
+    # Membership kinds, LawReport verdicts) and those the commands name
+    # themselves (the trace words among them) are exactly the table's.
+    from irw.cli import VERDICT_EXIT
+    turing, omega, laws, cli = (_parse(m) for m in
+                                ("turing", "omega", "laws", "cli"))
+    rel = next(f for f in ast.walk(turing)
+               if isinstance(f, ast.FunctionDef) and f.name == "rel_verdict")
+    sources = {
+        "FunResult": _passed(turing, "FunResult", 0),
+        "rel_verdict": {w for r in ast.walk(rel)
+                        if isinstance(r, ast.Return) for w in _words(r.value)},
+        "Membership": _passed(omega, "Membership", 0),
+        "LawReport": _passed(laws, "LawReport", 1) | _passed(laws, "_finish", 2),
+        "cli": _passed(cli, "_verdict", 0),
+    }
+    assert sources["rel_verdict"] == {"holds", "fails", "unknown"}
+    assert sources["LawReport"] == {"holds", "refuted", "unknown"}
+    assert {"closed", "normal-form", "looping", "exhausted"} <= sources["cli"]
+    for source, words in sources.items():
+        assert words and words <= set(VERDICT_EXIT), (source, words)
+    assert set().union(*sources.values()) == set(VERDICT_EXIT)
