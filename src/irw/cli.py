@@ -44,22 +44,20 @@ def _verdict(word: str) -> int:
     return code
 
 
-# The inputs each (command, action) reads besides those all actions of the
-# command read (compile -o, tm --fuel, trs --fuel, --depth and
-# --show-terms).  Any other input given is refused before a file is read.
-# A random trace counts as an action of its own: only it reads --seed.
-# laws checks its flags against laws.LAW_ARGS.
+# The inputs (argparse dests) each (command, action) reads besides those
+# all actions of the command read (compile -o, tm --fuel, trs --fuel,
+# --depth and --show-terms).  Any other input given is refused before a
+# file is read.  laws checks its flags against laws.LAW_ARGS.
 USES = {
     **{("compile", c): ("machine",) for c in encode.CONSTRUCTIONS},
     ("compile", "pickn"): (),
-    ("compile", "R"): ("machine", "--as-printed"),
-    ("tm", "run"): ("--config",),
-    ("tm", "fun"): ("--arg",),
-    ("tm", "rel"): ("--pair",),
-    ("trs", "trace"): ("--term", "--strategy"),
-    ("trs", "trace --strategy random"): ("--term", "--strategy", "--seed"),
-    ("trs", "normalize"): ("--term", "--epochs"),
-    ("trs", "reach"): ("--from", "--to", "--epochs"),
+    ("compile", "R"): ("machine", "as_printed"),
+    ("tm", "run"): ("config",),
+    ("tm", "fun"): ("arg",),
+    ("tm", "rel"): ("pair",),
+    ("trs", "trace"): ("term", "strategy", "seed"),
+    ("trs", "normalize"): ("term", "epochs"),
+    ("trs", "reach"): ("from", "to", "epochs"),
 }
 
 
@@ -80,17 +78,17 @@ def _refuse_unused(args) -> None:
     cmd = args.command
     action = (args.construction if cmd == "compile"
               else getattr(args, "action", None))
-    key = (cmd, action)
-    if key == ("trs", "trace") and args.strategy == "random":
-        key = (cmd, "trace --strategy random")
-    if key not in USES:
+    if (cmd, action) not in USES:
         return
-    names = {n.lstrip("-").replace("-", "_"): n
-             for (c, _), ns in USES.items() if c == cmd for n in ns}
-    # vars(args) holds the inputs in the order the parser defines them.
-    unused = [names[k] for k, v in vars(args).items()
-              if k in names and v not in (None, False)
-              and names[k] not in USES[key]]
+    uses = set(USES[cmd, action])
+    if cmd == "trs" and args.strategy != "random":
+        uses.discard("seed")    # only a random trace draws from a seed
+    known = {k for (c, _), ks in USES.items() if c == cmd for k in ks}
+    # vars(args) holds the inputs in the order the parser defines them; a
+    # flag not given is None, or False for --as-printed (a 0 is given).
+    unused = [k if k == "machine" else "--" + k.replace("_", "-")
+              for k, v in vars(args).items()
+              if k in known - uses and v is not None and v is not False]
     if unused:
         raise CliError(f"{cmd} {action} does not use " + ", ".join(unused))
 

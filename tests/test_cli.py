@@ -124,6 +124,9 @@ class TestTm:
          "tm rel does not use --arg"),
         (["run", "nowhere.tm", "--config", "q0", "--pair", "1", "1"],
          "tm run does not use --pair"),
+        # A zero is given, not omitted.
+        (["run", "m_acc", "--config", "q0", "--arg", "0"],
+         "tm run does not use --arg"),
     ])
     def test_unused_flag_refused(self, capsys, argv, message):
         # Refused before the machine file is read.
@@ -269,6 +272,10 @@ class TestTrs:
          "--seed"),
         (["trace", "--term", "pickn", "--strategy", "random"],
          ["--epochs", "2"], "--epochs"),
+        # A zero is given, not omitted.
+        (["trace", "--term", "pickn"], ["--seed", "0"], "--seed"),
+        (["trace", "--term", "pickn"], ["--epochs", "0"], "--epochs"),
+        (["normalize", "--term", "pickn"], ["--seed", "0"], "--seed"),
     ])
     def test_unused_flag_refused(self, capsys, pickn_file, action, extra,
                                  message):
