@@ -17,7 +17,6 @@ File format::
 from __future__ import annotations
 
 from importlib import resources
-from typing import Union
 
 from .omega import NdTmSpec
 from .turing import MachineError, TmSpec
@@ -27,10 +26,8 @@ __all__ = ["parse_machine", "format_machine", "load_fixture", "fixture_text",
 
 FIXTURES = ("m_acc", "m_rej", "m_ext", "nd_right", "nd_pong")
 
-Machine = Union[TmSpec, NdTmSpec]
 
-
-def parse_machine(text: str) -> Machine:
+def parse_machine(text: str) -> TmSpec | NdTmSpec:
     fields: dict[str, list[str]] = {}
     deltas: list[tuple[str, str, str, str, str]] = []
     seen_end = False
@@ -86,7 +83,7 @@ def parse_machine(text: str) -> Machine:
     raise MachineError(f"unknown machine kind {kind!r}")
 
 
-def format_machine(m: Machine) -> str:
+def format_machine(m: TmSpec | NdTmSpec) -> str:
     kind = "det-two-sided" if isinstance(m, TmSpec) else "nondet-one-sided"
     lines = [
         f"machine {m.name}",
@@ -113,5 +110,5 @@ def fixture_text(name: str) -> str:
     return (resources.files("irw") / "fixtures" / f"{name}.tm").read_text()
 
 
-def load_fixture(name: str) -> Machine:
+def load_fixture(name: str) -> TmSpec | NdTmSpec:
     return parse_machine(fixture_text(name))

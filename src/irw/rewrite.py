@@ -402,14 +402,20 @@ def _try_pump(steps: list[Step], i: int, length: int) -> Optional[Closure]:
     every step from i on lies below ``hole``, so the term one cycle on
     equals t0 outside it, and the step depths grow by |offset| per
     cycle; neither is tested again.  The last step's ``after`` is never
-    read, so the search may pass a step it has not applied yet."""
+    read, so the search may pass a step it has not applied yet.
+
+    The hole is the longest common prefix of the positions of steps[i:].
+    Under the lexicographic order every position lies between the least
+    and the greatest, so it shares whatever prefix those two share: the
+    hole is their common prefix, found with one ``min``, one ``max`` and
+    one ``_common_prefix`` call.  A negative i names no step and is
+    refused."""
     n = len(steps)
-    if i + 2 * length > n:
+    if i < 0 or i + 2 * length > n:
         return None
-    hole = steps[i].position
-    for s in steps[i:]:
-        hole = hole[:len(_common_prefix(hole, s.position))]
-    rel = [s.position[len(hole):] for s in steps[i:]]
+    ps = [s.position for s in steps[i:]]
+    hole = _common_prefix(min(ps), max(ps))
+    rel = [p[len(hole):] for p in ps]
     base, shifted = rel[0], rel[length]
     if len(shifted) <= len(base) or shifted[len(shifted) - len(base):] != base:
         return None

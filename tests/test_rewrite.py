@@ -1,7 +1,9 @@
 import dataclasses
+import functools
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from irw.encode import build_R, build_S_prime, pickn_trs, tm_to_trs
 from irw.laws import greedy_cycle_run
@@ -299,6 +301,10 @@ class TestCloseLimit:
         # a pump of period 2 from step 0: periods 1 and 3 do not repeat
         (["xi.b", "xi.a"] * 3, {"cycle_length": 1}),
         (["xi.b", "xi.a"] * 3, {"cycle_length": 3}),
+        # a pump of period 1 from step 0: a negative start names no step
+        (["xi.a"] * 6, {"cycle_start": -2}),
+        (["xi.a"] * 6, {"cycle_start": -4}),
+        (["xi.a"] * 6, {"cycle_start": -6}),
     ])
     def test_wrong_cycle_refused(self, xi_only, rids, wrong):
         steps, cur = [], T(xi_only, "xi")
@@ -585,18 +591,7 @@ class TestPumpStress:
             canon_key(truncate_prefix(closure.limit, dmin))
 
     def test_certified_pumps_predict_reduction(self, xi_only):
-        from irw.encode import nd_to_srs, phi
-        from irw.omega import parse_word
-        cases = []
-        run = run_strategy(xi_only, parse_term("xi", xi_only.sig), fuel=6)
-        cases.append((xi_only, run.trace.all_steps))
-        srs = nd_to_srs(load_fixture("nd_right"))
-        for word in ["(a)^w", "ab(ba)^w"]:
-            w = parse_word(word)
-            start = parse_term(f"q0({print_term(phi(w, srs.sig))})", srs.sig)
-            run = run_strategy(srs, start, fuel=8)
-            cases.append((srs, run.trace.all_steps))
-        for trs, steps in cases:
+        for trs, steps in _pump_runs(xi_only):
             att = close_limit(steps)
             assert att.closure is not None
             _check_implied_facts(steps, att.closure)
@@ -615,6 +610,136 @@ class TestPumpStress:
                 self._extend_and_check(r_right, list(ep.steps), ep.closure)
                 checked += 1
         assert checked == 2
+
+
+def _pump_runs(xi_only):
+    """Runs that close: the xi tower, nd_right's SRS on two words, and a
+    run whose first position is not its least and whose last position is
+    not its greatest."""
+    from irw.encode import nd_to_srs, phi
+    from irw.omega import parse_word
+    cases = []
+    run = run_strategy(xi_only, parse_term("xi", xi_only.sig), fuel=6)
+    cases.append((xi_only, run.trace.all_steps))
+    srs = nd_to_srs(load_fixture("nd_right"))
+    for word in ["(a)^w", "ab(ba)^w"]:
+        w = parse_word(word)
+        start = parse_term(f"q0({print_term(phi(w, srs.sig))})", srs.sig)
+        run = run_strategy(srs, start, fuel=8)
+        cases.append((srs, run.trace.all_steps))
+    # Per cycle, c -> d on spine node k's right child, then the identity
+    # step at spine node k + 2: positions (2), (1, 1), (1, 2), (1, 1, 1),
+    # ... with hole () and offset (1,).
+    sig = Signature([Symbol("p", 2), Symbol("c", 0), Symbol("d", 0)])
+    P = lambda s: parse_term(s, sig)
+    spine = Trs(sig, [Rule("c", P("c"), P("d")),
+                      Rule("p", P("p(x, y)"), P("p(x, y)"))])
+    steps, cur = [], P("rec X . p(X, c)")
+    for k in range(3):
+        for pos, rid in (((1,) * k + (2,), "c"), ((1,) * (k + 2), "p")):
+            steps.append(apply_step(spine, cur, pos, rid))
+            cur = steps[-1].after
+    cases.append((spine, steps))
+    return cases
+
+
+# --- the pump's hole against the per-step fold ------------------------------
+
+def _fold_try_pump(steps, i, length):
+    """_try_pump as it was when it found the hole by folding
+    _common_prefix over the positions one step at a time; the reference
+    for the least-and-greatest shortcut."""
+    from irw.rewrite import PumpCertificate, _common_prefix
+    from irw.terms import cyclify
+    n = len(steps)
+    if i + 2 * length > n:
+        return None
+    hole = steps[i].position
+    for s in steps[i:]:
+        hole = hole[:len(_common_prefix(hole, s.position))]
+    rel = [s.position[len(hole):] for s in steps[i:]]
+    base, shifted = rel[0], rel[length]
+    if len(shifted) <= len(base) or shifted[len(shifted) - len(base):] != base:
+        return None
+    offset = shifted[:len(shifted) - len(base)]
+    if not offset:
+        return None
+    for j in range(len(rel) - length):
+        if steps[i + j + length].rule_id != steps[i + j].rule_id:
+            return None
+        if rel[j + length] != offset + rel[j]:
+            return None
+    t0 = steps[i].before
+    t1 = steps[i + length].before
+    try:
+        seed = subterm_at(t0, hole)
+        wrapped = subterm_at(t1, hole)
+        reentry = subterm_at(wrapped, offset)
+    except PositionError:
+        return None
+    if not bisim_equal(reentry, seed):
+        return None
+    first = min(s.depth for s in steps[i:i + length])
+    profile = [first + k * len(offset) for k in range((n - i) // length)]
+    limit = replace_at(t0, hole, cyclify(wrapped, offset))
+    cert = PumpCertificate(
+        cycle_start=i, cycle_length=length, hole=hole, offset=offset,
+        context_growth="", min_depth_profile=tuple(profile))
+    return Closure(limit, cert)
+
+
+def _pump_fields(closure):
+    if closure is None:
+        return None
+    c = closure.certificate
+    return (c.cycle_start, c.cycle_length, c.hole, c.offset,
+            c.min_depth_profile, canon_key(closure.limit))
+
+
+@st.composite
+def _positions(draw):
+    """Positions sharing a drawn prefix, with the empty position and a
+    proper prefix of a drawn position mixed in when the draw says so."""
+    digit = st.integers(0, 3)
+    prefix = tuple(draw(st.lists(digit, max_size=3)))
+    ps = [prefix + tuple(s) for s in
+          draw(st.lists(st.lists(digit, max_size=4), min_size=1, max_size=8))]
+    if draw(st.booleans()):
+        ps.append(())
+    if draw(st.booleans()):
+        p = draw(st.sampled_from(ps))
+        ps.append(p[:draw(st.integers(0, len(p)))])
+    return draw(st.permutations(ps))
+
+
+class TestPumpHole:
+    @settings(max_examples=200, deadline=None)
+    @given(_positions())
+    @example([()])
+    @example([(1, 2), (1,), (1, 2, 3)])
+    @example([(2, 1), (), (2,)])
+    @example([(1, 3), (1, 2, 4), (1, 2)])
+    def test_least_and_greatest_share_the_common_prefix(self, ps):
+        from irw.rewrite import _common_prefix
+        assert _common_prefix(min(ps), max(ps)) == \
+            functools.reduce(_common_prefix, ps)
+
+    def test_same_closure_as_the_fold(self, xi_only, r_right):
+        from irw.rewrite import _try_pump
+        runs = [steps for _, steps in _pump_runs(xi_only)]
+        t = T(r_right, "run(xi, q0(rec X. a(X)), D1(rec X. a(X)), D2(rec X. a(X)))")
+        res = bounded_normalize(r_right, t, fuel=10_000, max_epochs=3)
+        runs += [list(ep.steps) for ep in res.trace.epochs]
+        closed = 0
+        for steps in runs:
+            n = len(steps)
+            for i in range(n - 1):
+                for length in range(1, (n - i) // 2 + 1):
+                    got = _try_pump(steps, i, length)
+                    assert _pump_fields(got) == \
+                        _pump_fields(_fold_try_pump(steps, i, length))
+                    closed += got is not None
+        assert closed
 
 
 # --- the redex table against the plain walk --------------------------------

@@ -2,14 +2,17 @@
 binds irw functions by name, and each module's __all__ names what it
 exports, so a rename or a deletion must fail here rather than only in the
 traced benchmark run or at a later `import *`; every committed
-BENCH_*.json must carry the fields a speed claim is read from; and the
-package imports nothing outside itself and the standard library."""
+BENCH_*.json must carry the fields a speed claim is read from; the
+package imports nothing outside itself and the standard library; and a
+fresh import of it leaves nothing of the old one alive."""
 
 import ast
 import importlib
 import json
+import os
 import pkgutil
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -81,6 +84,31 @@ def test_package_is_stdlib_only():
                 top = name.split(".")[0]
                 assert top == "irw" or top in sys.stdlib_module_names, (
                     path.name, node.lineno, name)
+
+
+REIMPORT = """
+import gc, importlib, sys
+importlib.import_module("irw.machines")
+for _ in range(3):
+    for name in [n for n in sys.modules if n == "irw" or n.startswith("irw.")]:
+        del sys.modules[name]
+    importlib.import_module("irw.machines")
+gc.collect()
+names = [f"{c.__module__}.{c.__qualname__}" for c in gc.get_objects()
+         if isinstance(c, type)]
+print(names.count("irw.omega.NdTmSpec"), names.count("irw.turing.TmSpec"))
+"""
+
+
+def test_reimport_frees_the_old_modules():
+    # perfbench imports irw afresh for every set-up.  Nothing may keep an
+    # old copy's classes alive, as a module-level typing alias of them did
+    # through typing's cache: each copy then held a whole irw.omega and
+    # irw.turing and charged them to the run's peak memory.
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run([sys.executable, "-B", "-c", REIMPORT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["1", "1"]
 
 
 def _parse(module):
