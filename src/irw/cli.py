@@ -4,10 +4,11 @@ Subcommands: compile, tm, trs, omega, laws.  Output is line-oriented text
 with a trailing machine-parseable ``VERDICT:`` line, whose word maps to
 the exit code through one table, ``VERDICT_EXIT``: 0 success/holds, 1
 refuted or negative witness, 2 unknown/exhausted.  3 is an input error (a
-malformed command line, or an input that its action does not read, see
-``USES``), 4 an internal error; ``--help`` exits 0.  IRW_SEED provides the
-default seed of ``trs trace --strategy random`` and of the laws that draw
-at random.
+malformed command line, an input that its action does not read or one it
+cannot run without, both stated in ``USES``, a machine of the wrong kind,
+or a path that cannot be read or written), 4 an internal error; ``--help``
+exits 0.  IRW_SEED provides the default seed of ``trs trace --strategy
+random`` and of the laws that draw at random.
 """
 
 from __future__ import annotations
@@ -46,18 +47,20 @@ def _verdict(word: str) -> int:
 
 # The inputs (argparse dests) each (command, action) reads besides those
 # all actions of the command read (compile -o, tm --fuel, trs --fuel,
-# --depth and --show-terms).  Any other input given is refused before a
-# file is read.  laws checks its flags against laws.LAW_ARGS.
+# --depth and --show-terms).  The action cannot run without those not
+# marked "?".  Any other input given, and a required one missing, is
+# refused before a file is read.  laws checks its flags against
+# laws.LAW_ARGS.
 USES = {
     **{("compile", c): ("machine",) for c in encode.CONSTRUCTIONS},
     ("compile", "pickn"): (),
-    ("compile", "R"): ("machine", "as_printed"),
+    ("compile", "R"): ("machine", "as_printed?"),
     ("tm", "run"): ("config",),
     ("tm", "fun"): ("arg",),
     ("tm", "rel"): ("pair",),
-    ("trs", "trace"): ("term", "strategy", "seed"),
-    ("trs", "normalize"): ("term", "epochs"),
-    ("trs", "reach"): ("from", "to", "epochs"),
+    ("trs", "trace"): ("term", "strategy?", "seed?"),
+    ("trs", "normalize"): ("term", "epochs?"),
+    ("trs", "reach"): ("from", "to", "epochs?"),
 }
 
 
@@ -73,24 +76,31 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(f"{self.prog}: {message}")
 
 
-def _refuse_unused(args) -> None:
-    """Refuse an input given that its action does not read (see USES)."""
+def _check_inputs(args) -> None:
+    """Refuse an input given that its action does not read, and one
+    missing that it cannot run without (see USES)."""
     cmd = args.command
     action = (args.construction if cmd == "compile"
               else getattr(args, "action", None))
     if (cmd, action) not in USES:
         return
-    uses = set(USES[cmd, action])
+    uses = {k.rstrip("?") for k in USES[cmd, action]}
     if cmd == "trs" and args.strategy != "random":
         uses.discard("seed")    # only a random trace draws from a seed
-    known = {k for (c, _), ks in USES.items() if c == cmd for k in ks}
+    others = {k.rstrip("?") for (c, _), ks in USES.items() if c == cmd
+              for k in ks} - uses
     # vars(args) holds the inputs in the order the parser defines them; a
     # flag not given is None, or False for --as-printed (a 0 is given).
-    unused = [k if k == "machine" else "--" + k.replace("_", "-")
-              for k, v in vars(args).items()
-              if k in known - uses and v is not None and v is not False]
+    given = [k for k, v in vars(args).items()
+             if v is not None and v is not False]
+    flag = lambda k: k if k == "machine" else "--" + k.replace("_", "-")
+    unused = [flag(k) for k in given if k in others]
     if unused:
         raise CliError(f"{cmd} {action} does not use " + ", ".join(unused))
+    missing = [flag(k) for k in USES[cmd, action]
+               if not k.endswith("?") and k not in given]
+    if missing:
+        raise CliError(f"{cmd} {action} needs " + ", ".join(missing))
 
 
 def _env_seed() -> int:
@@ -101,21 +111,29 @@ def _env_seed() -> int:
         raise CliError(f"IRW_SEED must be an integer, got {text!r}") from None
 
 
-def _load_machine(spec: str):
-    p = Path(spec)
-    if p.exists():
-        return machines.parse_machine(p.read_text())
-    name = spec[:-3] if spec.endswith(".tm") else spec
-    if name in machines.FIXTURES:
-        return machines.parse_machine(machines.fixture_text(name))
-    raise CliError(f"no machine file {spec!r} (and not a fixture name)")
+def _read(spec: str) -> str:
+    """The text of a file the user named, or an input error."""
+    try:
+        return Path(spec).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as e:
+        why = e.strerror if isinstance(e, OSError) else e
+        raise CliError(f"cannot read {spec!r}: {why}") from None
+
+
+def _load_machine(spec: str, kind=None):
+    """The machine in file ``spec``, else the fixture named ``spec`` (a
+    trailing .tm dropped), refused unless of class ``kind`` when given."""
+    if Path(spec).exists():
+        m = machines.parse_machine(_read(spec))
+    else:
+        m = machines.load_fixture(spec.removesuffix(".tm"))
+    if kind is not None and not isinstance(m, kind):
+        raise CliError(f"{spec} is a {m.KIND} machine, not {kind.KIND}")
+    return m
 
 
 def _load_trs(spec: str) -> rewrite.Trs:
-    p = Path(spec)
-    if not p.exists():
-        raise CliError(f"no TRS file {spec!r}")
-    return rewrite.parse_trs(p.read_text(), name=p.stem)
+    return rewrite.parse_trs(_read(spec), name=Path(spec).stem)
 
 
 def _print_warnings(ws) -> None:
@@ -132,7 +150,11 @@ def cmd_compile(args) -> int:
     _print_warnings(ws)
     text = encode.emit_trs_file(trs)
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as e:
+            raise CliError(f"cannot write {args.output!r}: "
+                           f"{e.strerror or e}") from None
         print(f"wrote {args.output}")
     else:
         sys.stdout.write(text)
@@ -143,13 +165,9 @@ def cmd_compile(args) -> int:
 
 
 def cmd_tm(args) -> int:
-    m = _load_machine(args.machine)
-    if not isinstance(m, turing.TmSpec):
-        raise CliError("tm commands need a det-two-sided machine")
+    m = _load_machine(args.machine, turing.TmSpec)
     fuel = args.fuel
     if args.action == "run":
-        if not args.config:
-            raise CliError("tm run needs --config")
         if fuel < 0:
             raise CliError("fuel must be >= 0")
         c = turing.parse_config(m, args.config)
@@ -165,14 +183,10 @@ def cmd_tm(args) -> int:
         print(f"steps: {steps}")
         return _verdict("final" if turing.tm_step(m, c) is None else "timeout")
     if args.action == "fun":
-        if args.arg is None:
-            raise CliError("tm fun needs --arg N")
         got = turing.eval_fun(m, args.arg, fuel)
         if got.kind == "value":
             print(f"value: {got.value}")
         return _verdict(got.kind)
-    if not args.pair:
-        raise CliError("tm rel needs --pair N K")
     out = turing.tm_final(m, turing.initial_rel_config(m, *args.pair), fuel)
     print(turing.display_config(out.config))
     print(f"steps: {out.steps}")
@@ -187,8 +201,6 @@ def cmd_trs(args) -> int:
     trs = _load_trs(args.trs)
     bounds = {"fuel": args.fuel, "depth_bound": args.depth}
     if args.action == "trace":
-        if not args.term:
-            raise CliError("trs trace needs --term")
         t = _parse_ground(trs, args.term)
         seeded = args.strategy == "random"
         seed = 0
@@ -218,16 +230,12 @@ def cmd_trs(args) -> int:
     if args.epochs is not None:
         bounds["max_epochs"] = args.epochs
     if args.action == "normalize":
-        if not args.term:
-            raise CliError("trs normalize needs --term")
         res = rewrite.bounded_normalize(
             trs, _parse_ground(trs, args.term), **bounds)
     else:
-        src, dst = vars(args)["from"], args.to
-        if not src or not dst:
-            raise CliError("trs reach needs --from and --to")
-        res = rewrite.bounded_reach(trs, _parse_ground(trs, src),
-                                    _parse_ground(trs, dst), **bounds)
+        src = _parse_ground(trs, vars(args)["from"])
+        res = rewrite.bounded_reach(trs, src, _parse_ground(trs, args.to),
+                                    **bounds)
     if res.trace is None:
         for k, v in sorted(res.diagnostics.items()):
             print(f"{k}: {v}")
@@ -241,9 +249,7 @@ def cmd_trs(args) -> int:
 
 
 def cmd_omega(args) -> int:
-    m = _load_machine(args.machine)
-    if not isinstance(m, omega.NdTmSpec):
-        raise CliError("omega commands need a nondet-one-sided machine")
+    m = _load_machine(args.machine, omega.NdTmSpec)
     w = omega.parse_word(args.word, m.alphabet)
     runs = omega.explore_runs(m, w, fuel=args.fuel, width=args.width)
     print(f"runs explored: {len(runs)}")
@@ -334,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _refuse_unused(args)
+        _check_inputs(args)
         return args.fn(args)
     except (CliError, terms.TermError, turing.MachineError,
             encode.EncodeError, laws.LawError) as e:

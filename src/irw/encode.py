@@ -143,7 +143,10 @@ def _fold(sig: Signature, seq: Sequence[str],
     """Fold seq nearest-first into unary applications over t (or `end`)."""
     t = app(END) if t is None else t
     for f in reversed(seq):
-        t = app(sig.get(f), t)
+        sym = sig.get(f)
+        if sym is None or sym.arity != 1:
+            raise EncodeError(f"{f!r} is not a unary symbol of the signature")
+        t = app(sym, t)
     return t
 
 
@@ -297,14 +300,8 @@ def phi(w, sig: Optional[Signature] = None) -> Term:
         return _phi_word(w, sig)
     if isinstance(w, NdConfig):
         return _phi_config(w, sig)
-    sig = sig or Signature([Symbol(str(s), 1) for s in w] + [END])
-    t: Term = app(END)
-    for s in reversed(list(w)):
-        sym = sig.get(str(s))
-        if sym is None or sym.arity != 1:
-            raise EncodeError(f"phi: {s!r} is not a unary symbol")
-        t = app(sym, t)
-    return t
+    names = [str(s) for s in w]
+    return _fold(sig or Signature([Symbol(s, 1) for s in names] + [END]), names)
 
 
 def _phi_word(w: OmegaWord, sig: Optional[Signature]) -> Term:
@@ -325,9 +322,6 @@ def _phi_config(c: NdConfig, sig: Optional[Signature]) -> Term:
         names = set(flat) | set(tail_cycle) | {c.state}
         sig = Signature([Symbol(s, 1) for s in names])
     tail = _cycle(sig, tail_cycle)
-    qsym = sig.get(c.state)
-    if qsym is None or qsym.arity != 1:
-        raise EncodeError(f"phi: state {c.state!r} is not a unary symbol")
     flat.insert(c.head, c.state)
     return _fold(sig, flat, tail)
 
@@ -387,7 +381,6 @@ _BUILDERS = {
     "srs": (NdTmSpec, lambda m, ap: (nd_to_srs(m), None)),
     "R": (NdTmSpec, lambda m, ap: (build_R(m, as_printed=ap), None)),
 }
-_KIND = {TmSpec: "det-two-sided", NdTmSpec: "nondet-one-sided"}
 
 
 def compile_construction(tag: str, m=None,
@@ -402,7 +395,7 @@ def compile_construction(tag: str, m=None,
         raise EncodeError(f"unknown construction {tag!r}; have {CONSTRUCTIONS}")
     spec, build = _BUILDERS[tag]
     if not isinstance(m, spec):
-        raise EncodeError(f"{tag} needs a {_KIND[spec]} machine")
+        raise EncodeError(f"{tag} needs a {spec.KIND} machine")
     return build(m, as_printed)
 
 

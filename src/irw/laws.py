@@ -639,13 +639,19 @@ def run_law(name: str, fixture: Optional[str] = None,
     if name == "norm-probe":
         return check_norm_probe(load_fixture("nd_right"),
                                 load_fixture("nd_pong"), **opts)
+    # The machine kind and the default fixture of each law on one machine.
+    kind, default = {"srs-bisim": (NdTmSpec, "nd_pong"),
+                     "limit-correspondence": (NdTmSpec, "nd_right")
+                     }.get(name, (TmSpec, "m_acc"))
+    m = load_fixture(fixture or default)
+    if not isinstance(m, kind):
+        raise LawError(f"law {name} needs a {kind.KIND} machine, "
+                       f"{fixture} is {m.KIND}")
     if name == "limit-correspondence":
-        m = load_fixture(fixture or "nd_right")
         return check_limit_correspondence(m, parse_word("(a)^w", m.alphabet),
                                           **opts)
-    if name == "srs-bisim":
-        return check_srs_bisim(load_fixture(fixture or "nd_pong"), **opts)
-    check = {"two-sided-bisim": check_two_sided_bisim,
+    check = {"srs-bisim": check_srs_bisim,
+             "two-sided-bisim": check_two_sided_bisim,
              "restart-cycle": check_restart_cycle,
              "pebbled-reach": check_pebbled_reach}[name]
-    return check(load_fixture(fixture or "m_acc"), **opts)
+    return check(m, **opts)

@@ -65,7 +65,7 @@ def parse_machine(text: str) -> TmSpec | NdTmSpec:
     kind = fields["kind"][0]
     states = tuple(fields["states"])
     alphabet = tuple(fields["alphabet"])
-    if kind == "det-two-sided":
+    if kind == TmSpec.KIND:
         delta: dict[tuple[str, str], tuple[str, str, str]] = {}
         for (q, f, q2, f2, d) in deltas:
             if (q, f) in delta:
@@ -74,7 +74,7 @@ def parse_machine(text: str) -> TmSpec | NdTmSpec:
             delta[(q, f)] = (q2, f2, d)
         return TmSpec(name, states, fields["initial"][0], fields["blank"][0],
                       alphabet, delta)
-    if kind == "nondet-one-sided":
+    if kind == NdTmSpec.KIND:
         nd: dict[tuple[str, str], tuple[tuple[str, str, str], ...]] = {}
         for (q, f, q2, f2, d) in deltas:
             nd[(q, f)] = nd.get((q, f), ()) + ((q2, f2, d),)
@@ -84,22 +84,16 @@ def parse_machine(text: str) -> TmSpec | NdTmSpec:
 
 
 def format_machine(m: TmSpec | NdTmSpec) -> str:
-    kind = "det-two-sided" if isinstance(m, TmSpec) else "nondet-one-sided"
     lines = [
         f"machine {m.name}",
-        f"kind {kind}",
+        f"kind {m.KIND}",
         "states " + " ".join(m.states),
         f"initial {m.initial}",
         f"blank {m.blank}",
         "alphabet " + " ".join(m.alphabet),
     ]
-    if isinstance(m, TmSpec):
-        for (q, f), (q2, f2, d) in m.delta.items():
-            lines.append(f"delta {q} {f} -> {q2} {f2} {d}")
-    else:
-        for (q, f), choices in m.delta.items():
-            for (q2, f2, d) in choices:
-                lines.append(f"delta {q} {f} -> {q2} {f2} {d}")
+    for (q, f), (q2, f2, d) in m.moves():
+        lines.append(f"delta {q} {f} -> {q2} {f2} {d}")
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .turing import MachineError
+from .turing import MachineError, check_spec
 
 __all__ = [
     "NdTmSpec", "OmegaWord", "NdConfig", "Lasso", "RunPrefix", "RunClass",
@@ -47,21 +47,11 @@ class NdTmSpec:
     alphabet: tuple[str, ...]
     delta: Mapping[tuple[str, str], tuple[tuple[str, str, str], ...]]
 
-    def __post_init__(self):
-        q, g = set(self.states), set(self.alphabet)
-        if q & g:
-            raise MachineError(f"states and alphabet overlap: {sorted(q & g)}")
-        if self.initial not in q:
-            raise MachineError(f"initial state {self.initial} not declared")
-        if self.blank not in g:
-            raise MachineError(f"blank {self.blank} not in alphabet")
-        for (s, f), choices in self.delta.items():
-            for (s2, f2, d) in choices:
-                if s not in q or s2 not in q or f not in g or f2 not in g:
-                    raise MachineError(
-                        f"delta entry ({s},{f})->({s2},{f2},{d}) undeclared")
-                if d not in ("L", "R"):
-                    raise MachineError(f"bad direction {d!r}")
+    KIND = "nondet-one-sided"    # the kind line of a machine file
+    __post_init__ = check_spec
+
+    def moves(self):
+        return ((k, c) for k, choices in self.delta.items() for c in choices)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 __all__ = [
-    "MachineError", "TmSpec", "TmConfig", "TmOutcome", "FunResult",
-    "make_config", "display_config", "parse_config",
+    "MachineError", "check_spec", "TmSpec", "TmConfig", "TmOutcome",
+    "FunResult", "make_config", "display_config", "parse_config",
     "tm_step", "tm_final", "initial_fun_config", "initial_rel_config",
     "eval_fun", "eval_rel", "rel_verdict",
 ]
@@ -28,6 +28,24 @@ __all__ = [
 
 class MachineError(Exception):
     pass
+
+
+def check_spec(m) -> None:
+    """The well-formedness check of both machine kinds, over the moves
+    ``((state, read), (state, write, L|R))`` that ``m.moves()`` lists."""
+    q, g = set(m.states), set(m.alphabet)
+    if q & g:
+        raise MachineError(f"states and alphabet overlap: {sorted(q & g)}")
+    if m.initial not in q:
+        raise MachineError(f"initial state {m.initial} not declared")
+    if m.blank not in g:
+        raise MachineError(f"blank {m.blank} not in alphabet")
+    for (s, f), (s2, f2, d) in m.moves():
+        if s not in q or s2 not in q or f not in g or f2 not in g:
+            raise MachineError(f"delta entry ({s},{f})->({s2},{f2},{d}) "
+                               "uses undeclared names")
+        if d not in ("L", "R"):
+            raise MachineError(f"bad direction {d!r}")
 
 
 @dataclass(frozen=True)
@@ -39,20 +57,11 @@ class TmSpec:
     alphabet: tuple[str, ...]
     delta: Mapping[tuple[str, str], tuple[str, str, str]]
 
-    def __post_init__(self):
-        q, g = set(self.states), set(self.alphabet)
-        if q & g:
-            raise MachineError(f"states and alphabet overlap: {sorted(q & g)}")
-        if self.initial not in q:
-            raise MachineError(f"initial state {self.initial} not declared")
-        if self.blank not in g:
-            raise MachineError(f"blank {self.blank} not in alphabet")
-        for (s, f), (s2, f2, d) in self.delta.items():
-            if s not in q or s2 not in q or f not in g or f2 not in g:
-                raise MachineError(f"delta entry ({s},{f})->({s2},{f2},{d}) "
-                                   "uses undeclared names")
-            if d not in ("L", "R"):
-                raise MachineError(f"bad direction {d!r}")
+    KIND = "det-two-sided"    # the kind line of a machine file
+    __post_init__ = check_spec
+
+    def moves(self):
+        return self.delta.items()
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,12 @@ class TestCompile:
         code, _, err = run_cli(capsys, "compile", "S", "nowhere.tm")
         assert code == 3
 
+    @pytest.mark.parametrize("construction", ["base", "S", "R"])
+    def test_missing_machine_refused(self, capsys, construction):
+        code, out, err = run_cli(capsys, "compile", construction)
+        assert (code, out) == (3, "")
+        assert err == f"error: compile {construction} needs machine\n"
+
     @pytest.mark.parametrize("argv, message", [
         (["pickn", "m_acc"], "compile pickn does not use machine"),
         (["pickn", "--as-printed"], "compile pickn does not use --as-printed"),
@@ -132,6 +138,25 @@ class TestTm:
         # Refused before the machine file is read.
         code, out, err = run_cli(capsys, "tm", *argv)
         assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("action, message", [
+        ("run", "tm run needs --config"),
+        ("fun", "tm fun needs --arg"),
+        ("rel", "tm rel needs --pair"),
+    ])
+    def test_missing_input_refused(self, capsys, action, message):
+        # Refused before the machine is read: the file does not exist.
+        code, out, err = run_cli(capsys, "tm", action, "nowhere.tm")
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["tm", "rel", "nd_pong", "--pair", "1", "1"],
+        ["omega", "member", "m_acc", "--word", "(S)^w"],
+    ], ids=["tm", "omega"])
+    def test_wrong_kind_refused(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {argv[2]} is a ")
 
     def test_bad_config_is_input_error(self, capsys, tm_file):
         code, _, err = run_cli(capsys, "tm", "run", tm_file("m_acc"),
@@ -284,6 +309,21 @@ class TestTrs:
         assert (code, out) == (3, "")
         assert err == f"error: trs {action[0]} does not use {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["trace"], "trs trace needs --term"),
+        (["trace", "--strategy", "random", "--seed", "2"],
+         "trs trace needs --term"),
+        (["normalize", "--epochs", "2"], "trs normalize needs --term"),
+        (["reach"], "trs reach needs --from, --to"),
+        (["reach", "--from", "pickn"], "trs reach needs --to"),
+        (["reach", "--to", "pickn"], "trs reach needs --from"),
+    ])
+    def test_missing_input_refused_before_reading_the_file(
+            self, capsys, tmp_path, argv, message):
+        code, out, err = run_cli(capsys, "trs", argv[0],
+                                 str(tmp_path / "missing.trs"), *argv[1:])
+        assert (code, out, err) == (3, "", f"error: {message}\n")
+
     def test_unused_flag_refused_before_reading_the_file(self, capsys,
                                                          tmp_path):
         code, _, err = run_cli(capsys, "trs", "reach",
@@ -302,6 +342,49 @@ class TestTrs:
         runs = [run_cli(capsys, "trs", argv[0], pickn_file, *argv[1:], *more)
                 for more in ([], default)]
         assert runs[0] == runs[1]
+
+
+class TestUserPaths:
+    # A path the user names that cannot be read or written is an input
+    # error; only the shipped fixtures' own files are the program's.
+    @pytest.fixture
+    def not_utf8(self, tmp_path):
+        p = tmp_path / "latin1.txt"
+        p.write_bytes(b"machine caf\xe9\n")
+        return str(p)
+
+    @pytest.mark.parametrize("argv", [
+        ["tm", "run", "{dir}", "--config", "q0"],
+        ["tm", "run", "{bad}", "--config", "q0"],
+        ["omega", "member", "{dir}", "--word", "(a)^w"],
+        ["compile", "S", "{bad}"],
+        ["trs", "trace", "{dir}", "--term", "pickn"],
+        ["trs", "reach", "{bad}", "--from", "pickn", "--to", "pickn"],
+        ["trs", "trace", "{dir}/none.trs", "--term", "pickn"],
+    ], ids=["tm-dir", "tm-not-utf8", "omega-dir", "compile-not-utf8",
+            "trs-dir", "trs-not-utf8", "trs-missing"])
+    def test_unreadable_path(self, capsys, tmp_path, not_utf8, argv):
+        argv = [a.format(dir=tmp_path, bad=not_utf8) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: cannot read ")
+
+    @pytest.mark.parametrize("where", ["{tmp}/no/such/dir/x.trs", "{tmp}"],
+                             ids=["no-dir", "is-dir"])
+    def test_unwritable_output(self, capsys, tmp_path, where):
+        target = where.format(tmp=tmp_path)
+        code, out, err = run_cli(capsys, "compile", "pickn", "-o", target)
+        assert code == 3 and "VERDICT:" not in out
+        assert err.startswith(f"error: cannot write {target!r}")
+
+    def test_fixture_read_failure_is_internal(self, capsys, monkeypatch):
+        def broken(name):
+            raise IsADirectoryError(21, "Is a directory")
+        monkeypatch.setattr("irw.machines.fixture_text", broken)
+        code, out, err = run_cli(capsys, "tm", "rel", "m_acc",
+                                 "--pair", "1", "1")
+        assert (code, out) == (4, "")
+        assert err.startswith("internal error: IsADirectoryError")
 
 
 class TestOmega:
@@ -397,6 +480,24 @@ class TestLaws:
         assert code == 2 and lines[-1] == "VERDICT: unknown"
         assert "no halt rules; firings: 0 (expected <= 1)" in lines
         assert "witness: greedy run took no step within fuel 0" in lines
+
+    @pytest.mark.parametrize("name, fixture, kind", [
+        ("two-sided-bisim", "nd_right", "det-two-sided"),
+        ("srs-bisim", "m_acc", "nondet-one-sided"),
+        ("restart-cycle", "nd_pong", "det-two-sided"),
+        ("pebbled-reach", "nd_right", "det-two-sided"),
+        ("limit-correspondence", "m_acc", "nondet-one-sided"),
+    ])
+    def test_wrong_kind_fixture_refused(self, capsys, name, fixture, kind):
+        code, out, err = run_cli(capsys, "laws", name, "--fixture", fixture)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: law {name} needs a {kind} machine")
+
+    def test_unknown_fixture_refused(self, capsys):
+        code, out, err = run_cli(capsys, "laws", "srs-bisim", "--fixture",
+                                 "nosuch")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: unknown fixture 'nosuch'")
 
     @pytest.mark.parametrize("name", ["restart-cycle", "pebbled-reach",
                                       "norm-probe", "limit-correspondence"])

@@ -300,6 +300,24 @@ class TestPhi:
             with pytest.raises(EncodeError, match="is not a unary symbol"):
                 phi(w, sig)
 
+    @pytest.mark.parametrize("w", [
+        parse_word("b(a)^w"),
+        NdConfig(parse_word("(a)^w"), "q0", 0, {0: "b"}),
+        NdConfig(parse_word("(a)^w"), "q0", 2, {1: "b"}),
+        NdConfig(parse_word("(a)^w"), "q9", 0),
+        ("a", "b"),
+        ("a", "end"),
+    ], ids=["word-prefix", "write-at-head", "write-behind", "state",
+            "sequence", "sequence-nullary"])
+    def test_cell_outside_the_signature(self, w):
+        # Every folded cell must be a unary symbol of sig; b and q9 are
+        # not declared, and end is a constant.
+        sig = nd_to_srs(parse_machine(
+            "machine a\nkind nondet-one-sided\nstates q0\ninitial q0\n"
+            "blank _\nalphabet _ a\nend")).sig
+        with pytest.raises(EncodeError, match="is not a unary symbol"):
+            phi(w, sig)
+
 
 def _configs_within(m, word, levels=30, width=16):
     """Every configuration reached in `levels` breadth-first levels from

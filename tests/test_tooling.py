@@ -132,11 +132,30 @@ def test_verdict_line_built_in_two_places():
 
     for info in pkgutil.iter_modules(irw.__path__):
         tree = _parse(info.name)
-        docs = [n.body[0].value for n in ast.walk(tree)
-                if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef))
-                and n.body and isinstance(n.body[0], ast.Expr)]
-        visit(tree, f"{info.name}.<module>", docs)
+        visit(tree, f"{info.name}.<module>", _docstrings(tree))
     assert owners == {"cli._verdict", "laws.render_report"}
+
+
+def _docstrings(tree):
+    return [n.body[0].value for n in ast.walk(tree)
+            if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and n.body and isinstance(n.body[0], ast.Expr)]
+
+
+def test_machine_kind_named_once():
+    # Each kind's file name is its spec class's KIND; the parser, the
+    # printer and every kind refusal read it from there.
+    places = {"det-two-sided": [], "nondet-one-sided": []}
+    for info in pkgutil.iter_modules(irw.__path__):
+        tree = _parse(info.name)
+        docs = _docstrings(tree)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node not in docs):
+                for kind, where in places.items():
+                    if kind in node.value:
+                        where.append(f"{info.name}:{node.lineno}")
+    assert [len(where) for where in places.values()] == [1, 1], places
 
 
 def _words(expr):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from irw.machines import FIXTURES, format_machine, load_fixture, parse_machine
+from irw.omega import NdTmSpec
 from irw.turing import (
     MachineError, TmSpec, display_config, eval_fun, eval_rel, initial_rel_config,
     make_config, parse_config, tm_final, tm_step,
@@ -164,8 +165,29 @@ class TestMachineFiles:
                           "delta q0 S -> q0 S R\ndelta q0 S -> q0 0 L\nend")
 
     def test_states_alphabet_disjoint(self):
-        with pytest.raises(MachineError, match="overlap"):
-            TmSpec("x", ("q0", "S"), "q0", "_", ("_", "S"), {})
+        for spec in (TmSpec, NdTmSpec):
+            with pytest.raises(MachineError, match="overlap"):
+                spec("x", ("q0", "S"), "q0", "_", ("_", "S"), {})
+
+    # One check serves both kinds: a deterministic entry is one move, a
+    # nondeterministic one a tuple of moves.
+    @pytest.mark.parametrize("spec, entry", [
+        (TmSpec, lambda move: move), (NdTmSpec, lambda move: (move,)),
+    ], ids=["TmSpec", "NdTmSpec"])
+    @pytest.mark.parametrize("initial, blank, key, move, message", [
+        ("q9", "_", ("q0", "S"), ("q0", "S", "R"), "initial state q9"),
+        ("q0", "B", ("q0", "S"), ("q0", "S", "R"), "blank B"),
+        ("q0", "_", ("q9", "S"), ("q0", "S", "R"), "undeclared names"),
+        ("q0", "_", ("q0", "S"), ("q0", "X", "R"), "undeclared names"),
+        ("q0", "_", ("q0", "S"), ("q0", "S", "N"), "bad direction 'N'"),
+    ], ids=["initial", "blank", "delta-state", "delta-symbol", "direction"])
+    def test_spec_check(self, spec, entry, initial, blank, key, move,
+                        message):
+        with pytest.raises(MachineError, match=message):
+            spec("x", ("q0",), initial, blank, ("_", "S"), {key: entry(move)})
+        # The same machine with a good entry passes.
+        spec("x", ("q0",), "q0", "_", ("_", "S"),
+             {("q0", "S"): entry(("q0", "S", "R"))})
 
     def test_missing_field(self):
         with pytest.raises(MachineError, match="missing"):
