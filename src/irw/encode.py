@@ -142,11 +142,13 @@ def _fold(sig: Signature, seq: Sequence[str],
           t: Optional[Term] = None) -> Term:
     """Fold seq nearest-first into unary applications over t (or `end`)."""
     t = app(END) if t is None else t
-    for f in reversed(seq):
-        sym = sig.get(f)
+    syms = dict.fromkeys(reversed(seq))  # each name once, first one first
+    for f in syms:
+        sym = syms[f] = sig.get(f)
         if sym is None or sym.arity != 1:
             raise EncodeError(f"{f!r} is not a unary symbol of the signature")
-        t = app(sym, t)
+    for f in reversed(seq):
+        t = Term(syms[f], (t,))
     return t
 
 

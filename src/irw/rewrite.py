@@ -204,14 +204,14 @@ def match(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
     todo = [(pattern, subject)]
     while todo:
         p, s = todo.pop()
-        if is_var(p):
+        if p.label.__class__ is str:  # a variable; is_var, inline
             old = bnd.get(p.label)
             if old is None:
                 bnd[p.label] = s
             elif not bisim_equal(old, s):
                 return None
             continue
-        if is_var(s) or p.label != s.label:
+        if s.label.__class__ is str or p.label != s.label:
             return None
         todo.extend(zip(p.children, s.children))
     return bnd
@@ -219,7 +219,7 @@ def match(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
 
 def instantiate(pattern: Term, binding: dict[str, Term]) -> Term:
     """Build the instance of a finite pattern under a binding."""
-    if is_var(pattern):
+    if pattern.label.__class__ is str:
         return binding[pattern.label]
     if not pattern.children:
         return pattern

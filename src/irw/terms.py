@@ -162,10 +162,41 @@ class Term:
     __slots__ = ("label", "children", "_cid")
 
     def __init__(self, label, children: tuple):
+        # The node gets its id here, unless it is a placeholder or a child
+        # has none.  Its key is the table's: (None, name) for a variable,
+        # else (symbol name, *child ids); a unary node's is built without
+        # the comprehension, so a unary spine costs one tuple per node.
         self.label = label
         self.children = children
-        self._cid: Optional[int] = None
-        _settle(self)
+        if label.__class__ is str:
+            key = (None, label)
+        elif label is None:
+            self._cid = None
+            return
+        elif len(children) == 1:
+            c = children[0]._cid
+            if c is None:
+                self._cid = None
+                return
+            key = (label.name, c)
+        else:
+            key = (label.name, *[c._cid for c in children])
+            if None in key:
+                self._cid = None
+                return
+        cid = _table.get(key)
+        if cid is None:
+            with _lock:
+                cid = _table.get(key)
+                if cid is None:
+                    cid = len(_keys)
+                    _finite_ids.append(all(_finite_ids[c._cid]
+                                           for c in children))
+                    _ground_ids.append(key[0] is not None and all(
+                        _ground_ids[c._cid] for c in children))
+                    _keys.append(key)
+                    _table[key] = cid
+        self._cid = cid
 
     def _patch(self, label, children: tuple) -> None:
         # Internal: ties a recursive knot (the parser's rec, cyclify).  A
@@ -189,7 +220,7 @@ def app(sym: Symbol, *children: Term) -> Term:
     if len(children) != sym.arity:
         raise TermError(
             f"{sym.name} expects {sym.arity} arguments, got {len(children)}")
-    return Term(sym, tuple(children))
+    return Term(sym, children)
 
 
 def var(name: str) -> Term:
@@ -236,42 +267,6 @@ _keys: list[tuple] = []        # id -> its node key
 _finite_ids = bytearray()      # id -> 1 iff its unfolding is finite
 _ground_ids = bytearray()      # id -> 1 iff its unfolding has no variable
 _knots: dict[tuple[int, tuple[int, ...]], int] = {}
-
-
-def _settle(n: Term) -> None:
-    """Give n its id, unless n is a placeholder or a child has none."""
-    # A unary node is keyed (name, child_id) without the comprehension, so
-    # that a unary spine costs one tuple per node; the key is the one the
-    # general branch would build.
-    lab = n.label
-    if lab.__class__ is str:
-        key = (None, lab)
-    elif lab is None:
-        return
-    else:
-        kids = n.children
-        if len(kids) == 1:
-            c = kids[0]._cid
-            if c is None:
-                return
-            key = (lab.name, c)
-        else:
-            key = (lab.name, *[c._cid for c in kids])
-            if None in key:
-                return
-    cid = _table.get(key)
-    if cid is None:
-        with _lock:
-            cid = _table.get(key)
-            if cid is None:
-                cid = len(_keys)
-                _finite_ids.append(all(_finite_ids[c._cid]
-                                       for c in n.children))
-                _ground_ids.append(key[0] is not None and all(
-                    _ground_ids[c._cid] for c in n.children))
-                _keys.append(key)
-                _table[key] = cid
-    n._cid = cid
 
 
 def _settle_cycle(comp: list[Term]) -> None:
@@ -378,7 +373,9 @@ def _settle_from(t: Term) -> None:
                     comp.append(scc_stack.pop())
                     onstack.discard(id(comp[-1]))
                 if len(comp) == 1 and node not in node.children:
-                    _settle(node)
+                    # An acyclic patched node: its children have ids now,
+                    # so the constructor keys it as it keys any node.
+                    Term.__init__(node, node.label, node.children)
                 else:
                     _settle_cycle(comp)
 
@@ -463,8 +460,11 @@ def _rebuild(spine: list[Term], pos: tuple[int, ...], s: Term) -> Term:
     for depth in range(len(pos) - 1, -1, -1):
         parent = spine[depth]
         kids = parent.children
-        i = pos[depth]
-        new = Term(parent.label, kids[:i - 1] + (new,) + kids[i:])
+        if len(kids) == 1:
+            new = Term(parent.label, (new,))
+        else:
+            i = pos[depth]
+            new = Term(parent.label, kids[:i - 1] + (new,) + kids[i:])
     return new
 
 
@@ -482,25 +482,31 @@ def truncate_prefix(t: Term, d: int) -> Term:
     """Finite approximation of t: nodes at depth d become the `cut` constant."""
     if d < 0:
         raise TermError("negative truncation depth")
+    # Post-order on an explicit stack, so that depth costs no recursion:
+    # an entry (n, k, True) builds n's copy from the last len(n.children)
+    # results once every child's copy is built, children left to right,
+    # which fixes the order in which new ids are minted.
     memo: dict[tuple[int, int], Term] = {}
-
-    def build(n: Term, k: int) -> Term:
-        if k == 0:
-            return CUT_TERM
-        key = (id(n), k)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if is_var(n):
-            out = n
+    done: list[Term] = []
+    work: list[tuple[Term, int, bool]] = [(t, d, False)]
+    while work:
+        n, k, ready = work.pop()
+        if ready:
+            kids = tuple(done[-len(n.children):])
+            del done[-len(n.children):]
+            out = memo[(id(n), k)] = Term(n.label, kids)
+        elif k == 0:
+            out = CUT_TERM
         elif not n.children:
             out = n
         else:
-            out = Term(n.label, tuple(build(c, k - 1) for c in n.children))
-        memo[key] = out
-        return out
-
-    return build(t, d)
+            out = memo.get((id(n), k))
+            if out is None:
+                work.append((n, k, True))
+                work.extend((c, k - 1, False) for c in reversed(n.children))
+                continue
+        done.append(out)
+    return done[0]
 
 
 def cyclify(t: Term, path: tuple[int, ...]) -> Term:

@@ -1,11 +1,14 @@
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from irw import terms
 from irw.terms import (
-    PositionError, Signature, Symbol, Term, TermError, TermSyntaxError,
+    CUT, CUT_TERM, PositionError, Signature, Symbol, Term, TermError,
+    TermSyntaxError,
     app, bisim_equal, canon_key, cyclify, is_finite, is_ground, is_var, var,
     parse_term, print_term, replace_at, subterm_at,
     truncate_prefix,
@@ -226,6 +229,27 @@ class TestTruncate:
     def test_cut_reserved(self):
         with pytest.raises(TermError):
             Signature([Symbol("cut", 0)])
+
+    def test_deep(self):
+        # The walk keeps its own stack, so depth 10^4 needs no recursion.
+        S, n = SIG.get("S"), 10 ** 4
+        t = app(SIG.get("0"), P("end"))
+        for _ in range(n):
+            t = app(S, t)
+        t = app(SIG.get("ok"), t)
+        whole = truncate_prefix(t, n + 5)
+        assert canon_key(whole) == canon_key(t) and bisim_equal(whole, t)
+        node, depth = truncate_prefix(t, n), 0
+        while node.children:
+            node, depth = node.children[0], depth + 1
+        assert node.label == CUT and depth == n
+        unrolled = CUT_TERM
+        for _ in range(n):
+            unrolled = app(S, unrolled)
+        assert canon_key(truncate_prefix(P("rec X . S(X)"), n)) == \
+            canon_key(unrolled)
+        pickn = P("ok(" + "S(" * 600 + "0(end)" + ")" * 601)
+        assert canon_key(truncate_prefix(pickn, 605)) == canon_key(pickn)
 
 
 class TestCyclify:
@@ -596,6 +620,51 @@ class TestIdsAtBirth:
         assert t._cid is not None
         assert t._cid == parse_term(rec_text, sig)._cid
         assert bisim_equal(t, parse_term(rec_text, sig))
+
+    def test_mint_shared_between_threads(self):
+        # Four threads build the same fresh variable, unary and binary keys
+        # at once, with thread switches forced as often as the interpreter
+        # allows.  Each key must be minted once, every thread's node must
+        # get its id, and the per-id tables must keep step.
+        f, g = _SYMS[0], _SYMS[1]
+        base = len(terms._keys)
+        names = [f"race{base}_{k}" for k in range(2000)]
+        together = threading.Barrier(4, timeout=60)
+        got = [[] for _ in range(4)]
+        errors = []
+
+        def worker(me):
+            try:
+                for name in names:
+                    together.wait()
+                    v = var(name)
+                    u = Term(g, (v,))
+                    got[me].append((v, u, Term(f, (v, u))))
+            except Exception as e:
+                errors.append(repr(e))
+                together.abort()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(me,))
+                       for me in range(4)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        ids = [[tuple(n._cid for n in nodes) for nodes in rows] for rows in got]
+        assert ids[1:] == ids[:1] * 3
+        assert len(terms._keys) - base == 3 * len(names)
+        assert len(terms._keys) == len(terms._finite_ids) == \
+            len(terms._ground_ids)
+        for nodes in got[0]:
+            for n in nodes:
+                assert terms._table[terms._keys[n._cid]] == n._cid
 
 
 # --- is_ground against a fresh walk ---------------------------------------

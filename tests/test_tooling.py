@@ -199,3 +199,47 @@ def test_every_verdict_word_has_an_exit_code():
     for source, words in sources.items():
         assert words and words <= set(VERDICT_EXIT), (source, words)
     assert set().union(*sources.values()) == set(VERDICT_EXIT)
+
+
+_ID_TABLES = {"_table", "_keys", "_finite_ids", "_ground_ids", "_knots"}
+_MUTATORS = {"append", "extend", "insert", "pop", "remove", "clear",
+             "update", "setdefault", "popitem", "__setitem__", "__delitem__"}
+
+
+def _names_id_table(node):
+    return (isinstance(node, ast.Name) and node.id in _ID_TABLES
+            or isinstance(node, ast.Attribute) and node.attr in _ID_TABLES)
+
+
+def _id_writes(tree):
+    """Line numbers of the statements that set a node's ``_cid`` or change
+    the id table and its per-id arrays; reads are not listed."""
+    lines = []
+    for node in ast.walk(tree):
+        ctx = getattr(node, "ctx", None)
+        if isinstance(ctx, (ast.Store, ast.Del)) and (
+                isinstance(node, ast.Attribute) and node.attr == "_cid"
+                or _names_id_table(node)
+                or isinstance(node, ast.Subscript)
+                and _names_id_table(node.value)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and (
+                isinstance(node.func, ast.Attribute)
+                and node.func.attr in _MUTATORS
+                and _names_id_table(node.func.value)
+                or isinstance(node.func, ast.Name)
+                and node.func.id in ("setattr", "delattr")
+                and any(isinstance(a, ast.Constant) and a.value == "_cid"
+                        for a in node.args)):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_ids_minted_only_in_terms():
+    # The constructor mints every node's id, and terms.py alone settles
+    # knots; any other module that set a _cid or wrote the table would
+    # be a second minting site the id invariants do not cover.
+    writers = {info.name: _id_writes(_parse(info.name))
+               for info in pkgutil.iter_modules(irw.__path__)}
+    assert {name for name, lines in writers.items() if lines} == {"terms"}, \
+        writers
