@@ -14,7 +14,6 @@ import random
 import time
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
 from itertools import islice
 from typing import Optional, Sequence
 
@@ -48,15 +47,15 @@ __all__ = [
 ]
 
 
-@dataclass
 class LawReport:
-    name: str
-    verdict: str                      # holds | refuted | unknown
-    witness: Optional[str] = None
-    samples: int = 0
-    seed: int = 0
-    elapsed: float = 0.0
-    lines: list = field(default_factory=list)
+    __slots__ = ("name", "verdict", "witness", "samples", "seed", "elapsed", "lines")
+
+    def __init__(self, name: str, verdict: str, witness: Optional[str] = None,
+                 samples: int = 0, seed: int = 0, elapsed: float = 0.0,
+                 lines: Optional[list] = None):
+        self.name, self.verdict = name, verdict  # holds | refuted | unknown
+        self.witness, self.samples, self.seed = witness, samples, seed
+        self.elapsed, self.lines = elapsed, [] if lines is None else lines
 
 
 def render_report(r: LawReport) -> str:

@@ -26,10 +26,9 @@ Anything without a certified lasso stays unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import Optional
 
-from .turing import MachineError, check_spec
+from .turing import MachineError, _Spec
 
 __all__ = [
     "NdTmSpec", "OmegaWord", "NdConfig", "Lasso", "RunPrefix", "RunClass",
@@ -38,32 +37,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class NdTmSpec:
-    name: str
-    states: tuple[str, ...]
-    initial: str
-    blank: str
-    alphabet: tuple[str, ...]
-    delta: Mapping[tuple[str, str], tuple[tuple[str, str, str], ...]]
-
+class NdTmSpec(_Spec):
+    __slots__ = ()
     KIND = "nondet-one-sided"    # the kind line of a machine file
-    __post_init__ = check_spec
 
     def moves(self):
         return ((k, c) for k, choices in self.delta.items() for c in choices)
 
 
-@dataclass(frozen=True)
 class OmegaWord:
     """An ultimately periodic word prefix . cycle^w."""
 
-    prefix: tuple[str, ...]
-    cycle: tuple[str, ...]
+    __slots__ = ("prefix", "cycle")
 
-    def __post_init__(self):
-        if not self.cycle:
+    def __init__(self, prefix: tuple[str, ...], cycle: tuple[str, ...]):
+        if not cycle:
             raise MachineError("omega-word cycle must be nonempty")
+        self.prefix, self.cycle = prefix, cycle
+
+    def __eq__(self, other):
+        return other.__class__ is OmegaWord and self.prefix == other.prefix \
+            and self.cycle == other.cycle
 
     def at(self, i: int) -> str:
         if i < 0:
@@ -100,8 +94,6 @@ def parse_word(text: str, alphabet=None) -> OmegaWord:
         raise MachineError(f"bad omega-word syntax {text!r}")
     prefix = tuple(text[:i])
     cycle = tuple(text[i + 1:-3])
-    if not cycle:
-        raise MachineError("omega-word cycle must be nonempty")
     w = OmegaWord(prefix, cycle)
     if alphabet is not None:
         for s in prefix + cycle:
@@ -198,16 +190,21 @@ def _choices(m: NdTmSpec, c: NdConfig) -> list[tuple[tuple[str, str, str], "NdCo
     return out
 
 
-@dataclass(frozen=True)
 class Lasso:
-    cycle_start: int
-    cycle_length: int
-    displacement: int
-    window: tuple[int, int]
-    window_syms: tuple[str, ...]
+    __slots__ = ("cycle_start", "cycle_length", "displacement", "window",
+                 "window_syms")
+
+    def __init__(self, cycle_start: int, cycle_length: int, displacement: int,
+                 window: tuple[int, int], window_syms: tuple[str, ...]):
+        self.cycle_start, self.cycle_length = cycle_start, cycle_length
+        self.displacement, self.window = displacement, window
+        self.window_syms = window_syms
+
+    def __eq__(self, other):
+        return other.__class__ is Lasso and all(
+            getattr(self, f) == getattr(other, f) for f in Lasso.__slots__)
 
 
-@dataclass
 class RunPrefix:
     """An explored run: configs from the start plus an optional lasso.
 
@@ -215,17 +212,20 @@ class RunPrefix:
     classify beyond unknown.
     """
 
-    configs: list[NdConfig]
-    choices: list[tuple[str, str, str]]
-    status: str
-    lasso: Optional[Lasso] = None
+    __slots__ = ("configs", "choices", "status", "lasso")
+
+    def __init__(self, configs: list[NdConfig], choices: list[tuple[str, str, str]],
+                 status: str, lasso: Optional[Lasso] = None):
+        self.configs, self.choices = configs, choices
+        self.status, self.lasso = status, lasso
 
 
-@dataclass(frozen=True)
 class RunClass:
-    complete: str
-    oscillating: str
-    accepting: str
+    __slots__ = ("complete", "oscillating", "accepting")
+
+    def __init__(self, complete: str, oscillating: str, accepting: str):
+        self.complete, self.oscillating = complete, oscillating
+        self.accepting = accepting
 
 
 def _default_radius(m: NdTmSpec, w: OmegaWord) -> int:
@@ -395,10 +395,11 @@ def classify_run(r: RunPrefix) -> RunClass:
     return RunClass("no", "yes", "no")
 
 
-@dataclass(frozen=True)
 class Membership:
-    kind: str  # "accepted" | "rejected_exhausted" | "unknown"
-    run: Optional[RunPrefix] = None
+    __slots__ = ("kind", "run")  # kind: accepted | rejected_exhausted | unknown
+
+    def __init__(self, kind: str, run: Optional[RunPrefix] = None):
+        self.kind, self.run = kind, run
 
 
 def membership_semidecide(m: NdTmSpec, w: OmegaWord, fuel: int = 200,

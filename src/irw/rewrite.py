@@ -24,7 +24,6 @@ import heapq
 import random
 import re
 from collections import deque
-from dataclasses import dataclass, replace
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -60,23 +59,21 @@ class NoMatchError(TrsError):
     """The named rule does not match at the requested (valid) position."""
 
 
-@dataclass(frozen=True)
 class Rule:
     """A rewrite rule lhs -> rhs; both sides are finite patterns."""
 
-    rid: str
-    lhs: Term
-    rhs: Term
+    __slots__ = ("rid", "lhs", "rhs")
 
-    def __post_init__(self):
-        if is_var(self.lhs):
-            raise TrsError(f"rule {self.rid}: left-hand side is a variable")
-        if not is_finite(self.lhs) or not is_finite(self.rhs):
-            raise TrsError(f"rule {self.rid}: rule sides must be finite")
-        missing = variables(self.rhs) - variables(self.lhs)
+    def __init__(self, rid: str, lhs: Term, rhs: Term):
+        if is_var(lhs):
+            raise TrsError(f"rule {rid}: left-hand side is a variable")
+        if not is_finite(lhs) or not is_finite(rhs):
+            raise TrsError(f"rule {rid}: rule sides must be finite")
+        missing = variables(rhs) - variables(lhs)
         if missing:
             raise TrsError(
-                f"rule {self.rid}: rhs variables {sorted(missing)} not in lhs")
+                f"rule {rid}: rhs variables {sorted(missing)} not in lhs")
+        self.rid, self.lhs, self.rhs = rid, lhs, rhs
 
 
 _NO_REDEX = float("inf")
@@ -268,14 +265,15 @@ def find_redexes(trs: Trs, t: Term, depth_bound: int
     return out
 
 
-@dataclass(frozen=True)
 class Step:
     """A single rewrite step at a recorded position."""
 
-    position: tuple[int, ...]
-    rule_id: str
-    before: Term
-    after: Term
+    __slots__ = ("position", "rule_id", "before", "after")
+
+    def __init__(self, position: tuple[int, ...], rule_id: str, before: Term,
+                 after: Term):
+        self.position, self.rule_id = position, rule_id
+        self.before, self.after = before, after
 
     @property
     def depth(self) -> int:
@@ -310,7 +308,6 @@ def is_normal_form(trs: Trs, t: Term) -> bool:
 # Traces and omega-limits
 
 
-@dataclass(frozen=True)
 class PumpCertificate:
     """Evidence that a run of steps wraps a fixed context forever.
 
@@ -319,26 +316,32 @@ class PumpCertificate:
     grows by |offset| per iteration, which forces convergence.
     """
 
-    cycle_start: int
-    cycle_length: int
-    hole: tuple[int, ...]
-    offset: tuple[int, ...]
-    context_growth: str
-    min_depth_profile: tuple[int, ...]
+    __slots__ = ("cycle_start", "cycle_length", "hole", "offset",
+                 "context_growth", "min_depth_profile")
+
+    def __init__(self, cycle_start: int, cycle_length: int,
+                 hole: tuple[int, ...], offset: tuple[int, ...],
+                 context_growth: str, min_depth_profile: tuple[int, ...]):
+        self.cycle_start, self.cycle_length = cycle_start, cycle_length
+        self.hole, self.offset = hole, offset
+        self.context_growth = context_growth
+        self.min_depth_profile = min_depth_profile
 
 
-@dataclass(frozen=True)
 class Closure:
-    limit: Term
-    certificate: PumpCertificate
+    __slots__ = ("limit", "certificate")
+
+    def __init__(self, limit: Term, certificate: PumpCertificate):
+        self.limit, self.certificate = limit, certificate
 
 
-@dataclass(frozen=True)
 class Epoch:
     """A finite run of steps, optionally closed by one omega-limit."""
 
-    steps: tuple[Step, ...]
-    closure: Optional[Closure] = None
+    __slots__ = ("steps", "closure")
+
+    def __init__(self, steps: tuple[Step, ...], closure: Optional[Closure] = None):
+        self.steps, self.closure = steps, closure
 
     @property
     def end(self) -> Term:
@@ -349,12 +352,13 @@ class Epoch:
         raise TrsError("empty epoch has no end term")
 
 
-@dataclass(frozen=True)
 class Trace:
     """An ordinal-indexed reduction at desk scale: a tower of epochs."""
 
-    start: Term
-    epochs: tuple[Epoch, ...]
+    __slots__ = ("start", "epochs")
+
+    def __init__(self, start: Term, epochs: tuple[Epoch, ...]):
+        self.start, self.epochs = start, epochs
 
     @property
     def final(self) -> Term:
@@ -376,10 +380,11 @@ class Trace:
         return sum(1 for ep in self.epochs if ep.closure is not None)
 
 
-@dataclass(frozen=True)
 class ClosureAttempt:
-    closure: Optional[Closure]
-    diagnostics: dict
+    __slots__ = ("closure", "diagnostics")
+
+    def __init__(self, closure: Optional[Closure], diagnostics: dict):
+        self.closure, self.diagnostics = closure, diagnostics
 
 
 def _with_context(steps: list[Step], closure: Closure) -> Closure:
@@ -389,7 +394,9 @@ def _with_context(steps: list[Step], closure: Closure) -> Closure:
     wrapped = subterm_at(steps[cert.cycle_start + cert.cycle_length].before,
                          cert.hole)
     context = print_term(replace_at(wrapped, cert.offset, var("HOLE")))
-    return Closure(closure.limit, replace(cert, context_growth=context))
+    return Closure(closure.limit, PumpCertificate(
+        cert.cycle_start, cert.cycle_length, cert.hole, cert.offset, context,
+        cert.min_depth_profile))
 
 
 def _try_pump(steps: list[Step], i: int, length: int) -> Optional[Closure]:
@@ -519,10 +526,11 @@ def validate_certificate(epoch: Epoch) -> bool:
 # Strategies
 
 
-@dataclass(frozen=True)
 class StrategyRun:
-    trace: Trace
-    fuel_exhausted: bool
+    __slots__ = ("trace", "fuel_exhausted")
+
+    def __init__(self, trace: Trace, fuel_exhausted: bool):
+        self.trace, self.fuel_exhausted = trace, fuel_exhausted
 
 
 def strategy_steps(trs: Trs, t: Term,
@@ -586,20 +594,21 @@ def run_strategy(trs: Trs, t: Term, strategy: str = "leftmost-outermost",
 # Bounded search
 
 
-@dataclass(slots=True)
 class _Node:
     """A search state.  A step child is pushed unapplied: its ``term`` and
     ``via_step`` stay None, and ``redex`` names the step, until the child
     is popped or a returned trace runs through it."""
 
-    term: Optional[Term]
-    steps: int
-    closures: int
-    parent: Optional["_Node"]
-    via_step: Optional[Step]
-    via_closure: Optional[Closure]
-    epoch_len: int
-    redex: Optional[tuple[tuple[int, ...], str]] = None
+    __slots__ = ("term", "steps", "closures", "parent", "via_step",
+                 "via_closure", "epoch_len", "redex")
+
+    def __init__(self, term: Optional[Term], steps: int, closures: int,
+                 parent: Optional[_Node], via_step: Optional[Step],
+                 via_closure: Optional[Closure], epoch_len: int,
+                 redex: Optional[tuple[tuple[int, ...], str]] = None):
+        self.term, self.steps, self.closures = term, steps, closures
+        self.parent, self.via_step, self.via_closure = parent, via_step, via_closure
+        self.epoch_len, self.redex = epoch_len, redex
 
 
 _CLOSE_HISTORY_CAP = 512
@@ -664,19 +673,20 @@ def _node_trace(trs: Trs, node: _Node, start: Term) -> Trace:
     return Trace(start, tuple(epochs))
 
 
-@dataclass(frozen=True)
 class NormalizeResult:
-    found: bool
-    trace: Optional[Trace]
-    normal_form: Optional[Term]
-    diagnostics: dict
+    __slots__ = ("found", "trace", "normal_form", "diagnostics")
+
+    def __init__(self, found: bool, trace: Optional[Trace],
+                 normal_form: Optional[Term], diagnostics: dict):
+        self.found, self.trace = found, trace
+        self.normal_form, self.diagnostics = normal_form, diagnostics
 
 
-@dataclass(frozen=True)
 class ReachResult:
-    reached: bool
-    trace: Optional[Trace]
-    diagnostics: dict
+    __slots__ = ("reached", "trace", "diagnostics")
+
+    def __init__(self, reached: bool, trace: Optional[Trace], diagnostics: dict):
+        self.reached, self.trace, self.diagnostics = reached, trace, diagnostics
 
 
 def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
@@ -796,16 +806,17 @@ def bounded_reach(trs: Trs, source: Term, target: Term,
     return ReachResult(trace is not None, trace, diag)
 
 
-@dataclass
 class Reachability:
     """Plain step reachability (no closures): BFS distances and edges."""
 
-    start: Term
-    dist: dict[int, int]
-    terms: dict[int, Term]
-    edges: list[tuple[int, int, str]]
-    frontier_exhausted: bool
-    expansions: int
+    __slots__ = ("start", "dist", "terms", "edges", "frontier_exhausted",
+                 "expansions")
+
+    def __init__(self, start: Term, dist: dict[int, int], terms: dict[int, Term],
+                 edges: list[tuple[int, int, str]], frontier_exhausted: bool,
+                 expansions: int):
+        self.start, self.dist, self.terms, self.edges = start, dist, terms, edges
+        self.frontier_exhausted, self.expansions = frontier_exhausted, expansions
 
 
 def step_reachability(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL,
@@ -838,11 +849,11 @@ def step_reachability(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL,
 # Convergence diagnostics
 
 
-@dataclass(frozen=True)
 class Approximant:
-    stable: bool
-    prefix: Optional[Term]
-    witness: Optional[int]
+    __slots__ = ("stable", "prefix", "witness")
+
+    def __init__(self, stable: bool, prefix: Optional[Term], witness: Optional[int]):
+        self.stable, self.prefix, self.witness = stable, prefix, witness
 
 
 def limit_approximant(trace: Trace, d: int) -> Approximant:

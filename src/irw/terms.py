@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
 __all__ = [
@@ -61,18 +60,24 @@ class PositionError(TermError):
     """The position is not valid in the given term."""
 
 
-@dataclass(frozen=True)
 class Symbol:
     """A function symbol: an identifier together with a fixed arity."""
 
-    name: str
-    arity: int
+    __slots__ = ("name", "arity")
 
-    def __post_init__(self):
-        if not _IDENT_RE.fullmatch(self.name):
-            raise TermError(f"bad symbol name {self.name!r}")
-        if self.arity < 0:
-            raise TermError(f"negative arity for symbol {self.name}")
+    def __init__(self, name: str, arity: int):
+        if not _IDENT_RE.fullmatch(name):
+            raise TermError(f"bad symbol name {name!r}")
+        if arity < 0:
+            raise TermError(f"negative arity for symbol {name}")
+        self.name, self.arity = name, arity
+
+    def __eq__(self, other):
+        return self is other or (other.__class__ is Symbol and
+                                 self.name == other.name and self.arity == other.arity)
+
+    def __hash__(self):
+        return hash((self.name, self.arity))
 
     def __repr__(self):
         return f"{self.name}/{self.arity}"

@@ -15,7 +15,6 @@ The display order is ``reversed(left) state right``, e.g. ``0 S S q0 S 0``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 __all__ = [
@@ -48,29 +47,43 @@ def check_spec(m) -> None:
             raise MachineError(f"bad direction {d!r}")
 
 
-@dataclass(frozen=True)
-class TmSpec:
-    name: str
-    states: tuple[str, ...]
-    initial: str
-    blank: str
-    alphabet: tuple[str, ...]
-    delta: Mapping[tuple[str, str], tuple[str, str, str]]
+class _Spec:
+    """The fields of both machine kinds, checked by check_spec when built;
+    machines are equal by value.  ``delta`` maps (state, read) to one move
+    (state, write, L|R) in a TmSpec, to a tuple of moves in an NdTmSpec."""
 
+    __slots__ = ("name", "states", "initial", "blank", "alphabet", "delta")
+
+    def __init__(self, name: str, states: tuple[str, ...], initial: str,
+                 blank: str, alphabet: tuple[str, ...], delta: Mapping):
+        self.name, self.states, self.initial = name, states, initial
+        self.blank, self.alphabet, self.delta = blank, alphabet, delta
+        check_spec(self)
+
+    def __eq__(self, other):
+        return other.__class__ is self.__class__ and all(
+            getattr(self, f) == getattr(other, f) for f in _Spec.__slots__)
+
+
+class TmSpec(_Spec):
+    __slots__ = ()
     KIND = "det-two-sided"    # the kind line of a machine file
-    __post_init__ = check_spec
 
     def moves(self):
         return self.delta.items()
 
 
-@dataclass(frozen=True)
 class TmConfig:
     """Canonical configuration; build with make_config."""
 
-    left: tuple[str, ...]
-    state: str
-    right: tuple[str, ...]
+    __slots__ = ("left", "state", "right")
+
+    def __init__(self, left: tuple[str, ...], state: str, right: tuple[str, ...]):
+        self.left, self.state, self.right = left, state, right
+
+    def __eq__(self, other):
+        return other.__class__ is TmConfig and self.state == other.state and \
+            self.left == other.left and self.right == other.right
 
 
 def _trim(blank: str, seq: tuple[str, ...]) -> tuple[str, ...]:
@@ -127,11 +140,11 @@ def tm_step(m: TmSpec, c: TmConfig) -> Optional[TmConfig]:
     return TmConfig(_trim(m.blank, left), q2, _trim(m.blank, right))
 
 
-@dataclass(frozen=True)
 class TmOutcome:
-    kind: str  # "final" | "timeout"
-    config: TmConfig
-    steps: int
+    __slots__ = ("kind", "config", "steps")  # kind: "final" | "timeout"
+
+    def __init__(self, kind: str, config: TmConfig, steps: int):
+        self.kind, self.config, self.steps = kind, config, steps
 
 
 def tm_final(m: TmSpec, c: TmConfig, fuel: int) -> TmOutcome:
@@ -166,10 +179,11 @@ def initial_rel_config(m: TmSpec, n: int, k: int) -> TmConfig:
     return make_config(m, ("S",) * n + ("0",), m.initial, ("S",) * k + ("0",))
 
 
-@dataclass(frozen=True)
 class FunResult:
-    kind: str  # "value" | "undefined" | "unknown"
-    value: Optional[int] = None
+    __slots__ = ("kind", "value")  # kind: "value" | "undefined" | "unknown"
+
+    def __init__(self, kind: str, value: Optional[int] = None):
+        self.kind, self.value = kind, value
 
 
 def eval_fun(m: TmSpec, n: int, fuel: int) -> FunResult:

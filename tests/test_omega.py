@@ -2,7 +2,7 @@ import pytest
 
 from irw.machines import load_fixture, parse_machine
 from irw.omega import (
-    NdConfig, classify_run, explore_runs, format_word,
+    NdConfig, OmegaWord, classify_run, explore_runs, format_word,
     membership_semidecide, nd_steps, parse_word, visit_stats,
 )
 from irw.turing import MachineError
@@ -55,6 +55,10 @@ class TestWords:
     def test_empty_cycle_rejected(self):
         with pytest.raises(MachineError):
             parse_word("ab()^w")
+
+    def test_constructor_refuses_empty_cycle(self):
+        with pytest.raises(MachineError, match="cycle must be nonempty"):
+            OmegaWord(("a",), ())
 
 
 class TestSteps:

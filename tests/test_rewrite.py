@@ -9,7 +9,7 @@ from irw.encode import build_R, build_S_prime, pickn_trs, tm_to_trs
 from irw.laws import greedy_cycle_run
 from irw.machines import load_fixture
 from irw.rewrite import (
-    Closure, Epoch, NoMatchError, Rule, Trs, TrsError, apply_step,
+    Closure, Epoch, NoMatchError, PumpCertificate, Rule, Trs, TrsError, apply_step,
     bounded_normalize, bounded_reach, canon_key, close_limit, find_redexes,
     format_trs, instantiate, is_normal_form, limit_approximant, match,
     parse_trs,
@@ -77,6 +77,13 @@ class TestMatching:
             Rule("bad", var("x"), var("x"))
         with pytest.raises(TrsError, match="rhs variables"):
             Rule("bad", app(sig.get("f"), var("x")), var("y"))
+
+    def test_rule_sides_must_be_finite(self):
+        sig = Signature([Symbol("f", 1)])
+        loop = parse_term("rec X . f(X)", sig)
+        for lhs, rhs in ((loop, var("x")), (app(sig.get("f"), var("x")), loop)):
+            with pytest.raises(TrsError, match="must be finite"):
+                Rule("bad", lhs, rhs)
 
 
 class TestRedexes:
@@ -314,7 +321,8 @@ class TestCloseLimit:
         got = close_limit(steps).closure
         assert got is not None
         assert validate_certificate(Epoch(tuple(steps), got))
-        bad = Closure(got.limit, dataclasses.replace(got.certificate, **wrong))
+        fields = {f: getattr(got.certificate, f) for f in PumpCertificate.__slots__}
+        bad = Closure(got.limit, PumpCertificate(**{**fields, **wrong}))
         assert not validate_certificate(Epoch(tuple(steps), bad))
 
 
@@ -1119,7 +1127,9 @@ def _eager_suffix_close(hist):
             wrapped = subterm_at(hist[c.cycle_start + c.cycle_length].before,
                                  c.hole)
             ctx = print_term(replace_at(wrapped, c.offset, var("HOLE")))
-            return Closure(got.limit, dataclasses.replace(c, context_growth=ctx))
+            return Closure(got.limit, PumpCertificate(
+                c.cycle_start, c.cycle_length, c.hole, c.offset, ctx,
+                c.min_depth_profile))
     return None
 
 
@@ -1192,7 +1202,8 @@ def _trace_fingerprint(trace):
         out.append([(s.position, s.rule_id) for s in ep.steps])
         if ep.closure is not None:
             out.append((canon_key(ep.closure.limit),
-                        dataclasses.astuple(ep.closure.certificate)))
+                        tuple(getattr(ep.closure.certificate, f)
+                              for f in PumpCertificate.__slots__)))
     return out
 
 

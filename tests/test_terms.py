@@ -62,6 +62,21 @@ def _unfold_equal(x, y, depth=12):
     return canon_key(truncate_prefix(x, depth)) == canon_key(truncate_prefix(y, depth))
 
 
+class TestSymbol:
+    @pytest.mark.parametrize("name, arity", [("a b", 1), ("f", -1)])
+    def test_bad_symbol_refused(self, name, arity):
+        with pytest.raises(TermError):
+            Symbol(name, arity)
+
+    def test_equal_by_value(self):
+        # Equal symbols hash as their (name, arity) pair, so sets and dicts
+        # of symbols keep their order.
+        f = Symbol("f", 1)
+        assert f == Symbol("f", 1) and hash(f) == hash(Symbol("f", 1)) == hash(("f", 1))
+        assert f != Symbol("f", 2) and f != Symbol("g", 1) and f != "f"
+        assert repr(Symbol("f", 2)) == "f/2"
+
+
 class TestParse:
     def test_constant(self):
         t = P("T")

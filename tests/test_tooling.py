@@ -3,8 +3,8 @@ binds irw functions by name, and each module's __all__ names what it
 exports, so a rename or a deletion must fail here rather than only in the
 traced benchmark run or at a later `import *`; every committed
 BENCH_*.json must carry the fields a speed claim is read from; the
-package imports nothing outside itself and the standard library; and a
-fresh import of it leaves nothing of the old one alive."""
+package imports nothing outside itself and the standard library, nor
+dataclasses; and a fresh import of it leaves nothing of the old one alive."""
 
 import ast
 import importlib
@@ -84,6 +84,20 @@ def test_package_is_stdlib_only():
                 top = name.split(".")[0]
                 assert top == "irw" or top in sys.stdlib_module_names, (
                     path.name, node.lineno, name)
+
+
+def test_no_dataclasses():
+    # Records are plain classes with __slots__: dataclass creation cost
+    # about a quarter of every import of irw, and each instance is larger.
+    for path in sorted((ROOT / "src" / "irw").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            assert "dataclasses" not in names, (path.name, node.lineno)
 
 
 REIMPORT = """
