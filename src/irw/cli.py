@@ -132,22 +132,14 @@ def _load_machine(spec: str, kind=None):
     return m
 
 
-def _load_trs(spec: str) -> rewrite.Trs:
-    return rewrite.parse_trs(_read(spec), name=Path(spec).stem)
-
-
-def _print_warnings(ws) -> None:
-    for w in ws:
-        print(f"warning: {w.message}")
-
-
 def cmd_compile(args) -> int:
     m = _load_machine(args.machine) if args.machine else None
     with warnings.catch_warnings(record=True) as ws:
         warnings.simplefilter("always")
         trs, start = encode.compile_construction(
             args.construction, m, as_printed=args.as_printed)
-    _print_warnings(ws)
+    for w in ws:
+        print(f"warning: {w.message}")
     text = encode.emit_trs_file(trs)
     if args.output:
         try:
@@ -198,7 +190,7 @@ def _parse_ground(trs: rewrite.Trs, text: str) -> terms.Term:
 
 
 def cmd_trs(args) -> int:
-    trs = _load_trs(args.trs)
+    trs = rewrite.parse_trs(_read(args.trs), name=Path(args.trs).stem)
     bounds = {"fuel": args.fuel, "depth_bound": args.depth}
     if args.action == "trace":
         t = _parse_ground(trs, args.term)
@@ -220,8 +212,12 @@ def cmd_trs(args) -> int:
                   f"depths={list(cert.min_depth_profile)}")
             return _verdict("closed")
         if not run.fuel_exhausted:
-            nf = rewrite.is_normal_form(trs, run.trace.final)
-            return _verdict("normal-form" if nf else "looping")
+            final = run.trace.final
+            if rewrite.is_normal_form(trs, final):
+                return _verdict("normal-form")
+            # No productive redex within --depth; one below it is unknown.
+            loops = rewrite.only_self_loops(trs, final)
+            return _verdict("looping" if loops else "unknown")
         depth, prefix = rewrite.stable_prefix(run.trace, args.depth)
         print(f"stable-prefix depth: {depth}")
         if prefix is not None:

@@ -81,14 +81,10 @@ def _check_names(m: Union[TmSpec, NdTmSpec]) -> None:
             f"machine {m.name}: names {sorted(clash)} are reserved")
 
 
-def _two_sided_sig(m: TmSpec) -> Signature:
-    sig = Signature()
-    for q in m.states:
-        sig.declare(Symbol(q, 2))
-    for f in m.alphabet:
-        sig.declare(Symbol(f, 1))
-    sig.declare(END)
-    return sig
+def _machine_sig(m: Union[TmSpec, NdTmSpec], state_arity: int) -> Signature:
+    """The states with the given arity, the unary tape symbols and `end`."""
+    return Signature([Symbol(q, state_arity) for q in m.states]
+                     + [Symbol(f, 1) for f in m.alphabet] + [END])
 
 
 def tm_to_trs(m: TmSpec) -> Trs:
@@ -99,7 +95,7 @@ def tm_to_trs(m: TmSpec) -> Trs:
     schemas in the same left/right/left-left/both order.
     """
     _check_names(m)
-    sig = _two_sided_sig(m)
+    sig = _machine_sig(m, 2)
     S = lambda name: sig.get(name)
     x, y = var("x"), var("y")
     rules: list[Rule] = []
@@ -155,7 +151,7 @@ def _fold(sig: Signature, seq: Sequence[str],
 def encode_config(m: TmSpec, c: TmConfig) -> Term:
     """q(enc(left), enc(right)): each side folds nearest-first into unary
     applications over `end`, trailing blanks trimmed."""
-    sig = _two_sided_sig(m)
+    sig = _machine_sig(m, 2)
     return app(Symbol(c.state, 2), _fold(sig, c.left), _fold(sig, c.right))
 
 
@@ -253,16 +249,6 @@ def build_S_prime(m: TmSpec) -> tuple[Trs, Term]:
     return _restart_system(m, pebbled=True)
 
 
-def _one_sided_sig(m: NdTmSpec) -> Signature:
-    sig = Signature()
-    for q in m.states:
-        sig.declare(Symbol(q, 1))
-    for f in m.alphabet:
-        sig.declare(Symbol(f, 1))
-    sig.declare(END)
-    return sig
-
-
 def nd_to_srs(m: NdTmSpec) -> Trs:
     """One-sided machine as a string rewriting system over unary symbols.
 
@@ -271,7 +257,7 @@ def nd_to_srs(m: NdTmSpec) -> Trs:
     left.
     """
     _check_names(m)
-    sig = _one_sided_sig(m)
+    sig = _machine_sig(m, 1)
     S = lambda name: sig.get(name)
     x = var("x")
     rules: list[Rule] = []
@@ -293,25 +279,21 @@ def nd_to_srs(m: NdTmSpec) -> Trs:
     return Trs(sig, rules, name=m.name, construction="srs")
 
 
-def phi(w, sig: Optional[Signature] = None) -> Term:
-    """The word-to-term map: a finite sequence of symbol names folds to a
-    unary nest over `end`; an omega-word folds its cycle into a term
-    cycle; a configuration interleaves the state at the head, the suffix
-    taken from the written-over tape."""
+def phi(w, sig: Signature) -> Term:
+    """The word-to-term map over the required signature ``sig``, usually
+    the system's: a finite sequence of symbol names folds to a unary nest
+    over `end`; an omega-word folds its cycle into a term cycle; a
+    configuration interleaves the state at the head, the suffix taken
+    from the written-over tape.  Every folded cell must name a unary
+    symbol of ``sig``."""
     if isinstance(w, OmegaWord):
-        return _phi_word(w, sig)
+        return _fold(sig, w.prefix, _cycle(sig, w.cycle))
     if isinstance(w, NdConfig):
         return _phi_config(w, sig)
-    names = [str(s) for s in w]
-    return _fold(sig or Signature([Symbol(s, 1) for s in names] + [END]), names)
+    return _fold(sig, [str(s) for s in w])
 
 
-def _phi_word(w: OmegaWord, sig: Optional[Signature]) -> Term:
-    sig = sig or Signature([Symbol(s, 1) for s in set(w.prefix + w.cycle)])
-    return _fold(sig, w.prefix, _cycle(sig, w.cycle))
-
-
-def _phi_config(c: NdConfig, sig: Optional[Signature]) -> Term:
+def _phi_config(c: NdConfig, sig: Signature) -> Term:
     w = c.word
     upto = max([c.head, len(w.prefix)] + [p + 1 for p in c.writes])
     # Rebase: explicit overlaid prefix up to `upto`, then the pure cycle.
@@ -320,12 +302,8 @@ def _phi_config(c: NdConfig, sig: Optional[Signature]) -> Term:
     flat = list(w.cells(upto))
     for i, f in c.writes.items():
         flat[i] = f
-    if sig is None:
-        names = set(flat) | set(tail_cycle) | {c.state}
-        sig = Signature([Symbol(s, 1) for s in names])
-    tail = _cycle(sig, tail_cycle)
     flat.insert(c.head, c.state)
-    return _fold(sig, flat, tail)
+    return _fold(sig, flat, _cycle(sig, tail_cycle))
 
 
 def _cycle(sig: Signature, cycle: tuple[str, ...]) -> Term:
@@ -374,10 +352,11 @@ def build_R(m: NdTmSpec, as_printed: bool = False) -> Trs:
     return Trs(sig, rules, name=m.name, construction=tag)
 
 
-# tag -> (machine class, builder of (system, start term or None))
+# tag -> (machine class or None, builder of (system, start term or None))
 _BUILDERS = {
     "base": (TmSpec, lambda m, ap: (tm_to_trs(m), None)),
     "pebbled": (TmSpec, lambda m, ap: (pebble_trs(m), None)),
+    "pickn": (None, lambda m, ap: (pickn_trs(), None)),
     "S": (TmSpec, lambda m, ap: build_S(m)),
     "Sprime": (TmSpec, lambda m, ap: build_S_prime(m)),
     "srs": (NdTmSpec, lambda m, ap: (nd_to_srs(m), None)),
@@ -389,14 +368,12 @@ def compile_construction(tag: str, m=None,
                          as_printed: bool = False) -> tuple[Trs, Optional[Term]]:
     """Dispatch by construction tag; returns the system and, for S and
     Sprime, the designated start term."""
-    if tag == "pickn":
-        return pickn_trs(), None
-    if m is None:
-        raise EncodeError(f"construction {tag!r} needs a machine")
     if tag not in _BUILDERS:
         raise EncodeError(f"unknown construction {tag!r}; have {CONSTRUCTIONS}")
     spec, build = _BUILDERS[tag]
-    if not isinstance(m, spec):
+    if spec is not None and m is None:
+        raise EncodeError(f"construction {tag!r} needs a machine")
+    if spec is not None and not isinstance(m, spec):
         raise EncodeError(f"{tag} needs a {spec.KIND} machine")
     return build(m, as_printed)
 

@@ -27,7 +27,7 @@ from .omega import (
     parse_word,
 )
 from .rewrite import (
-    Rule, Trs, apply_step, bounded_normalize, canon_key,
+    DEFAULT_DEPTH_BOUND, Rule, Trs, apply_step, bounded_normalize, canon_key,
     find_redexes, match, stable_prefix, step_reachability, strategy_steps,
     Trace, Epoch,
 )
@@ -172,33 +172,32 @@ def check_two_sided_bisim(m: Optional[TmSpec] = None, samples: int = 100,
         raise LawError(f"two-sided-bisim needs steps >= 0, got {steps}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    machines = [m] if m is not None else [gen_det_machine(rng)]
+    mm = m if m is not None else gen_det_machine(rng)
     rep = LawReport("two-sided-bisim", "holds", samples=samples, seed=seed)
     total = 0
-    for mm in machines:
-        sys = trs if trs is not None else tm_to_trs(mm)
-        for s_i in range(samples):
-            c = gen_det_config(rng, mm)
-            term = encode_config(mm, c)
-            for k in range(steps):
-                nxt = tm_step(mm, c)
-                st = _root_step(sys, term)
-                if (nxt is None) != (st is None):
-                    return _finish(rep, t0, "refuted",
-                                   f"machine {mm.name} config "
-                                   f"'{display_config(c)}' step {k}: one side "
-                                   f"halted")
-                if nxt is None:
-                    break
-                dec = decode_config(mm, st.after)
-                if dec != nxt:
-                    return _finish(rep, t0, "refuted",
-                                   f"machine {mm.name} config "
-                                   f"'{display_config(c)}' step {k}: "
-                                   f"'{display_config(dec)}' vs "
-                                   f"'{display_config(nxt)}'")
-                c, term = nxt, st.after
-                total += 1
+    sys = trs if trs is not None else tm_to_trs(mm)
+    for s_i in range(samples):
+        c = gen_det_config(rng, mm)
+        term = encode_config(mm, c)
+        for k in range(steps):
+            nxt = tm_step(mm, c)
+            st = _root_step(sys, term)
+            if (nxt is None) != (st is None):
+                return _finish(rep, t0, "refuted",
+                               f"machine {mm.name} config "
+                               f"'{display_config(c)}' step {k}: one side "
+                               f"halted")
+            if nxt is None:
+                break
+            dec = decode_config(mm, st.after)
+            if dec != nxt:
+                return _finish(rep, t0, "refuted",
+                               f"machine {mm.name} config "
+                               f"'{display_config(c)}' step {k}: "
+                               f"'{display_config(dec)}' vs "
+                               f"'{display_config(nxt)}'")
+            c, term = nxt, st.after
+            total += 1
     rep.lines.append(f"steps compared: {total}")
     if samples < 1:
         return _finish(rep, t0, "unknown", "no configuration sampled")
@@ -228,8 +227,7 @@ def check_srs_bisim(m: Optional[NdTmSpec] = None,
     mm = m if m is not None else gen_nd_machine(rng)
     sys = trs if trs is not None else nd_to_srs(mm)
     if words is None:
-        words = [parse_word("(a)^w", mm.alphabet),
-                 parse_word("ab(ba)^w", mm.alphabet)]
+        words = _fixture_words(mm)
     rep = LawReport("srs-bisim", "holds", seed=seed)
     checked = 0
     for w in words:
@@ -333,15 +331,14 @@ def greedy_order(pos: tuple[int, ...], rid: str) -> tuple:
 
 
 def greedy_cycle_run(trs: Trs, start: Term, fuel: int,
-                     stop_after_firings: Optional[int] = None,
-                     depth_bound: int = 32) -> Trace:
+                     stop_after_firings: Optional[int] = None) -> Trace:
     """Deterministic driver: strategy_steps in greedy_order, never a
     self-loop.  Stops when only self-loops remain, after fuel steps, or
     one step after the requested number of restart firings."""
+    run = strategy_steps(trs, start, DEFAULT_DEPTH_BOUND, greedy_order)
     steps = []
     firings = 0
-    for st in islice(strategy_steps(trs, start, depth_bound, greedy_order),
-                     max(fuel, 0)):
+    for st in islice(run, max(fuel, 0)):
         steps.append(st)
         if st.rule_id == "run":
             firings += 1

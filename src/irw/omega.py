@@ -191,14 +191,12 @@ def _choices(m: NdTmSpec, c: NdConfig) -> list[tuple[tuple[str, str, str], "NdCo
 
 
 class Lasso:
-    __slots__ = ("cycle_start", "cycle_length", "displacement", "window",
-                 "window_syms")
+    __slots__ = ("cycle_start", "cycle_length", "displacement", "window")
 
     def __init__(self, cycle_start: int, cycle_length: int, displacement: int,
-                 window: tuple[int, int], window_syms: tuple[str, ...]):
+                 window: tuple[int, int]):
         self.cycle_start, self.cycle_length = cycle_start, cycle_length
         self.displacement, self.window = displacement, window
-        self.window_syms = window_syms
 
     def __eq__(self, other):
         return other.__class__ is Lasso and all(
@@ -259,20 +257,15 @@ def _validate_lasso(m: NdTmSpec, configs: list[NdConfig],
     d = ck.head - cj.head
     if d < 0 or ck.state != cj.state:
         return None
-    w = cj.word
-    p, cl = len(w.prefix), len(w.cycle)
-    if d == 0:
-        if cj != ck:
-            return None
-        lo = min(c.head for c in configs[j:k + 1]) - cj.head
-        hi = max(c.head for c in configs[j:k + 1]) - cj.head
-        syms = tuple(cj.symbol_at(cj.head + off) for off in range(lo, hi + 1))
-        return Lasso(j, k - j, 0, (lo, hi), syms)
-    if d % cl != 0 or cj.head < p:
+    if d == 0 and cj != ck:
         return None
     touched = [c.head for c in configs[j:k + 1]]
     lo = min(touched) - cj.head
     hi = max(touched) - cj.head
+    if d == 0:
+        return Lasso(j, k - j, d, (lo, hi))
+    if d % len(cj.word.cycle) != 0 or cj.head < len(cj.word.prefix):
+        return None
     if cj.head + lo < 0:
         return None
     for off in range(lo, hi + 1):
@@ -296,8 +289,7 @@ def _validate_lasso(m: NdTmSpec, configs: list[NdConfig],
     for off in range(lo, hi + 1):
         if cur.symbol_at(cur.head + off) != ck.symbol_at(ck.head + off):
             return None
-    syms = tuple(cj.symbol_at(cj.head + off) for off in range(lo, hi + 1))
-    return Lasso(j, k - j, d, (lo, hi), syms)
+    return Lasso(j, k - j, d, (lo, hi))
 
 
 def _path(node) -> tuple[list[NdConfig], list[tuple[str, str, str]]]:

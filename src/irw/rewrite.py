@@ -29,9 +29,9 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from .terms import (
     PositionError, Signature, Symbol, Term, TermError, TermSyntaxError,
-    bisim_equal, canon_key, cyclify, is_finite, is_ground, is_var,
-    _path, _rebuild, _tokenize, parse_term, print_term, replace_at, subterm_at,
-    term_symbols, truncate_prefix, var, variables,
+    bisim_equal, canon_key, cyclify, is_finite, is_ground, is_var, _path,
+    _reachable, _rebuild, _tokenize, parse_term, print_term, replace_at,
+    subterm_at, term_symbols, truncate_prefix, var, variables,
 )
 
 __all__ = [
@@ -40,8 +40,8 @@ __all__ = [
     "NormalizeResult", "ReachResult", "Reachability",
     "DEFAULT_DEPTH_BOUND", "DEFAULT_MAX_EPOCHS", "DEFAULT_FUEL",
     "match", "instantiate", "find_redexes", "apply_step",
-    "is_normal_form", "strategy_steps", "run_strategy", "close_limit",
-    "validate_certificate", "bounded_normalize", "bounded_reach",
+    "is_normal_form", "only_self_loops", "strategy_steps", "run_strategy",
+    "close_limit", "validate_certificate", "bounded_normalize", "bounded_reach",
     "step_reachability", "limit_approximant", "stable_prefix",
     "replay_trace", "parse_trs", "format_trs", "render_trace",
 ]
@@ -304,6 +304,18 @@ def is_normal_form(trs: Trs, t: Term) -> bool:
     return trs._shallowest(t) == _NO_REDEX
 
 
+def only_self_loops(trs: Trs, t: Term) -> bool:
+    """Whether every redex of t, at any depth, is a self-loop: contracting
+    it reproduces t up to bisimilarity.
+
+    Contracting at p replaces t|p by the contractum, which leaves t's
+    unfolding as it was iff the contractum is bisimilar to t|p.  That
+    depends only on the node at p and the rule, so each distinct node of
+    t is tested once, whatever its positions."""
+    return all(canon_key(apply_step(trs, n, (), rid).after) == canon_key(n)
+               for n in _reachable(t) for rid in trs.rules_at(n))
+
+
 # ---------------------------------------------------------------------------
 # Traces and omega-limits
 
@@ -427,8 +439,6 @@ def _try_pump(steps: list[Step], i: int, length: int) -> Optional[Closure]:
     if len(shifted) <= len(base) or shifted[len(shifted) - len(base):] != base:
         return None
     offset = shifted[:len(shifted) - len(base)]
-    if not offset:
-        return None
     for j in range(len(rel) - length):
         if steps[i + j + length].rule_id != steps[i + j].rule_id:
             return None
@@ -927,7 +937,8 @@ def parse_trs(text: str, name: str = "") -> Trs:
 
     `sig` lines are optional; without them, symbols are inferred from
     applied occurrences, and bare identifiers that occur at a lhs root or
-    unbound on a rhs are promoted to constants.  Comments are ignored.
+    unbound on a rhs are promoted to constants everywhere in the file.
+    Comments are ignored.
     """
     sig = Signature()
     rule_lines: list[tuple[str, str, str]] = []
@@ -953,23 +964,21 @@ def parse_trs(text: str, name: str = "") -> Trs:
     for _, lhs, rhs in rule_lines:
         _declare_applied(lhs, sig)
         _declare_applied(rhs, sig)
-    # Promote to constants, rule by rule: a bare lhs, then the rhs
-    # variables the lhs does not bind.  Promotion is global, so a rule is
-    # parsed again when a later rule promoted one of its variables.
-    rules: list[Rule] = []
-    for rid, lhs, rhs in rule_lines:
-        lt, rt = parse_term(lhs, sig), parse_term(rhs, sig)
-        promote = sorted(variables(rt) - variables(lt))
+    # Promote to constants, in rule order: a bare lhs, then the rhs
+    # variables the lhs does not bind.  Promotion holds everywhere in the
+    # file, so every rule is parsed again if anything was promoted.
+    parse = lambda: [(parse_term(lhs, sig), parse_term(rhs, sig))
+                     for _, lhs, rhs in rule_lines]
+    sides, promote = parse(), []
+    for lt, rt in sides:
         if is_var(lt):
-            promote.insert(0, lt.label)
-        for v in promote:
-            sig.declare(Symbol(v, 0))
-        if promote:
-            lt, rt = parse_term(lhs, sig), parse_term(rhs, sig)
-        rules.append(Rule(rid, lt, rt))
-    for k, (rid, lhs, rhs) in enumerate(rule_lines):
-        if any(v in sig for v in variables(rules[k].lhs)):
-            rules[k] = Rule(rid, parse_term(lhs, sig), parse_term(rhs, sig))
+            promote.append(lt.label)
+        promote += sorted(variables(rt) - variables(lt))
+    for v in promote:
+        sig.declare(Symbol(v, 0))
+    if promote:
+        sides = parse()
+    rules = [Rule(rid, *lr) for (rid, _, _), lr in zip(rule_lines, sides)]
     return Trs(sig, rules, name=name, construction=construction)
 
 

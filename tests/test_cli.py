@@ -244,6 +244,36 @@ class TestTrs:
         assert code == 2
         assert "stable-prefix depth: 0" in out and "VERDICT: exhausted" in out
 
+    def test_redex_below_depth_is_unknown_not_looping(self, capsys,
+                                                      pickn_file):
+        # The only redex, pickn, lies at depth 41, below --depth 32: the
+        # trace takes no step, and that proves no loop.
+        term = "ok(" + "S(" * 40 + "pickn" + ")" * 41
+        code, out, _ = run_cli(capsys, "trs", "trace", pickn_file,
+                               "--term", term)
+        assert code == 2
+        assert out.splitlines()[1:] == ["VERDICT: unknown"]
+        code, out, _ = run_cli(capsys, "trs", "trace", pickn_file,
+                               "--term", term, "--depth", "50")
+        assert code == 0 and out.splitlines()[-1] == "VERDICT: closed"
+
+    @pytest.mark.parametrize("rules, term, verdict, code", [
+        ("rule l: f(x) -> f(x)\nrule g: a -> b\n",
+         "f(" * 41 + "a" + ")" * 41, "unknown", 2),
+        ("sig f/1 a/0\nrule l: f(x) -> f(x)\n", "f(a)", "looping", 0),
+        ("sig f/1 a/0\nrule l: f(x) -> f(x)\n",
+         "f(" * 41 + "a" + ")" * 41, "looping", 0),
+        ("sig f/1\nrule l: f(x) -> f(x)\n", "rec X . f(X)", "looping", 0),
+    ], ids=["productive-below-depth", "self-loop", "self-loops-below-depth",
+            "rational"])
+    def test_looping_only_when_every_redex_is_a_self_loop(
+            self, capsys, tmp_path, rules, term, verdict, code):
+        trs_file = tmp_path / "loop.trs"
+        trs_file.write_text(rules)
+        got, out, _ = run_cli(capsys, "trs", "trace", str(trs_file),
+                              "--term", term)
+        assert (got, out.splitlines()[-1]) == (code, f"VERDICT: {verdict}")
+
     def test_reach_exhausted_exit(self, capsys, tm_file, tmp_path):
         out_file = tmp_path / "sp.trs"
         run_cli(capsys, "compile", "Sprime", tm_file("m_acc"), "-o", str(out_file))

@@ -434,6 +434,13 @@ class TestEmission:
         with pytest.raises(EncodeError):
             compile_construction("nosuch", macc)
 
+    def test_unknown_tag_refused_before_missing_machine(self):
+        with pytest.raises(EncodeError, match="unknown construction"):
+            compile_construction("nosuch")
+        with pytest.raises(EncodeError, match="needs a machine"):
+            compile_construction("S")
+        assert len(compile_construction("pickn")[0].rules) == 3
+
     def test_symbols_disjoint_from_cut(self, macc, right):
         for tag, m in [("S", macc), ("R", right)]:
             trs = compile_construction(tag, m)[0]

@@ -280,6 +280,76 @@ class TestLassoStress:
                 assert stats["max_position"] <= 4
 
 
+def _machine(*rows):
+    return parse_machine("machine h\nkind nondet-one-sided\nstates q0 q1\n"
+                         "initial q0\nblank _\nalphabet _ a b\n"
+                         + "".join(f"delta {r}\n" for r in rows) + "end")
+
+
+_RIGHT = ("q0 a -> q0 a R",)
+
+# name: (delta rows, word, configs as (state, head, writes), choices).
+# The configurations are built by hand, so that each candidate reaches one
+# refusal of _validate_lasso with every test before it passed.
+_BAD_LASSOS = {
+    "d<0": (("q0 a -> q0 a L",), "(a)^w",
+            [("q0", 1, {}), ("q0", 0, {})], ["q0 a L"]),
+    "state": (("q0 a -> q1 a R",), "(a)^w",
+              [("q0", 0, {}), ("q1", 1, {})], ["q1 a R"]),
+    "d=0-config": (_RIGHT, "(a)^w",
+                   [("q0", 0, {}), ("q0", 0, {0: "b"})], ["q0 a R"]),
+    "phase-cycle": (_RIGHT, "(ab)^w",
+                    [("q0", 0, {}), ("q0", 1, {})], ["q0 a R"]),
+    "phase-prefix": (_RIGHT, "b(a)^w",
+                     [("q0", 0, {}), ("q0", 1, {})], ["q0 a R"]),
+    "window": (_RIGHT, "(a)^w",
+               [("q0", 0, {}), ("q0", 1, {2: "b"})], ["q0 a R"]),
+    "writes-beyond": (_RIGHT, "(a)^w",
+                      [("q0", 0, {}), ("q0", 1, {5: "b"})], ["q0 a R"]),
+    "illegal-choice": (_RIGHT, "(a)^w",
+                       [("q0", 0, {}), ("q0", 1, {})], ["q0 b R"]),
+    # The choice q0 a R is legal on a and on b from q1; the recorded
+    # middle configuration reads b where the replay reads a.
+    "replayed-read": (("q0 a -> q1 a R", "q1 a -> q0 a R", "q1 b -> q0 a R"),
+                      "(a)^w",
+                      [("q0", 0, {}), ("q1", 1, {1: "b"}), ("q0", 2, {})],
+                      ["q1 a R", "q0 a R"]),
+    "end-state": (("q0 a -> q1 a R",), "(a)^w",
+                  [("q0", 0, {}), ("q0", 1, {})], ["q1 a R"]),
+    "end-head": (("q0 a -> q0 a L",), "(a)^w",
+                 [("q0", 0, {}), ("q0", 1, {})], ["q0 a L"]),
+    # The windows agree, but the replay carries the b one cell ahead.
+    "end-window": (_RIGHT, "(a)^w",
+                   [("q0", 0, {1: "b"}), ("q0", 1, {2: "b"})], ["q0 a R"]),
+}
+
+
+def _candidate(rows, word, configs, choices):
+    w = parse_word(word)
+    return (_machine(*rows), [NdConfig(w, q, h, ws) for q, h, ws in configs],
+            [tuple(ch.split()) for ch in choices])
+
+
+class TestValidateLasso:
+    @pytest.mark.parametrize("rows, word, configs, choices, want", [
+        (_RIGHT, "(a)^w", [("q0", 0, {}), ("q0", 1, {})], ["q0 a R"],
+         (0, 1, 1, (0, 1))),
+        (("q0 a -> q1 a R", "q1 a -> q0 a L"), "(a)^w",
+         [("q0", 0, {}), ("q1", 1, {}), ("q0", 0, {})], ["q1 a R", "q0 a L"],
+         (0, 2, 0, (0, 1))),
+    ], ids=["drift", "bounce"])
+    def test_certified(self, rows, word, configs, choices, want):
+        from irw.omega import Lasso, _validate_lasso
+        m, cs, chs = _candidate(rows, word, configs, choices)
+        assert _validate_lasso(m, cs, chs, 0, len(cs) - 1) == Lasso(*want)
+
+    @pytest.mark.parametrize("name", list(_BAD_LASSOS))
+    def test_refused(self, name):
+        from irw.omega import _validate_lasso
+        m, cs, chs = _candidate(*_BAD_LASSOS[name])
+        assert _validate_lasso(m, cs, chs, 0, len(cs) - 1) is None
+
+
 def reference_steps(m, c):
     """Successors straight from the delta table, each on a fresh overlay
     with every cell that holds its base symbol filtered out; it shares no

@@ -9,7 +9,8 @@ from irw.encode import build_R, build_S_prime, pickn_trs, tm_to_trs
 from irw.laws import greedy_cycle_run
 from irw.machines import load_fixture
 from irw.rewrite import (
-    Closure, Epoch, NoMatchError, PumpCertificate, Rule, Trs, TrsError, apply_step,
+    Closure, Epoch, NoMatchError, PumpCertificate, Rule, Step, Trace, Trs,
+    TrsError, apply_step,
     bounded_normalize, bounded_reach, canon_key, close_limit, find_redexes,
     format_trs, instantiate, is_normal_form, limit_approximant, match,
     parse_trs,
@@ -326,6 +327,44 @@ class TestCloseLimit:
         assert not validate_certificate(Epoch(tuple(steps), bad))
 
 
+def _two_step_trace():
+    """f(a, a) -> f(b, a) -> f(b, b) with r1, where r2 also rewrites a."""
+    trs = parse_trs("sig f/2 a/0 b/0 c/0\nrule r1: a -> b\nrule r2: a -> c\n")
+    s1 = apply_step(trs, T(trs, "f(a, a)"), (1,), "r1")
+    s2 = apply_step(trs, s1.after, (2,), "r1")
+    return trs, [s1, s2]
+
+
+class TestReplay:
+    def test_genuine_trace_replays(self):
+        trs, steps = _two_step_trace()
+        assert replay_trace(trs, Trace(steps[0].before, (Epoch(tuple(steps)),)))
+
+    @pytest.mark.parametrize("k, field, text", [
+        (1, "before", "f(c, a)"),   # the step still applies where it ran
+        (1, "after", "f(b, c)"),    # the trace's last term
+        (0, "position", (2,)),      # r1 rewrites the other a
+        (0, "rule_id", "r2"),       # r2 rewrites the same a to c
+    ])
+    def test_tampered_step_refused(self, k, field, text):
+        trs, steps = _two_step_trace()
+        fields = {f: getattr(steps[k], f) for f in Step.__slots__}
+        fields[field] = T(trs, text) if field in ("before", "after") else text
+        steps[k] = Step(**fields)
+        trace = Trace(T(trs, "f(a, a)"), (Epoch(tuple(steps)),))
+        assert not replay_trace(trs, trace)
+
+    def test_closure_that_does_not_revalidate_refused(self, xi_only):
+        run = run_strategy(xi_only, T(xi_only, "xi"), fuel=5)
+        steps = tuple(run.trace.all_steps)
+        good = close_limit(steps).closure
+        assert replay_trace(xi_only, Trace(run.trace.start,
+                                           (Epoch(steps, good),)))
+        wrong = Closure(T(xi_only, "rec X . b(X)"), good.certificate)
+        assert not replay_trace(xi_only, Trace(run.trace.start,
+                                               (Epoch(steps, wrong),)))
+
+
 class TestSearch:
     def test_normalize_pickn_one_step(self, pickn):
         res = bounded_normalize(pickn, T(pickn, "pickn"), fuel=10)
@@ -574,6 +613,110 @@ class TestTrsFiles:
         out = render_trace(res.trace)
         assert "omega-limit:" in out
         assert "w+0" in out or "w*2+0" in out
+
+
+def _reference_parse_trs(text):
+    """parse_trs with the promotion loop it had before its one promotion
+    pass: rule by rule, each rule parsed after the promotions of the rules
+    before it, then again any rule whose lhs holds a name that a later
+    rule promoted.  The differential reference for TestPromotion."""
+    from irw.rewrite import _RULE_RE, _SIG_ITEM_RE, _declare_applied
+    from irw.terms import TermSyntaxError, is_var, variables
+    sig, rule_lines = Signature(), []
+    for ln, raw in enumerate(text.splitlines(), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("sig"):
+            for nm, ar in _SIG_ITEM_RE.findall(line[3:]):
+                sig.declare(Symbol(nm, int(ar)))
+            continue
+        m = _RULE_RE.match(line)
+        if not m:
+            raise TermSyntaxError(f"bad TRS line: {raw!r}", ln, 1)
+        rule_lines.append((m.group("rid"), m.group("lhs"), m.group("rhs")))
+    for _, lhs, rhs in rule_lines:
+        _declare_applied(lhs, sig)
+        _declare_applied(rhs, sig)
+    rules = []
+    for rid, lhs, rhs in rule_lines:
+        lt, rt = parse_term(lhs, sig), parse_term(rhs, sig)
+        promote = sorted(variables(rt) - variables(lt))
+        if is_var(lt):
+            promote.insert(0, lt.label)
+        for v in promote:
+            sig.declare(Symbol(v, 0))
+        if promote:
+            lt, rt = parse_term(lhs, sig), parse_term(rhs, sig)
+        rules.append(Rule(rid, lt, rt))
+    for k, (rid, lhs, rhs) in enumerate(rule_lines):
+        if any(v in sig for v in variables(rules[k].lhs)):
+            rules[k] = Rule(rid, parse_term(lhs, sig), parse_term(rhs, sig))
+    return Trs(sig, rules)
+
+
+def _parsed(parse, text):
+    """The signature in declaration order and the rules, printed and as
+    canonical ids (which tell a variable from a constant), or None when
+    the file is refused with a TermError."""
+    from irw.terms import TermError
+    try:
+        trs = parse(text)
+    except TermError:
+        return None
+    return ([repr(s) for s in trs.sig],
+            [(r.rid, print_term(r.lhs), print_term(r.rhs),
+              canon_key(r.lhs), canon_key(r.rhs)) for r in trs.rules])
+
+
+@st.composite
+def _rule_files(draw):
+    """Small rule files, mostly sig-less: applied and bare identifiers,
+    primed names and rec binders, sometimes under a partial sig line.
+    Each name keeps one arity in a file, but for a rare clash; x and y
+    are always bare."""
+    arity = {n: draw(st.integers(0, 2)) for n in ["f", "g", "a", "k'"]}
+    arity.update(x=0, y=0)
+
+    def term(depth):
+        pool = sorted(n for n in arity if depth < 2 or arity[n] == 0)
+        name = draw(st.sampled_from(pool))
+        kind = draw(st.integers(0, 39))   # Hypothesis favours the ends
+        if kind == 17:   # a rule side must be finite: refused
+            return f"rec X . {name}(X)"
+        n = draw(st.integers(0, 2)) if kind == 23 else arity[name]
+        if n == 0:
+            return name
+        return f"{name}({', '.join(term(depth + 1) for _ in range(n))})"
+
+    lines = []
+    if draw(st.integers(0, 3)) == 0:
+        decls = draw(st.lists(st.sampled_from(sorted(arity)), max_size=3,
+                              unique=True))
+        lines.append("sig " + " ".join(f"{n}/{arity[n]}" for n in decls))
+    for i in range(draw(st.integers(1, 4))):
+        lines.append(f"rule r{i}: {term(0)} -> {term(0)}")
+    return "\n".join(lines) + "\n"
+
+
+class TestPromotion:
+    def test_later_rule_promotes_an_earlier_lhs_variable(self):
+        text = "rule a: f(x) -> x\nrule b: g(y) -> x\n"
+        trs = parse_trs(text)
+        assert [repr(s) for s in trs.sig] == ["f/1", "g/1", "x/0"]
+        assert trs.rule("a").lhs.children[0].label == Symbol("x", 0)
+        assert print_term(trs.rule("b").lhs) == "g(y)"
+        assert _parsed(parse_trs, text) == _parsed(_reference_parse_trs, text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_rule_files())
+    @example("rule a: f(x) -> x\nrule b: g(y) -> x\n")
+    @example("rule a: k' -> f(y)\nrule b: f(y) -> k'\n")
+    @example("sig f/1\nrule a: f(a) -> rec X . f(X)\n")
+    def test_same_as_the_rule_by_rule_loop(self, text):
+        # A file with two faults may be refused for the other one; an
+        # accepted file gives the same signature, in order, and rules.
+        assert _parsed(parse_trs, text) == _parsed(_reference_parse_trs, text)
 
 
 class TestPumpStress:

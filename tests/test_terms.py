@@ -608,7 +608,7 @@ class TestIdsAtBirth:
             instantiate(P("f(x, a(x))"), {"x": P("b(T)")}),
             truncate_prefix(P("rec X . a(X)"), 3),
             cyclify(P("a(b(pickn))"), (1, 1)),
-            phi(parse_word("ab(ba)^w")),
+            phi(parse_word("ab(ba)^w"), SIG),
         ]
         for t in built:
             assert _all_settled(t), print_term(t)
