@@ -377,6 +377,7 @@ def check_restart_cycle(m: TmSpec, firings: int = 5,
                        f"unexpected T-producing rules {producers}")
     reach = step_reachability(sys, start, fuel=min(fuel, 1000))
     # Product walk: can any explored path fire the restart rule twice?
+    # Counts stop at 2, so a cycle through a firing ends the walk.
     adj: dict[int, list[tuple[int, str]]] = {}
     for a, b, rid in reach.edges:
         adj.setdefault(a, []).append((b, rid))
@@ -386,7 +387,7 @@ def check_restart_cycle(m: TmSpec, firings: int = 5,
     while q:
         k = q.popleft()
         for b, rid in adj.get(k, ()):
-            f = best[k] + (1 if rid == "run" else 0)
+            f = min(best[k] + (1 if rid == "run" else 0), 2)
             if f > best.get(b, -1):
                 best[b] = f
                 q.append(b)

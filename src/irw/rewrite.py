@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .terms import (
     PositionError, Signature, Symbol, Term, TermError, TermSyntaxError,
     bisim_equal, canon_key, cyclify, is_finite, is_ground, is_var, _path,
-    _reachable, _rebuild, _tokenize, parse_term, print_term, replace_at,
+    _parse, _reachable, _rebuild, parse_term, print_term, replace_at,
     subterm_at, term_symbols, truncate_prefix, var, variables,
 )
 
@@ -119,12 +119,6 @@ class Trs:
             return self._by_id[rid]
         except KeyError:
             raise TrsError(f"no rule named {rid!r}") from None
-
-    def __iter__(self) -> Iterator[Rule]:
-        return iter(self.rules)
-
-    def __len__(self) -> int:
-        return len(self.rules)
 
     def rules_at(self, node: Term) -> tuple[str, ...]:
         """Ids of the rules whose lhs matches at node, in rule order."""
@@ -902,7 +896,10 @@ def replay_trace(trs: Trs, trace: Trace) -> bool:
         for st in ep.steps:
             if not bisim_equal(cur, st.before):
                 return False
-            redo = apply_step(trs, cur, st.position, st.rule_id)
+            try:
+                redo = apply_step(trs, cur, st.position, st.rule_id)
+            except TermError:  # no such rule, position or match
+                return False
             if not bisim_equal(redo.after, st.after):
                 return False
             cur = st.after
@@ -935,10 +932,11 @@ _SIG_ITEM_RE = re.compile(r"([A-Za-z0-9_][A-Za-z0-9_']*)/(\d+)")
 def parse_trs(text: str, name: str = "") -> Trs:
     """Parse the TRS file format.
 
-    `sig` lines are optional; without them, symbols are inferred from
-    applied occurrences, and bare identifiers that occur at a lhs root or
-    unbound on a rhs are promoted to constants everywhere in the file.
-    Comments are ignored.
+    A `sig` line declares `name/arity` items and nothing else.  `sig` lines
+    are optional; without them, each applied identifier is declared with
+    the arity of its first use, in order of first use, and bare
+    identifiers that occur at a lhs root or unbound on a rhs are promoted
+    to constants everywhere in the file.  Comments are ignored.
     """
     sig = Signature()
     rule_lines: list[tuple[str, str, str]] = []
@@ -952,55 +950,39 @@ def parse_trs(text: str, name: str = "") -> Trs:
             if m:
                 construction = m.group(1)
             continue
-        if line.startswith("sig"):
-            body = line[3:]
-            for nm, ar in _SIG_ITEM_RE.findall(body):
-                sig.declare(Symbol(nm, int(ar)))
+        words = list(re.finditer(r"\S+", raw.partition("#")[0]))
+        if words[0][0] == "sig":
+            for w in words[1:]:
+                m = _SIG_ITEM_RE.fullmatch(w[0])
+                if m is None:
+                    raise TermSyntaxError(
+                        f"bad sig item {w[0]!r}, expected name/arity", ln,
+                        w.start() + 1)
+                sig.declare(Symbol(m[1], int(m[2])))
             continue
         m = _RULE_RE.match(line)
         if not m:
             raise TermSyntaxError(f"bad TRS line: {raw!r}", ln, 1)
         rule_lines.append((m.group("rid"), m.group("lhs"), m.group("rhs")))
-    for _, lhs, rhs in rule_lines:
-        _declare_applied(lhs, sig)
-        _declare_applied(rhs, sig)
-    # Promote to constants, in rule order: a bare lhs, then the rhs
-    # variables the lhs does not bind.  Promotion holds everywhere in the
-    # file, so every rule is parsed again if anything was promoted.
-    parse = lambda: [(parse_term(lhs, sig), parse_term(rhs, sig))
-                     for _, lhs, rhs in rule_lines]
-    sides, promote = parse(), []
+    # Read every rule once, declaring the applied symbols that sig lacks,
+    # then promote to constants, in rule order: a bare lhs, then the rhs
+    # variables the lhs does not bind.  Both hold everywhere in the file,
+    # so every rule is read again if anything was declared.
+    found: dict[str, int] = {}
+    sides = [(_parse(lhs, sig, False, found), _parse(rhs, sig, False, found))
+             for _, lhs, rhs in rule_lines]
+    promote = []
     for lt, rt in sides:
         if is_var(lt):
             promote.append(lt.label)
         promote += sorted(variables(rt) - variables(lt))
-    for v in promote:
-        sig.declare(Symbol(v, 0))
-    if promote:
-        sides = parse()
+    for nm, arity in [*found.items(), *((v, 0) for v in promote)]:
+        sig.declare(Symbol(nm, arity))
+    if found or promote:
+        sides = [(parse_term(lhs, sig), parse_term(rhs, sig))
+                 for _, lhs, rhs in rule_lines]
     rules = [Rule(rid, *lr) for (rid, _, _), lr in zip(rule_lines, sides)]
     return Trs(sig, rules, name=name, construction=construction)
-
-
-def _declare_applied(side: str, sig: Signature) -> None:
-    """Declare each undeclared applied symbol of a rule side with the
-    number of arguments it is applied to, reading the parser's tokens."""
-    toks = _tokenize(side)
-    for k, (kind, name, _, _) in enumerate(toks[:-1]):
-        if kind != "ident" or toks[k + 1][1] != "(" or name == "rec" \
-                or name in sig:
-            continue
-        depth, arity = 0, 1
-        for _, tok, _, _ in toks[k + 2:]:
-            if tok == "(":
-                depth += 1
-            elif tok == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif tok == "," and depth == 0:
-                arity += 1
-        sig.declare(Symbol(name, arity))
 
 
 def _ordinal(epoch: int, i: int) -> str:

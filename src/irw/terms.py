@@ -138,14 +138,6 @@ class Signature:
     def __iter__(self) -> Iterator[Symbol]:
         return iter(self._by_name.values())
 
-    def __len__(self) -> int:
-        return len(self._by_name)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Signature):
-            return NotImplemented
-        return self._by_name == other._by_name
-
     def merged(self, other: "Signature") -> "Signature":
         sig = Signature(self)
         for s in other:
@@ -576,94 +568,109 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
     return toks
 
 
-class _Parser:
-    def __init__(self, text: str, sig: Signature, ground: bool):
-        self.toks = _tokenize(text)
-        self.pos = 0
-        self.sig = sig
-        self.ground = ground
-        self.scopes: list[tuple[str, Term]] = []
-        self.pending: set[int] = set()
+def _parse(text: str, sig: Signature, ground: bool,
+           found: Optional[dict[str, int]]) -> Term:
+    """The one reader of the grammar, on its own stack of open applications
+    and binders, so that depth costs no recursion.  Given a dict ``found``,
+    an applied name that sig lacks is not refused: the argument count of
+    its first use goes into found, in order of first use, and a later bare
+    use is refused."""
+    toks, i = _tokenize(text), 0
+    end = toks[-1][2:] if toks else (1, 1)  # where "unexpected end" points
 
-    def peek(self):
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
+    def take():
+        nonlocal i
+        if i == len(toks):
+            raise TermSyntaxError("unexpected end of input", *end)
+        i += 1
+        return toks[i - 1]
 
-    def take(self):
-        t = self.peek()
-        if t is None:
-            last = self.toks[-1] if self.toks else ("", "", 1, 1)
-            raise TermSyntaxError("unexpected end of input", last[2], last[3])
-        self.pos += 1
-        return t
-
-    def expect(self, text: str):
-        kind, tok, line, col = self.take()
-        if tok != text:
-            raise TermSyntaxError(f"expected {text!r}, found {tok!r}", line, col)
-
-    def term(self) -> Term:
-        kind, tok, line, col = self.take()
+    # An open application is (symbol, args, line, col, first), where a
+    # symbol that sig lacks is its name; an open binder is (name, hole,
+    # line, col).  Only an open binder's hole has no label.
+    frames: list = []
+    scopes: list[tuple[str, Term]] = []   # the open binders, innermost last
+    while True:
+        kind, tok, line, col = take()
         if kind != "ident":
             raise TermSyntaxError(f"expected a term, found {tok!r}", line, col)
         if tok == "rec":
-            return self.rec(line, col)
-        nxt = self.peek()
-        if nxt is not None and nxt[1] == "(":
-            sym = self.sig.get(tok)
+            kind, name, l2, c2 = take()
+            if kind != "ident" or not _UPPER_RE.fullmatch(name):
+                raise TermSyntaxError("'rec' binder must be an uppercase "
+                                      f"identifier, found {name!r}", l2, c2)
+            if name in sig:
+                raise TermSyntaxError(f"'rec' binder {name!r} collides with "
+                                      "a declared symbol", l2, c2)
+            _, dot, l2, c2 = take()
+            if dot != ".":
+                raise TermSyntaxError(f"expected '.', found {dot!r}", l2, c2)
+            scopes.append((name, Term(None, ())))
+            frames.append((*scopes[-1], line, col))
+            continue
+        if i < len(toks) and toks[i][1] == "(":
+            i += 1
+            sym, first = sig.get(tok), False
             if sym is None:
-                raise TermSyntaxError(f"unknown symbol {tok!r}", line, col)
-            self.take()
-            args = [self.term()]
-            while True:
-                k2, t2, l2, c2 = self.take()
-                if t2 == ")":
-                    break
-                if t2 != ",":
-                    raise TermSyntaxError(f"expected ',' or ')', found {t2!r}", l2, c2)
-                args.append(self.term())
-            if len(args) != sym.arity:
+                if found is None:
+                    raise TermSyntaxError(f"unknown symbol {tok!r}", line, col)
+                sym, first = tok, tok not in found
+                if first:
+                    found[tok] = 0  # its place; its arity comes at ")"
+            frames.append((sym, [], line, col, first))
+            continue
+        t = next((h for name, h in reversed(scopes) if name == tok), None)
+        if t is None:
+            sym = sig.get(tok)
+            arity = sym.arity if sym is not None else (found or {}).get(tok)
+            if arity:
+                raise TermSyntaxError(f"{tok} expects {arity} arguments, got 0",
+                                      line, col)
+            if sym is not None:
+                t = Term(sym, ())
+            elif _UPPER_RE.fullmatch(tok):
+                raise TermSyntaxError(f"unbound recursion variable {tok!r}",
+                                      line, col)
+            elif ground:
                 raise TermSyntaxError(
-                    f"{sym.name} expects {sym.arity} arguments, got {len(args)}",
-                    line, col)
-            return Term(sym, tuple(args))
-        for name, node in reversed(self.scopes):
-            if name == tok:
-                return node
-        sym = self.sig.get(tok)
-        if sym is not None:
-            if sym.arity != 0:
-                raise TermSyntaxError(
-                    f"{sym.name} expects {sym.arity} arguments, got 0", line, col)
-            return Term(sym, ())
-        if _UPPER_RE.fullmatch(tok):
-            raise TermSyntaxError(f"unbound recursion variable {tok!r}", line, col)
-        if self.ground:
-            raise TermSyntaxError(
-                f"variable {tok!r} not allowed in a ground term", line, col)
-        return var(tok)
-
-    def rec(self, line: int, col: int) -> Term:
-        kind, name, l2, c2 = self.take()
-        if kind != "ident" or not _UPPER_RE.fullmatch(name):
-            raise TermSyntaxError(
-                f"'rec' binder must be an uppercase identifier, found {name!r}",
-                l2, c2)
-        if name in self.sig:
-            raise TermSyntaxError(
-                f"'rec' binder {name!r} collides with a declared symbol", l2, c2)
-        self.expect(".")
-        hole = Term(None, ())
-        self.pending.add(id(hole))
-        self.scopes.append((name, hole))
-        body = self.term()
-        self.scopes.pop()
-        if id(body) in self.pending:
-            raise TermSyntaxError(f"unguarded recursion for {name!r}", line, col)
-        self.pending.discard(id(hole))
-        hole._patch(body.label, body.children)
-        if not self.pending:  # the outermost knot is tied
-            canon_key(hole)
-        return hole
+                    f"variable {tok!r} not allowed in a ground term", line, col)
+            else:
+                t = var(tok)
+        # t is whole: close what it completes, until an application wants
+        # another argument or nothing is open.  A leaf is built when read,
+        # an application at its ")", a knot's ids when the outermost is tied.
+        while frames:
+            if len(frames[-1]) == 4:
+                name, hole, l2, c2 = frames.pop()
+                scopes.pop()
+                if t.label is None:
+                    raise TermSyntaxError(f"unguarded recursion for {name!r}", l2, c2)
+                hole._patch(t.label, t.children)
+                if not scopes:
+                    canon_key(hole)
+                t = hole
+                continue
+            sym, args, l2, c2, first = frames[-1]
+            args.append(t)
+            _, sep, l3, c3 = take()
+            if sep == ",":
+                break
+            if sep != ")":
+                raise TermSyntaxError(f"expected ',' or ')', found {sep!r}", l3, c3)
+            frames.pop()
+            if sym.__class__ is str:
+                if first:
+                    found[sym] = len(args)
+                sym = Symbol(sym, len(args))
+            elif len(args) != sym.arity:
+                raise TermSyntaxError(f"{sym.name} expects {sym.arity} "
+                                      f"arguments, got {len(args)}", l2, c2)
+            t = Term(sym, tuple(args))
+        else:
+            if i < len(toks):
+                _, tok, line, col = toks[i]
+                raise TermSyntaxError(f"trailing input {tok!r}", line, col)
+            return t
 
 
 def parse_term(text: str, sig: Signature, ground: bool = False) -> Term:
@@ -672,12 +679,7 @@ def parse_term(text: str, sig: Signature, ground: bool = False) -> Term:
     With ``ground=True`` undeclared identifiers are rejected instead of
     being read as variables.
     """
-    p = _Parser(text, sig, ground)
-    t = p.term()
-    left = p.peek()
-    if left is not None:
-        raise TermSyntaxError(f"trailing input {left[1]!r}", left[2], left[3])
-    return t
+    return _parse(text, sig, ground, None)
 
 
 def _binder_nodes(t: Term) -> set[int]:

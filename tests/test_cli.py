@@ -226,6 +226,23 @@ class TestTrs:
         assert out.splitlines()[-1] == "VERDICT: normal-form"
         assert len(out.splitlines()) == int(fuel) + 2
 
+    def test_show_terms_follows_each_step_with_its_after_term(
+            self, capsys, pickn_file):
+        from irw.rewrite import parse_trs, run_strategy
+        from irw.terms import parse_term, print_term
+        code, out, _ = run_cli(capsys, "trs", "trace", pickn_file, "--term",
+                               "pickn", "--fuel", "4", "--show-terms")
+        trs = parse_trs(Path(pickn_file).read_text())
+        run = run_strategy(trs, parse_term("pickn", trs.sig), fuel=4)
+        want = []
+        for k, st in enumerate(run.trace.all_steps):
+            where = ".".join(map(str, st.position)) or "root"
+            want += [f"{k} @{where} {st.rule_id}", f"    {print_term(st.after)}"]
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "start: pickn"
+        assert lines[1:1 + len(want)] == want and len(want) == 8
+        assert want[-1] == "    c(c(c(c(pickn))))"
+
     def test_trace_without_reentry_does_not_close(self, capsys, tmp_path):
         # Each step wraps k at a deeper position, but the s run it eats is
         # finite: the trace reaches a normal form, never a limit.

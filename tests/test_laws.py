@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from irw import laws
 from irw.encode import (
     EncodeWarning, build_S, build_S_prime, nd_to_srs, phi, tm_to_trs,
 )
@@ -17,7 +18,7 @@ from irw.omega import NdConfig, nd_steps, parse_word
 from irw.rewrite import (
     Epoch, Rule, Trace, Trs, apply_step, canon_key, find_redexes,
 )
-from irw.terms import app, var
+from irw.terms import app, parse_term, var
 from irw.turing import TmSpec
 
 
@@ -336,3 +337,106 @@ class TestWitnessReplay:
         nxt = tm_step(macc, c)
         st = apply_step(bad, term, *find_redexes(bad, term, 0)[0])
         assert decode_config(macc, st.after) != nxt
+
+
+def _altered(trs, drop=(), add=()):
+    """trs without the rules named in drop, plus the rules (id, lhs, rhs)
+    of add, read over its signature."""
+    rules = [r for r in trs.rules if r.rid not in drop]
+    rules += [Rule(rid, parse_term(lhs, trs.sig), parse_term(rhs, trs.sig))
+              for rid, lhs, rhs in add]
+    return Trs(trs.sig, rules, name=trs.name, construction=trs.construction)
+
+
+class TestRefutedReturns:
+    """Each law's refuted returns, driven by a corrupted system; the same
+    call on the system as built holds."""
+
+    def test_two_sided_bisim_one_side_halted(self, macc):
+        good = tm_to_trs(macc)
+        assert check_two_sided_bisim(macc, trs=good).verdict == "holds"
+        rep = check_two_sided_bisim(macc, trs=good.without("q0.S.R"))
+        assert (rep.verdict, rep.witness) == (
+            "refuted", "machine m_acc config 'q0 S 0 0' step 0: one side halted")
+
+    @pytest.mark.parametrize("corrupt, witness", [
+        (mutate_first_write, "off-shape reduct ok(c(end))"),
+        (lambda trs: _altered(trs, add=[("short", "pickn", "ok(S(0(end)))")]),
+         "n=1: shortest 1 != 3"),
+    ], ids=["off-shape", "distance"])
+    def test_pickn(self, monkeypatch, corrupt, witness):
+        assert check_pickn(5).verdict == "holds"
+        built = laws.pickn_trs
+        monkeypatch.setattr(laws, "pickn_trs", lambda: corrupt(built()))
+        rep = check_pickn(5)
+        assert (rep.verdict, rep.witness) == ("refuted", witness)
+
+    @pytest.mark.parametrize("drop, add, witness", [
+        ((), [("forge", "q0(x, y)", "T")],
+         "unexpected T-producing rules ['forge']"),
+        # The restart keeps T, so it fires again and again, on a cycle.
+        (("run",), [("run", "run(T, ok(x), ok(y))", "run(T, ok(y), pickn)")],
+         "a path with 2 firings exists"),
+    ], ids=["T-producer", "two-firings"])
+    def test_restart_cycle(self, monkeypatch, mrej, drop, add, witness):
+        assert check_restart_cycle(mrej).verdict == "holds"
+        built = laws.build_S
+        monkeypatch.setattr(laws, "build_S", lambda m: (
+            _altered(built(m)[0], drop, add), built(m)[1]))
+        rep = check_restart_cycle(mrej)
+        assert (rep.verdict, rep.witness) == ("refuted", witness)
+
+    @pytest.mark.parametrize("drop, add, witness", [
+        (("run",), [("run", "run(T, ok(x), ok(y))",
+                     "peb(run(T, ok(y), pickn))")],
+         "2 firings without halt rules"),
+        (("run.loop",), [("run.loop", "run(x, y, z)", "run(x, z, y)")],
+         "self-loop rule changed the reachable set"),
+    ], ids=["two-firings", "reachable-set"])
+    def test_pebbled_reach(self, monkeypatch, mrej, drop, add, witness):
+        assert check_pebbled_reach(mrej).verdict == "holds"
+        built = laws.build_S_prime
+        monkeypatch.setattr(laws, "build_S_prime", lambda m: (
+            _altered(built(m)[0], drop, add), built(m)[1]))
+        rep = check_pebbled_reach(mrej)
+        assert (rep.verdict, rep.witness) == ("refuted", witness)
+
+    def test_norm_probe_as_built(self, monkeypatch, right, pong):
+        # Only the designated term of the positive corpus, here and in
+        # test_norm_probe: the refutations lie on the negative side.
+        monkeypatch.setattr(laws, "_depth3_corpus", lambda *args: [])
+        assert check_norm_probe(right, pong).verdict == "holds"
+
+    @pytest.mark.parametrize("drop, add, witness", [
+        ((), [("forge", "run(x, y, z, w)", "bot")],
+         "negative designated term normalized to bot"),
+        ((), [("drop", "q0(x)", "end")], "state-and-bot-free reduct end"),
+        (("q0.bot", "q1.bot"), [("gen", "xi", "q1(end)")],
+         "generator reduct contains state/bot: q1(end)"),
+    ], ids=["normalized", "state-free", "generator"])
+    def test_norm_probe(self, monkeypatch, right, pong, drop, add, witness):
+        monkeypatch.setattr(laws, "_depth3_corpus", lambda *args: [])
+        built = laws.build_R
+        monkeypatch.setattr(laws, "build_R", lambda m, **kw: (
+            _altered(built(m, **kw), drop, add) if m is pong
+            else built(m, **kw)))
+        rep = check_norm_probe(right, pong)
+        assert (rep.verdict, rep.witness) == ("refuted", witness)
+
+    @pytest.mark.parametrize("machine, rules, witness", [
+        ("nd_right", [("loop", "q0(x)", "q0(x)")],
+         "accepted word but no closure found"),
+        ("nd_right", [], "limit is not a ground tape term: [q0/1]"),
+        ("nd_pong", [],
+         "rejected word but head term normalized to q0(rec X . a(X))"),
+        ("nd_pong", [("ab", "a(x)", "b(x)"), ("ba", "b(x)", "a(x)")],
+         "rewrite activity left depth 3 unexpectedly"),
+    ], ids=["no-closure", "not-a-tape", "rejected-normalized", "depth"])
+    def test_limit_correspondence(self, monkeypatch, machine, rules, witness):
+        m, w = load_fixture(machine), parse_word("(a)^w")
+        assert check_limit_correspondence(m, w).verdict == "holds"
+        built = laws.nd_to_srs
+        monkeypatch.setattr(laws, "nd_to_srs", lambda m: _altered(
+            built(m), [r.rid for r in built(m).rules], rules))
+        rep = check_limit_correspondence(m, w)
+        assert (rep.verdict, rep.witness) == ("refuted", witness)

@@ -18,8 +18,8 @@ from irw.rewrite import (
     step_reachability, validate_certificate,
 )
 from irw.terms import (
-    PositionError, Signature, Symbol, Term, app, bisim_equal, parse_term,
-    print_term, replace_at, subterm_at, var,
+    PositionError, Signature, Symbol, Term, TermSyntaxError, app,
+    bisim_equal, parse_term, print_term, replace_at, subterm_at, var,
 )
 
 
@@ -354,6 +354,18 @@ class TestReplay:
         trace = Trace(T(trs, "f(a, a)"), (Epoch(tuple(steps)),))
         assert not replay_trace(trs, trace)
 
+    @pytest.mark.parametrize("position, rid", [
+        ((2,), "r1"),       # r1 does not match b
+        ((1,), "nosuch"),   # no rule of that name
+        ((3,), "r1"),       # no third argument
+    ], ids=["no-match", "no-rule", "no-position"])
+    def test_step_that_cannot_apply_refused(self, position, rid):
+        # Refused with False, not raised: the step's own apply fails.
+        trs = parse_trs("sig f/2 a/0 b/0\nrule r1: a -> b\n")
+        start = T(trs, "f(a, b)")
+        step = Step(position, rid, start, T(trs, "f(b, b)"))
+        assert not replay_trace(trs, Trace(start, (Epoch((step,)),)))
+
     def test_closure_that_does_not_revalidate_refused(self, xi_only):
         run = run_strategy(xi_only, T(xi_only, "xi"), fuel=5)
         steps = tuple(run.trace.all_steps)
@@ -592,6 +604,30 @@ class TestTrsFiles:
         with pytest.raises(Exception):
             parse_trs("rule broken pickn -> ok\n")
 
+    def test_sig_comment_declares_nothing(self):
+        trs = parse_trs("sig f/1 # was g/2\nrule r: f(x) -> x\n")
+        assert [repr(s) for s in trs.sig] == ["f/1"]
+
+    def test_sigless_declares_in_order_of_first_use(self):
+        # The outer f is used first, with one argument; nested, the inner
+        # use with two is refused against it, as is a bare use later.
+        trs = parse_trs("rule r: g(h(x), k(x, y)) -> h(k(y, x))\n"
+                        "rule s: h(x) -> g(x, x)\n")
+        assert [repr(s) for s in trs.sig] == ["g/2", "h/1", "k/2"]
+        with pytest.raises(TermSyntaxError, match="f expects 1 arguments, got 2"):
+            parse_trs("rule r: f(f(x, x)) -> x\n")
+        with pytest.raises(TermSyntaxError, match="f expects 1 arguments, got 0"):
+            parse_trs("rule r: f(x) -> x\nrule s: g(x) -> f\n")
+
+    def test_deep_sigless_rule(self):
+        n = 10 ** 4
+        trs = parse_trs(f"rule r: {'S(' * n}x{')' * n} -> x\n")
+        assert [repr(s) for s in trs.sig] == ["S/1"]
+        node, depth = trs.rule("r").lhs, 0
+        while node.children:
+            node, depth = node.children[0], depth + 1
+        assert (node.label, depth) == ("x", n)
+
     def test_ten_rhs_constants_without_sig(self):
         text = "".join(f"rule r{i}: f(x) -> k{i}\n" for i in range(10))
         trs = parse_trs(text)
@@ -620,7 +656,7 @@ def _reference_parse_trs(text):
     pass: rule by rule, each rule parsed after the promotions of the rules
     before it, then again any rule whose lhs holds a name that a later
     rule promoted.  The differential reference for TestPromotion."""
-    from irw.rewrite import _RULE_RE, _SIG_ITEM_RE, _declare_applied
+    from irw.rewrite import _RULE_RE, _SIG_ITEM_RE
     from irw.terms import TermSyntaxError, is_var, variables
     sig, rule_lines = Signature(), []
     for ln, raw in enumerate(text.splitlines(), 1):
@@ -653,6 +689,30 @@ def _reference_parse_trs(text):
         if any(v in sig for v in variables(rules[k].lhs)):
             rules[k] = Rule(rid, parse_term(lhs, sig), parse_term(rhs, sig))
     return Trs(sig, rules)
+
+
+def _declare_applied(side, sig):
+    """The token scan parse_trs read a sig-less file with before the
+    parser recorded applied symbols itself: declare each undeclared
+    applied symbol of a rule side with the number of arguments it is
+    applied to.  Kept here for _reference_parse_trs."""
+    from irw.terms import _tokenize
+    toks = _tokenize(side)
+    for k, (kind, name, _, _) in enumerate(toks[:-1]):
+        if kind != "ident" or toks[k + 1][1] != "(" or name == "rec" \
+                or name in sig:
+            continue
+        depth, arity = 0, 1
+        for _, tok, _, _ in toks[k + 2:]:
+            if tok == "(":
+                depth += 1
+            elif tok == ")":
+                if depth == 0:
+                    break
+                depth -= 1
+            elif tok == "," and depth == 0:
+                arity += 1
+        sig.declare(Symbol(name, arity))
 
 
 def _parsed(parse, text):

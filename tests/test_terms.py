@@ -124,6 +124,24 @@ class TestParse:
         with pytest.raises(TermSyntaxError, match="collides"):
             P("rec T . peb(T)")
 
+    def test_deep(self):
+        # The parser keeps its own stack, so depth 10^4 needs no recursion;
+        # the ids are those of the same terms built with app and cyclify.
+        n, S = 10 ** 4, SIG.get("S")
+        built = app(SIG.get("0"), app(SIG.get("end")))
+        for _ in range(n):
+            built = app(S, built)
+        text = "ok(" + "S(" * n + "0(end)" + ")" * n + ")"
+        for ground in (False, True):
+            t = P(text, ground)
+            assert canon_key(t) == canon_key(app(SIG.get("ok"), built))
+        spine = app(SIG.get("end"))
+        for _ in range(n):
+            spine = app(S, spine)
+        t = P("rec X . " + "S(" * n + "X" + ")" * n)
+        assert canon_key(t) == canon_key(cyclify(spine, (1,) * n))
+        assert canon_key(t) == canon_key(P("rec X . S(X)"))
+
     def test_position_reported(self):
         err = None
         try:

@@ -4,7 +4,8 @@ exports, so a rename or a deletion must fail here rather than only in the
 traced benchmark run or at a later `import *`; every committed
 BENCH_*.json must carry the fields a speed claim is read from; the
 package imports nothing outside itself and the standard library, nor
-dataclasses; and a fresh import of it leaves nothing of the old one alive."""
+dataclasses; a fresh import of it leaves nothing of the old one alive;
+and the term grammar has one reader."""
 
 import ast
 import importlib
@@ -257,3 +258,18 @@ def test_ids_minted_only_in_terms():
                for info in pkgutil.iter_modules(irw.__path__)}
     assert {name for name, lines in writers.items() if lines} == {"terms"}, \
         writers
+
+
+def test_term_grammar_read_in_terms_only():
+    # terms._parse is the one reader of the term grammar; a module that
+    # named its tokenizer would be a second reader to keep in step.
+    readers = set()
+    for info in pkgutil.iter_modules(irw.__path__):
+        for node in ast.walk(_parse(info.name)):
+            if isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+            else:  # a Name's id, an Attribute's attr
+                names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if names & {"_tokenize", "_TOKEN_RE"}:
+                readers.add(info.name)
+    assert readers == {"terms"}
