@@ -17,6 +17,7 @@ import argparse
 import os
 import sys
 import warnings
+from itertools import islice
 from pathlib import Path
 
 from . import encode, laws, machines, omega, rewrite, terms, turing
@@ -164,16 +165,12 @@ def cmd_tm(args) -> int:
             raise CliError("fuel must be >= 0")
         c = turing.parse_config(m, args.config)
         print(turing.display_config(c))
-        steps = 0
-        while steps < fuel:
-            nxt = turing.tm_step(m, c)
-            if nxt is None:
-                break
-            c = nxt
-            steps += 1
+        run, steps = turing.tm_run(m, c), 0
+        for c in islice(run, fuel):
             print(turing.display_config(c))
+            steps += 1
         print(f"steps: {steps}")
-        return _verdict("final" if turing.tm_step(m, c) is None else "timeout")
+        return _verdict("final" if next(run, None) is None else "timeout")
     if args.action == "fun":
         got = turing.eval_fun(m, args.arg, fuel)
         if got.kind == "value":

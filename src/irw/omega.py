@@ -4,7 +4,9 @@ omega-tapes.
 Tapes are words ``prefix . cycle^w`` over the machine alphabet; a
 configuration is a state, a head position ``i >= 0`` and a finite overlay
 of written cells on top of the base word.  Writes that merely restore the
-base symbol are dropped, so overlay equality is semantic.
+base symbol are dropped, so overlay equality is semantic.  ``nd_steps``
+is the one successor function, and a run is its list of configurations:
+the move between two consecutive ones is read off them.
 
 Run exploration expands the run tree breadth-first as one shared tree of
 nodes with parent links, deduplicating configurations by (state, head
@@ -17,7 +19,7 @@ writes back the symbol it read shares its parent's.  So a new
 configuration costs a constant number of interpreted operations.  A
 run's configuration list is built from the parent links only when its
 branch ends.  A lasso is only certified after a static window check plus an
-explicit replay of the candidate cycle; its net head displacement `d`
+explicit replay of the candidate cycle's moves; its net head displacement `d`
 then classifies the run: d > 0 means every position is eventually passed
 and left behind (complete, non-oscillating, hence accepting), d = 0 means
 the same configurations recur forever (oscillating, not complete).
@@ -109,7 +111,7 @@ def format_word(w: OmegaWord) -> str:
 class NdConfig:
     """State, head and finite write overlay on a base omega-word.
 
-    A configuration is immutable once ``_choices`` has returned it, which
+    A configuration is immutable once ``nd_steps`` has returned it, which
     may share one overlay dict among several configurations: its key
     ``(state, head, sorted overlay)`` is computed on first use and cached.
     Configurations order by that key, which is what the canonical run
@@ -153,22 +155,19 @@ class NdConfig:
         return f"<{self.state}@{self.head} writes={self.writes}>"
 
 
-def nd_steps(m: NdTmSpec, c: NdConfig) -> list[NdConfig]:
-    """All successor configurations; left moves are blocked at head 0.
-    Order follows the machine's delta declaration order."""
-    return [nc for _, nc in _choices(m, c)]
-
-
 _new_config = object.__new__  # a config without the constructor's copy
 
 
-def _choices(m: NdTmSpec, c: NdConfig) -> list[tuple[tuple[str, str, str], "NdConfig"]]:
+def nd_steps(m: NdTmSpec, c: NdConfig) -> list[NdConfig]:
+    """All successor configurations, in the machine's delta declaration
+    order; left moves are blocked at head 0.  The move from c to a
+    successor c2 is (c2.state, c2.symbol_at(c.head), c2.head - c.head), so
+    distinct moves give distinct successors."""
     out = []
     word, head, writes = c.word, c.head, c.writes
     base = word.at(head)
     read = writes.get(head, base)
-    for ch in m.delta.get((c.state, read), ()):
-        q2, f2, d = ch
+    for q2, f2, d in m.delta.get((c.state, read), ()):
         if d == "L" and head == 0:
             continue
         # A step that writes back what it read shares c's overlay; any
@@ -186,7 +185,7 @@ def _choices(m: NdTmSpec, c: NdConfig) -> list[tuple[tuple[str, str, str], "NdCo
         nxt = _new_config(NdConfig)
         nxt.word, nxt.state, nxt.writes, nxt._k = word, q2, nw, None
         nxt.head = head + 1 if d == "R" else head - 1
-        out.append((ch, nxt))
+        out.append(nxt)
     return out
 
 
@@ -210,12 +209,11 @@ class RunPrefix:
     classify beyond unknown.
     """
 
-    __slots__ = ("configs", "choices", "status", "lasso")
+    __slots__ = ("configs", "status", "lasso")
 
-    def __init__(self, configs: list[NdConfig], choices: list[tuple[str, str, str]],
-                 status: str, lasso: Optional[Lasso] = None):
-        self.configs, self.choices = configs, choices
-        self.status, self.lasso = status, lasso
+    def __init__(self, configs: list[NdConfig], status: str,
+                 lasso: Optional[Lasso] = None):
+        self.configs, self.status, self.lasso = configs, status, lasso
 
 
 class RunClass:
@@ -245,7 +243,6 @@ def _dedup_key(c: NdConfig, w: OmegaWord, radius: int):
 
 
 def _validate_lasso(m: NdTmSpec, configs: list[NdConfig],
-                    choices: list[tuple[str, str, str]],
                     j: int, k: int) -> Optional[Lasso]:
     """Certify that the cycle configs[j..k] repeats forever.
 
@@ -273,33 +270,30 @@ def _validate_lasso(m: NdTmSpec, configs: list[NdConfig],
             return None
     if any(pos > ck.head + hi for pos in ck.writes):
         return None
-    # Replay the cycle once from ck following the recorded choices.
+    # Replay the cycle once from ck, each move read off two configurations;
+    # the moves' states and shifts bring it to ck's state at ck.head + d.
     cur = ck
-    for t in range(j, k):
-        want = choices[t]
-        legal = dict(_choices(m, cur))
-        if want not in legal:
+    for a, b in zip(configs[j:k], configs[j + 1:k + 1]):
+        h, f, dh = cur.head, b.symbol_at(a.head), b.head - a.head
+        nxt = next((n for n in nd_steps(m, cur) if n.state == b.state
+                    and n.head - h == dh and n.symbol_at(h) == f), None)
+        if nxt is None or cur.symbol_at(h) != a.symbol_at(a.head):
             return None
-        expected_read = configs[t].symbol_at(configs[t].head)
-        if cur.symbol_at(cur.head) != expected_read:
-            return None
-        cur = legal[want]
-    if cur.state != ck.state or cur.head != ck.head + d:
-        return None
+        cur = nxt
     for off in range(lo, hi + 1):
         if cur.symbol_at(cur.head + off) != ck.symbol_at(ck.head + off):
             return None
     return Lasso(j, k - j, d, (lo, hi))
 
 
-def _path(node) -> tuple[list[NdConfig], list[tuple[str, str, str]]]:
-    """The configurations and choices from the root to a run-tree node."""
-    nodes = []
+def _path(node) -> list[NdConfig]:
+    """The configurations from the root to a run-tree node."""
+    configs = []
     while node is not None:
-        nodes.append(node)
-        node = node[2]
-    nodes.reverse()
-    return [n[0] for n in nodes], [n[1] for n in nodes[1:]]
+        configs.append(node[0])
+        node = node[1]
+    configs.reverse()
+    return configs
 
 
 def explore_runs(m: NdTmSpec, w: OmegaWord, fuel: int = 200, width: int = 64,
@@ -307,12 +301,12 @@ def explore_runs(m: NdTmSpec, w: OmegaWord, fuel: int = 200, width: int = 64,
     """Breadth-first run-tree expansion up to fuel steps and width frontier.
 
     The tree is one set of nodes with parent links, and each dedup key has
-    one owner node, the first to reach it; a run's configurations and
-    choices are built from the links only when its branch ends.  Returns
-    the maximal explored branches in a canonical order.  Branch ends:
-    stuck (no successor), lassoed (certified recurrence on the own
-    ancestry), merged (key owned by another branch), failed (recurrence
-    seen but not certifiable), cut (bounds).
+    one owner node, the first to reach it; a run's configurations are
+    built from the links only when its branch ends.  Returns the maximal
+    explored branches in a canonical order.  Branch ends: stuck (no
+    successor), lassoed (certified recurrence on the own ancestry),
+    merged (key owned by another branch), failed (recurrence seen but not
+    certifiable), cut (bounds).
     """
     if fuel < 1 or width < 1:
         raise MachineError("fuel and width must be >= 1")
@@ -321,11 +315,11 @@ def explore_runs(m: NdTmSpec, w: OmegaWord, fuel: int = 200, width: int = 64,
         raise MachineError("radius must be >= 0")
     p, cl = len(w.prefix), len(w.cycle)
     phases = [("abs", i) for i in range(p)] + [("cyc", i) for i in range(cl)]
-    # A node is (config, choice, parent, depth, window): the window is the
-    # last part of its dedup key, slid from the parent's by one cell.
+    # A node is (config, parent, depth, window): the window is the last
+    # part of its dedup key, slid from the parent's by one cell.
     start = NdConfig(w, m.initial, 0)
     key = _dedup_key(start, w, r)
-    root = (start, None, None, 0, key[2])
+    root = (start, None, 0, key[2])
     owner = {key: root}
     runs: list[RunPrefix] = []
     frontier = [root]
@@ -334,22 +328,23 @@ def explore_runs(m: NdTmSpec, w: OmegaWord, fuel: int = 200, width: int = 64,
         depth += 1
         nxt_frontier = []
         for node in frontier:
-            succ = _choices(m, node[0])
+            c = node[0]
+            succ = nd_steps(m, c)
             if not succ:
-                runs.append(RunPrefix(*_path(node), "stuck"))
+                runs.append(RunPrefix(_path(node), "stuck"))
                 continue
-            pw = node[4]
-            for ch, nc in succ:
+            pw, ph = node[3], c.head
+            for nc in succ:
                 h = nc.head
-                f2 = ch[1]
                 if r == 0:
                     win = (nc.symbol_at(h),)
-                elif ch[2] == "R":
-                    win = pw[1:r] + (f2,) + pw[r + 1:] + (nc.symbol_at(h + r),)
+                elif h > ph:
+                    win = (pw[1:r] + (nc.symbol_at(ph),) + pw[r + 1:]
+                           + (nc.symbol_at(h + r),))
                 else:
                     win = ((nc.symbol_at(h - r) if h >= r else "<",) + pw[:r]
-                           + (f2,) + pw[r + 1:2 * r])
-                child = (nc, ch, node, depth, win)
+                           + (nc.symbol_at(ph),) + pw[r + 1:2 * r])
+                child = (nc, node, depth, win)
                 phase = phases[h] if h < p else phases[p + (h - p) % cl]
                 hit = owner.setdefault((nc.state, phase, win), child)
                 if hit is child:
@@ -358,20 +353,20 @@ def explore_runs(m: NdTmSpec, w: OmegaWord, fuel: int = 200, width: int = 64,
                 # The key's owner is on this branch iff it is the branch's
                 # node at the owner's depth.
                 anc = node
-                while anc[3] > hit[3]:
-                    anc = anc[2]
-                configs, choices = _path(child)
+                while anc[2] > hit[2]:
+                    anc = anc[1]
+                configs = _path(child)
                 if anc is not hit:
-                    runs.append(RunPrefix(configs, choices, "merged"))
+                    runs.append(RunPrefix(configs, "merged"))
                     continue
-                lasso = _validate_lasso(m, configs, choices, hit[3], depth)
-                runs.append(RunPrefix(configs, choices,
-                                      "lassoed" if lasso else "failed", lasso))
+                lasso = _validate_lasso(m, configs, hit[2], depth)
+                runs.append(RunPrefix(configs, "lassoed" if lasso else "failed",
+                                      lasso))
         for node in nxt_frontier[width:]:
-            runs.append(RunPrefix(*_path(node), "cut"))
+            runs.append(RunPrefix(_path(node), "cut"))
         frontier = nxt_frontier[:width]
     for node in frontier:
-        runs.append(RunPrefix(*_path(node), "cut"))
+        runs.append(RunPrefix(_path(node), "cut"))
     # Runs share their prefixes' config objects, so comparing the lists
     # reads keys only where two runs part.
     runs.sort(key=lambda run: (len(run.configs), run.configs))
@@ -426,10 +421,10 @@ def visit_stats(m: NdTmSpec, w: OmegaWord, steps: int) -> dict:
     n = 0
     for _ in range(steps):
         counts[c.head] = counts.get(c.head, 0) + 1
-        succ = _choices(m, c)
+        succ = nd_steps(m, c)
         if not succ:
             break
-        c = succ[0][1]
+        c = succ[0]
         n += 1
     return {
         "visits": counts,

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator, Optional
 from .terms import (
     PositionError, Signature, Symbol, Term, TermError, TermSyntaxError,
     bisim_equal, canon_key, cyclify, is_finite, is_ground, is_var, _path,
-    _parse, _reachable, _rebuild, parse_term, print_term, replace_at,
+    _parse, _reachable, _rebuild, print_term, replace_at,
     subterm_at, term_symbols, truncate_prefix, var, variables,
 )
 
@@ -209,13 +209,32 @@ def match(pattern: Term, subject: Term) -> Optional[dict[str, Term]]:
 
 
 def instantiate(pattern: Term, binding: dict[str, Term]) -> Term:
-    """Build the instance of a finite pattern under a binding."""
+    """Build the instance of a finite pattern under a binding.  Nodes are
+    built after their children, left to right, on an explicit stack, so
+    depth costs no recursion."""
     if pattern.label.__class__ is str:
         return binding[pattern.label]
     if not pattern.children:
         return pattern
-    return Term(pattern.label,
-                tuple(instantiate(c, binding) for c in pattern.children))
+    stack = [(pattern, [])]  # open nodes, each with its children built so far
+    while True:
+        node, built = stack[-1]
+        kids = node.children
+        while len(built) < len(kids):
+            c = kids[len(built)]
+            if c.label.__class__ is str:
+                built.append(binding[c.label])
+            elif c.children:
+                stack.append((c, []))
+                break
+            else:
+                built.append(c)
+        else:
+            stack.pop()
+            t = Term(node.label, tuple(built))
+            if not stack:
+                return t
+            stack[-1][1].append(t)
 
 
 def find_redexes(trs: Trs, t: Term, depth_bound: int
@@ -936,10 +955,13 @@ def parse_trs(text: str, name: str = "") -> Trs:
     are optional; without them, each applied identifier is declared with
     the arity of its first use, in order of first use, and bare
     identifiers that occur at a lhs root or unbound on a rhs are promoted
-    to constants everywhere in the file.  Comments are ignored.
+    to constants everywhere in the file, as are bare uppercase identifiers
+    that no `rec` binds.  Comments are ignored.  A syntax error in a rule
+    side gives its line and column in the file.
     """
     sig = Signature()
-    rule_lines: list[tuple[str, str, str]] = []
+    # (rule id, [(lhs, where it starts), (rhs, where it starts)])
+    rule_lines: list[tuple[str, list[tuple[str, tuple[int, int]]]]] = []
     construction = ""
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -963,14 +985,20 @@ def parse_trs(text: str, name: str = "") -> Trs:
         m = _RULE_RE.match(line)
         if not m:
             raise TermSyntaxError(f"bad TRS line: {raw!r}", ln, 1)
-        rule_lines.append((m.group("rid"), m.group("lhs"), m.group("rhs")))
+        col = len(raw) - len(raw.lstrip()) + 1
+        rule_lines.append((m["rid"], [(m[s], (ln, col + m.start(s)))
+                                      for s in ("lhs", "rhs")]))
+
+    def read(found):
+        return [[_parse(side, sig, False, found, at) for side, at in texts]
+                for _, texts in rule_lines]
+
     # Read every rule once, declaring the applied symbols that sig lacks,
     # then promote to constants, in rule order: a bare lhs, then the rhs
     # variables the lhs does not bind.  Both hold everywhere in the file,
     # so every rule is read again if anything was declared.
     found: dict[str, int] = {}
-    sides = [(_parse(lhs, sig, False, found), _parse(rhs, sig, False, found))
-             for _, lhs, rhs in rule_lines]
+    sides = read(found)
     promote = []
     for lt, rt in sides:
         if is_var(lt):
@@ -979,9 +1007,8 @@ def parse_trs(text: str, name: str = "") -> Trs:
     for nm, arity in [*found.items(), *((v, 0) for v in promote)]:
         sig.declare(Symbol(nm, arity))
     if found or promote:
-        sides = [(parse_term(lhs, sig), parse_term(rhs, sig))
-                 for _, lhs, rhs in rule_lines]
-    rules = [Rule(rid, *lr) for (rid, _, _), lr in zip(rule_lines, sides)]
+        sides = read(None)
+    rules = [Rule(rid, *lr) for (rid, _), lr in zip(rule_lines, sides)]
     return Trs(sig, rules, name=name, construction=construction)
 
 

@@ -547,9 +547,11 @@ _TOKEN_RE = re.compile(
     r"|(?P<punct>[(),.])")
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
-    toks = []
-    line, col, i = 1, 1, 0
+def _tokenize(text: str, line: int, col: int
+              ) -> list[tuple[str, str, int, int]]:
+    """The tokens of text with their line and column, counted from the
+    line and column text starts at."""
+    toks, i = [], 0
     while i < len(text):
         m = _TOKEN_RE.match(text, i)
         if not m:
@@ -569,14 +571,18 @@ def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
 
 
 def _parse(text: str, sig: Signature, ground: bool,
-           found: Optional[dict[str, int]]) -> Term:
+           found: Optional[dict[str, int]], at: tuple[int, int] = (1, 1)
+           ) -> Term:
     """The one reader of the grammar, on its own stack of open applications
-    and binders, so that depth costs no recursion.  Given a dict ``found``,
-    an applied name that sig lacks is not refused: the argument count of
-    its first use goes into found, in order of first use, and a later bare
-    use is refused."""
-    toks, i = _tokenize(text), 0
-    end = toks[-1][2:] if toks else (1, 1)  # where "unexpected end" points
+    and binders, so that depth costs no recursion.  Errors give the line
+    and column in a file where text starts at ``at``.
+
+    Given a dict ``found``, a name that sig lacks is not refused: an
+    applied one goes into found with the argument count of its first use,
+    and a later bare use is refused; a bare uppercase one that no ``rec``
+    binds goes in as a constant.  Both go in in order of first use."""
+    toks, i = _tokenize(text, *at), 0
+    end = toks[-1][2:] if toks else at  # where "unexpected end" points
 
     def take():
         nonlocal i
@@ -629,8 +635,11 @@ def _parse(text: str, sig: Signature, ground: bool,
             if sym is not None:
                 t = Term(sym, ())
             elif _UPPER_RE.fullmatch(tok):
-                raise TermSyntaxError(f"unbound recursion variable {tok!r}",
-                                      line, col)
+                if found is None:
+                    raise TermSyntaxError(
+                        f"unbound recursion variable {tok!r}", line, col)
+                found.setdefault(tok, 0)
+                t = Term(Symbol(tok, 0), ())
             elif ground:
                 raise TermSyntaxError(
                     f"variable {tok!r} not allowed in a ground term", line, col)

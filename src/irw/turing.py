@@ -15,12 +15,13 @@ The display order is ``reversed(left) state right``, e.g. ``0 S S q0 S 0``.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from itertools import islice
+from typing import Iterator, Mapping, Optional
 
 __all__ = [
     "MachineError", "check_spec", "TmSpec", "TmConfig", "TmOutcome",
     "FunResult", "make_config", "display_config", "parse_config",
-    "tm_step", "tm_final", "initial_fun_config", "initial_rel_config",
+    "tm_step", "tm_run", "tm_final", "initial_fun_config", "initial_rel_config",
     "eval_fun", "eval_rel", "rel_verdict",
 ]
 
@@ -140,6 +141,16 @@ def tm_step(m: TmSpec, c: TmConfig) -> Optional[TmConfig]:
     return TmConfig(_trim(m.blank, left), q2, _trim(m.blank, right))
 
 
+def tm_run(m: TmSpec, c: TmConfig) -> Iterator[TmConfig]:
+    """Yield the configurations after c, one tm_step each, until no entry
+    applies."""
+    while True:
+        c = tm_step(m, c)
+        if c is None:
+            return
+        yield c
+
+
 class TmOutcome:
     __slots__ = ("kind", "config", "steps")  # kind: "final" | "timeout"
 
@@ -148,18 +159,14 @@ class TmOutcome:
 
 
 def tm_final(m: TmSpec, c: TmConfig, fuel: int) -> TmOutcome:
-    """Iterate tm_step at most fuel times; final once no entry applies."""
+    """Take at most fuel steps of tm_run from c; final once no entry
+    applies, timeout when a step remains after the fuel runs out."""
     if fuel < 0:
         raise MachineError("fuel must be >= 0")
-    cur = c
-    for k in range(fuel):
-        nxt = tm_step(m, cur)
-        if nxt is None:
-            return TmOutcome("final", cur, k)
-        cur = nxt
-    if tm_step(m, cur) is None:
-        return TmOutcome("final", cur, fuel)
-    return TmOutcome("timeout", cur, fuel)
+    run, k = tm_run(m, c), 0
+    for c in islice(run, fuel):
+        k += 1
+    return TmOutcome("final" if next(run, None) is None else "timeout", c, k)
 
 
 def _require_numeric(m: TmSpec, *numerals: int) -> None:

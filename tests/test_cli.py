@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,22 @@ class TestTm:
         assert "S S qa 0" in lines
         assert "VERDICT: final" in out
 
+    @pytest.mark.parametrize("fuel", [0, 3, 4, 5])
+    def test_run_agrees_with_tm_final(self, capsys, fuel):
+        # From q0 S S 0, m_acc halts after 4 steps: at fuel 3 a step
+        # remains (timeout), at fuel 4 none does (final).
+        from irw import turing
+        from irw.machines import load_fixture
+        m = load_fixture("m_acc")
+        out = turing.tm_final(m, turing.parse_config(m, "q0 S S 0"), fuel)
+        code, text, _ = run_cli(capsys, "tm", "run", "m_acc",
+                                "--config", "q0 S S 0", "--fuel", str(fuel))
+        lines = text.splitlines()
+        assert len(lines) == out.steps + 3
+        assert lines[-3] == turing.display_config(out.config)
+        assert lines[-2:] == [f"steps: {out.steps}", f"VERDICT: {out.kind}"]
+        assert code == (2 if fuel < 4 else 0)
+
     @pytest.mark.parametrize("action", [
         ["run", "--config", "q0 S S 0"],
         ["fun", "--arg", "2"],
@@ -187,6 +204,19 @@ class TestTrs:
                                "--to", "ok(S(S(S(0(end)))))")
         assert code == 0
         assert "steps: 7" in out and "VERDICT: reached" in out
+
+    def test_deep_rhs_trace(self, capsys, tmp_path):
+        # The step builds a 10^4-deep rhs instance at the default
+        # recursion limit; the trace prints only the start term.
+        n = 10 ** 4
+        path = tmp_path / "deep.trs"
+        path.write_text(f"rule r: a -> {'S(' * n}b{')' * n}\n")
+        assert sys.getrecursionlimit() < n
+        code, out, _ = run_cli(capsys, "trs", "trace", str(path),
+                               "--term", "a", "--fuel", "1")
+        assert code == 0
+        assert out.splitlines() == ["start: a", "0 @root r",
+                                    "VERDICT: normal-form"]
 
     def test_normalize_designated(self, capsys, tm_file, tmp_path):
         out_file = tmp_path / "r.trs"
@@ -633,7 +663,7 @@ CRASHES = [
 
 class TestInternalError:
     def test_crash_exits_4(self, capsys):
-        # The recursive term parser overflows the stack on this term.
+        # The recursive term printer overflows the stack on this term.
         deep = "ok(" + "S(" * 600 + "0(end)" + ")" * 600 + ")"
         code, out, err = run_cli(capsys, "trs", "normalize",
                                  str(GOLDEN / "pickn.trs"), "--term", deep)

@@ -34,6 +34,19 @@ end
 """)
 
 
+def move(a, b):
+    """The move (state, write, L|R) from a to its successor b, read off
+    the two configurations."""
+    return (b.state, b.symbol_at(a.head), "R" if b.head > a.head else "L")
+
+
+def replay(m, cur, mv):
+    """cur's successor under nd_steps by the move mv, which must be legal."""
+    legal = {move(cur, n): n for n in nd_steps(m, cur)}
+    assert mv in legal, (m.delta, cur, mv)
+    return legal[mv]
+
+
 class TestWords:
     def test_parse_and_format(self):
         w = parse_word("ab(ba)^w")
@@ -147,7 +160,6 @@ class TestExplore:
         assert len(runs[0].configs) == 1
 
     def test_pump_soundness_replay(self, right, pong):
-        from irw.omega import _choices
         for m, w in [(right, "(a)^w"), (right, "ab(ba)^w"), (pong, "(a)^w")]:
             for r in explore_runs(m, parse_word(w), fuel=30):
                 if r.lasso is None:
@@ -156,10 +168,7 @@ class TestExplore:
                 k = j + r.lasso.cycle_length
                 cur = r.configs[k]
                 for t in range(j, k):
-                    legal = {ch: c for ch, c in _choices(m, cur)}
-                    want = r.choices[t]
-                    assert want in legal
-                    cur = legal[want]
+                    cur = replay(m, cur, move(r.configs[t], r.configs[t + 1]))
                 assert cur.state == r.configs[k].state
                 assert cur.head == r.configs[k].head + r.lasso.displacement
 
@@ -228,11 +237,10 @@ class TestStatsAgreement:
 class TestLassoStress:
     def test_random_machines_multi_cycle_replay(self):
         # every certified lasso must keep reproducing itself: replay the
-        # recorded cycle choices many times and check the configuration
-        # keeps shifting by exactly d with identical relative window
+        # cycle's moves many times and check the configuration keeps
+        # shifting by exactly d with identical relative window
         import random
         from irw.laws import gen_nd_machine
-        from irw.omega import _choices
         rng = random.Random(99)
         lassos = 0
         for _ in range(60):
@@ -248,12 +256,12 @@ class TestLassoStress:
                     d = r.lasso.displacement
                     lo, hi = r.lasso.window
                     base = r.configs[k]
+                    cycle_moves = [move(a, b) for a, b in
+                                   zip(r.configs[j:k], r.configs[j + 1:k + 1])]
                     cur = base
                     for cycle in range(1, 6):
-                        for t in range(j, k):
-                            legal = {ch: c for ch, c in _choices(m, cur)}
-                            assert r.choices[t] in legal, (m.delta, wtext)
-                            cur = legal[r.choices[t]]
+                        for mv in cycle_moves:
+                            cur = replay(m, cur, mv)
                         assert cur.state == base.state
                         assert cur.head == base.head + cycle * d
                         for off in range(lo, hi + 1):
@@ -288,72 +296,56 @@ def _machine(*rows):
 
 _RIGHT = ("q0 a -> q0 a R",)
 
-# name: (delta rows, word, configs as (state, head, writes), choices).
-# The configurations are built by hand, so that each candidate reaches one
+# name: (delta rows, word, configs as (state, head, writes)).  The
+# configurations are built by hand, so that each candidate reaches one
 # refusal of _validate_lasso with every test before it passed.
 _BAD_LASSOS = {
-    "d<0": (("q0 a -> q0 a L",), "(a)^w",
-            [("q0", 1, {}), ("q0", 0, {})], ["q0 a L"]),
-    "state": (("q0 a -> q1 a R",), "(a)^w",
-              [("q0", 0, {}), ("q1", 1, {})], ["q1 a R"]),
-    "d=0-config": (_RIGHT, "(a)^w",
-                   [("q0", 0, {}), ("q0", 0, {0: "b"})], ["q0 a R"]),
-    "phase-cycle": (_RIGHT, "(ab)^w",
-                    [("q0", 0, {}), ("q0", 1, {})], ["q0 a R"]),
-    "phase-prefix": (_RIGHT, "b(a)^w",
-                     [("q0", 0, {}), ("q0", 1, {})], ["q0 a R"]),
-    "window": (_RIGHT, "(a)^w",
-               [("q0", 0, {}), ("q0", 1, {2: "b"})], ["q0 a R"]),
-    "writes-beyond": (_RIGHT, "(a)^w",
-                      [("q0", 0, {}), ("q0", 1, {5: "b"})], ["q0 a R"]),
-    "illegal-choice": (_RIGHT, "(a)^w",
-                       [("q0", 0, {}), ("q0", 1, {})], ["q0 b R"]),
-    # The choice q0 a R is legal on a and on b from q1; the recorded
+    "d<0": (("q0 a -> q0 a L",), "(a)^w", [("q0", 1, {}), ("q0", 0, {})]),
+    "state": (("q0 a -> q1 a R",), "(a)^w", [("q0", 0, {}), ("q1", 1, {})]),
+    "d=0-config": (_RIGHT, "(a)^w", [("q0", 0, {}), ("q0", 0, {0: "b"})]),
+    "phase-cycle": (_RIGHT, "(ab)^w", [("q0", 0, {}), ("q0", 1, {})]),
+    "phase-prefix": (_RIGHT, "b(a)^w", [("q0", 0, {}), ("q0", 1, {})]),
+    "window": (_RIGHT, "(a)^w", [("q0", 0, {}), ("q0", 1, {2: "b"})]),
+    "writes-beyond": (_RIGHT, "(a)^w", [("q0", 0, {}), ("q0", 1, {5: "b"})]),
+    # The step writes b on cell 0, which no delta entry allows.
+    "illegal-choice": (_RIGHT, "(a)^w", [("q0", 0, {}), ("q0", 1, {0: "b"})]),
+    # The move q0 a R is legal on a and on b from q1; the recorded
     # middle configuration reads b where the replay reads a.
     "replayed-read": (("q0 a -> q1 a R", "q1 a -> q0 a R", "q1 b -> q0 a R"),
                       "(a)^w",
-                      [("q0", 0, {}), ("q1", 1, {1: "b"}), ("q0", 2, {})],
-                      ["q1 a R", "q0 a R"]),
-    "end-state": (("q0 a -> q1 a R",), "(a)^w",
-                  [("q0", 0, {}), ("q0", 1, {})], ["q1 a R"]),
-    "end-head": (("q0 a -> q0 a L",), "(a)^w",
-                 [("q0", 0, {}), ("q0", 1, {})], ["q0 a L"]),
+                      [("q0", 0, {}), ("q1", 1, {1: "b"}), ("q0", 2, {})]),
     # The windows agree, but the replay carries the b one cell ahead.
-    "end-window": (_RIGHT, "(a)^w",
-                   [("q0", 0, {1: "b"}), ("q0", 1, {2: "b"})], ["q0 a R"]),
+    "end-window": (_RIGHT, "(a)^w", [("q0", 0, {1: "b"}), ("q0", 1, {2: "b"})]),
 }
 
 
-def _candidate(rows, word, configs, choices):
+def _candidate(rows, word, configs):
     w = parse_word(word)
-    return (_machine(*rows), [NdConfig(w, q, h, ws) for q, h, ws in configs],
-            [tuple(ch.split()) for ch in choices])
+    return _machine(*rows), [NdConfig(w, q, h, ws) for q, h, ws in configs]
 
 
 class TestValidateLasso:
-    @pytest.mark.parametrize("rows, word, configs, choices, want", [
-        (_RIGHT, "(a)^w", [("q0", 0, {}), ("q0", 1, {})], ["q0 a R"],
-         (0, 1, 1, (0, 1))),
+    @pytest.mark.parametrize("rows, word, configs, want", [
+        (_RIGHT, "(a)^w", [("q0", 0, {}), ("q0", 1, {})], (0, 1, 1, (0, 1))),
         (("q0 a -> q1 a R", "q1 a -> q0 a L"), "(a)^w",
-         [("q0", 0, {}), ("q1", 1, {}), ("q0", 0, {})], ["q1 a R", "q0 a L"],
-         (0, 2, 0, (0, 1))),
+         [("q0", 0, {}), ("q1", 1, {}), ("q0", 0, {})], (0, 2, 0, (0, 1))),
     ], ids=["drift", "bounce"])
-    def test_certified(self, rows, word, configs, choices, want):
+    def test_certified(self, rows, word, configs, want):
         from irw.omega import Lasso, _validate_lasso
-        m, cs, chs = _candidate(rows, word, configs, choices)
-        assert _validate_lasso(m, cs, chs, 0, len(cs) - 1) == Lasso(*want)
+        m, cs = _candidate(rows, word, configs)
+        assert _validate_lasso(m, cs, 0, len(cs) - 1) == Lasso(*want)
 
     @pytest.mark.parametrize("name", list(_BAD_LASSOS))
     def test_refused(self, name):
         from irw.omega import _validate_lasso
-        m, cs, chs = _candidate(*_BAD_LASSOS[name])
-        assert _validate_lasso(m, cs, chs, 0, len(cs) - 1) is None
+        m, cs = _candidate(*_BAD_LASSOS[name])
+        assert _validate_lasso(m, cs, 0, len(cs) - 1) is None
 
 
 def reference_steps(m, c):
     """Successors straight from the delta table, each on a fresh overlay
-    with every cell that holds its base symbol filtered out; it shares no
-    code with omega._choices."""
+    with every cell that holds its base symbol filtered out, as (move,
+    config) pairs; it shares no code with omega.nd_steps."""
     out = []
     for q2, f2, d in m.delta.get((c.state, c.symbol_at(c.head)), ()):
         if d == "L" and c.head == 0:
@@ -368,8 +360,9 @@ def reference_steps(m, c):
 
 def reference_explore(m, w, fuel, width, radius=None):
     """The list-copying explore_runs loop the run tree replaced: every
-    branch carries its own configs, choices and key -> index map, and
-    every key is computed from scratch by _dedup_key."""
+    branch carries its own configs and key -> index map, and every key is
+    computed from scratch by _dedup_key.  Each delta move must be the one
+    read off the two configurations it joins."""
     from irw.omega import (
         RunPrefix, _dedup_key, _default_radius, _validate_lasso,
     )
@@ -377,40 +370,40 @@ def reference_explore(m, w, fuel, width, radius=None):
     start = NdConfig(w, m.initial, 0)
     runs = []
     seen_global = {_dedup_key(start, w, radius)}
-    frontier = [([start], [], {_dedup_key(start, w, radius): 0})]
+    frontier = [([start], {_dedup_key(start, w, radius): 0})]
     depth = 0
     while frontier and depth < fuel:
         depth += 1
         nxt_frontier = []
-        for configs, choices, keyidx in frontier:
+        for configs, keyidx in frontier:
             succ = reference_steps(m, configs[-1])
             if not succ:
-                runs.append(RunPrefix(configs, choices, "stuck"))
+                runs.append(RunPrefix(configs, "stuck"))
                 continue
             for ch, nc in succ:
+                assert move(configs[-1], nc) == ch
                 key = _dedup_key(nc, w, radius)
                 nconfigs = configs + [nc]
-                nchoices = choices + [ch]
                 if key in keyidx:
-                    lasso = _validate_lasso(m, nconfigs, nchoices, keyidx[key],
+                    lasso = _validate_lasso(m, nconfigs, keyidx[key],
                                             len(nconfigs) - 1)
                     status = "lassoed" if lasso else "failed"
-                    runs.append(RunPrefix(nconfigs, nchoices, status, lasso))
+                    runs.append(RunPrefix(nconfigs, status, lasso))
                     continue
                 if key in seen_global:
-                    runs.append(RunPrefix(nconfigs, nchoices, "merged"))
+                    runs.append(RunPrefix(nconfigs, "merged"))
                     continue
                 seen_global.add(key)
                 nkeyidx = dict(keyidx)
                 nkeyidx[key] = len(nconfigs) - 1
-                nxt_frontier.append((nconfigs, nchoices, nkeyidx))
+                nxt_frontier.append((nconfigs, nkeyidx))
         if len(nxt_frontier) > width:
-            for configs, choices, _ in nxt_frontier[width:]:
-                runs.append(RunPrefix(configs, choices, "cut"))
+            for configs, _ in nxt_frontier[width:]:
+                runs.append(RunPrefix(configs, "cut"))
             nxt_frontier = nxt_frontier[:width]
         frontier = nxt_frontier
-    for configs, choices, _ in frontier:
-        runs.append(RunPrefix(configs, choices, "cut"))
+    for configs, _ in frontier:
+        runs.append(RunPrefix(configs, "cut"))
     runs.sort(key=lambda r: (len(r.configs),
                              [(c.state, c.head, tuple(sorted(c.writes.items())))
                               for c in r.configs]))
@@ -429,7 +422,8 @@ def reference_verdict(runs):
 
 
 def run_fingerprint(r):
-    return (r.status, [c._key() for c in r.configs], r.choices, r.lasso)
+    return (r.status, [c._key() for c in r.configs],
+            [move(a, b) for a, b in zip(r.configs, r.configs[1:])], r.lasso)
 
 
 class TestRunTreeOracle:
@@ -490,7 +484,7 @@ class TestRunTreeOracle:
 class TestSharedOverlays:
     def test_runs_replay_with_fresh_overlays(self):
         # Configurations share overlay dicts once explored; replaying each
-        # run's choices on fresh dicts must give the same overlay and key
+        # run's moves on fresh dicts must give the same overlay and key
         # for every configuration, after the whole exploration is over.
         import random
         from irw.laws import gen_nd_machine
@@ -504,8 +498,8 @@ class TestSharedOverlays:
                     for r in explore_runs(m, w, fuel=40, width=16, radius=radius):
                         cur = NdConfig(w, m.initial, 0)
                         assert r.configs[0]._key() == cur._key()
-                        for ch, c in zip(r.choices, r.configs[1:]):
-                            cur = dict(reference_steps(m, cur))[ch]
+                        for a, c in zip(r.configs, r.configs[1:]):
+                            cur = dict(reference_steps(m, cur))[move(a, c)]
                             assert c.writes == cur.writes, (i, wtext, radius)
                             assert c._key() == cur._key(), (i, wtext, radius)
                             configs += 1

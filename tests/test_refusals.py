@@ -139,6 +139,21 @@ def test_sig_line(capsys, tmp_path, line, message):
              lambda: parse_trs(text), _trace(text))
 
 
+@pytest.mark.parametrize("text, message", [
+    ("sig f/1 a/0\n\n# rule r: f(a) -> a\nrule r2: f(a)   ->   f(a, a)\n",
+     "f expects 1 arguments, got 2 (line 4, col 22)"),
+    ("sig f/1 a/0\n\nrule r2: f(x) -> f(%)\n",
+     "unexpected character '%' (line 3, col 20)"),
+    # The second read, after B became a constant, refuses the binder.
+    ("rule r: f(x) -> rec B . g(B)\nrule s:   B -> a\n",
+     "'rec' binder 'B' collides with a declared symbol (line 1, col 21)"),
+], ids=["arity", "character", "second-read"])
+def test_rule_side(capsys, tmp_path, text, message):
+    # A rule side's syntax error gives its line and column in the file.
+    _refused(capsys, tmp_path, TermSyntaxError, message,
+             lambda: parse_trs(text), _trace(text))
+
+
 MACHINE = """machine m
 kind det-two-sided
 states q0

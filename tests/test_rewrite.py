@@ -604,6 +604,30 @@ class TestTrsFiles:
         with pytest.raises(Exception):
             parse_trs("rule broken pickn -> ok\n")
 
+    @pytest.mark.parametrize("tag", ["S", "Sprime"])
+    @pytest.mark.parametrize("machine", ["m_acc", "m_rej", "m_ext"])
+    def test_emitted_file_reads_without_sig(self, tag, machine):
+        # A sig-less file declares a bare uppercase name that no rec binds,
+        # such as S's T, as a constant: the emitted S and Sprime files read
+        # back without their sig line to the same rules and symbols.
+        from irw.encode import compile_construction, emit_trs_file
+        trs, _ = compile_construction(tag, load_fixture(machine))
+        text = emit_trs_file(trs)
+        sigless = "".join(line for line in text.splitlines(True)
+                          if not line.startswith("sig "))
+        (sig, rules), (want_sig, want_rules) = (
+            _parsed(parse_trs, sigless), _parsed(parse_trs, text))
+        assert sigless != text and "T/0" in sig
+        assert rules == want_rules
+        assert sorted(sig) == sorted(want_sig)
+
+    def test_bare_uppercase_stays_unbound_in_strict_mode(self):
+        trs = parse_trs("rule r: f(x) -> T\n")
+        assert [repr(s) for s in trs.sig] == ["f/1", "T/0"]
+        with pytest.raises(TermSyntaxError,
+                           match="unbound recursion variable 'U'"):
+            parse_term("f(U)", trs.sig)
+
     def test_sig_comment_declares_nothing(self):
         trs = parse_trs("sig f/1 # was g/2\nrule r: f(x) -> x\n")
         assert [repr(s) for s in trs.sig] == ["f/1"]
@@ -697,7 +721,7 @@ def _declare_applied(side, sig):
     applied symbol of a rule side with the number of arguments it is
     applied to.  Kept here for _reference_parse_trs."""
     from irw.terms import _tokenize
-    toks = _tokenize(side)
+    toks = _tokenize(side, 1, 1)
     for k, (kind, name, _, _) in enumerate(toks[:-1]):
         if kind != "ident" or toks[k + 1][1] != "(" or name == "rec" \
                 or name in sig:

@@ -5,7 +5,8 @@ traced benchmark run or at a later `import *`; every committed
 BENCH_*.json must carry the fields a speed claim is read from; the
 package imports nothing outside itself and the standard library, nor
 dataclasses; a fresh import of it leaves nothing of the old one alive;
-and the term grammar has one reader."""
+the term grammar has one reader; and a one-sided machine has one
+successor function."""
 
 import ast
 import importlib
@@ -273,3 +274,21 @@ def test_term_grammar_read_in_terms_only():
             if names & {"_tokenize", "_TOKEN_RE"}:
                 readers.add(info.name)
     assert readers == {"terms"}
+
+
+def test_omega_delta_read_by_nd_steps_only():
+    # nd_steps is the one successor function of a one-sided machine; a
+    # second reader of the delta table in omega.py would be a second
+    # successor function to keep in step with it.
+    readers = set()
+
+    def visit(node, owner):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, ast.Attribute) and node.attr == "delta":
+            readers.add(owner)
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(_parse("omega"), "")
+    assert readers == {"nd_steps", "NdTmSpec.moves"}
