@@ -12,18 +12,21 @@ Run exploration expands the run tree breadth-first as one shared tree of
 nodes with parent links, deduplicating configurations by (state, head
 phase within the cycle, local tape window): each such key has one owner
 node, the first to reach it.  A branch that reaches an owned key ends:
-with a lasso certificate when the owner is its own ancestor, merged
-otherwise.  A node keeps its window, and a child's window is slid from
-its parent's by one cell; overlays are copy-on-write, and a step that
-writes back the symbol it read shares its parent's.  So a new
-configuration costs a constant number of interpreted operations.  A
-run's configuration list is built from the parent links only when its
-branch ends.  A lasso is only certified after a static window check plus an
-explicit replay of the candidate cycle's moves; its net head displacement `d`
-then classifies the run: d > 0 means every position is eventually passed
-and left behind (complete, non-oscillating, hence accepting), d = 0 means
-the same configurations recur forever (oscillating, not complete).
-Anything without a certified lasso stays unknown.
+with a lasso certificate when the owner is its own ancestor; otherwise
+merged when the owner holds the very same configuration, and
+window-merged when only the keys agree.  Only an exact merge is evidence
+for rejection: a window-merged branch may go on to accept.  A node keeps
+its window, and a child's window is slid from its parent's by one cell;
+overlays are copy-on-write, and a step that writes back the symbol it
+read shares its parent's.  So a new configuration costs a constant
+number of interpreted operations.  A run's configuration list is built
+from the parent links only when its branch ends.  A lasso is only
+certified after a static window check plus an explicit replay of the
+candidate cycle's moves; its net head displacement `d` then classifies
+the run: d > 0 means every position is eventually passed and left behind
+(complete, non-oscillating, hence accepting), d = 0 means the same
+configurations recur forever (oscillating, not complete).  Anything
+without a certified lasso stays unknown.
 """
 
 from __future__ import annotations
@@ -205,8 +208,8 @@ class Lasso:
 class RunPrefix:
     """An explored run: configs from the start plus an optional lasso.
 
-    status is one of lassoed/stuck/merged/cut/failed; only lassoed runs
-    classify beyond unknown.
+    status is one of lassoed/stuck/merged/window-merged/cut/failed; only
+    lassoed runs classify beyond unknown.
     """
 
     __slots__ = ("configs", "status", "lasso")
@@ -263,8 +266,6 @@ def _validate_lasso(m: NdTmSpec, configs: list[NdConfig],
         return Lasso(j, k - j, d, (lo, hi))
     if d % len(cj.word.cycle) != 0 or cj.head < len(cj.word.prefix):
         return None
-    if cj.head + lo < 0:
-        return None
     for off in range(lo, hi + 1):
         if cj.symbol_at(cj.head + off) != ck.symbol_at(ck.head + off):
             return None
@@ -305,8 +306,9 @@ def explore_runs(m: NdTmSpec, w: OmegaWord, fuel: int = 200, width: int = 64,
     built from the links only when its branch ends.  Returns the maximal
     explored branches in a canonical order.  Branch ends: stuck (no
     successor), lassoed (certified recurrence on the own ancestry),
-    merged (key owned by another branch), failed (recurrence seen but not
-    certifiable), cut (bounds).
+    merged (another branch owns the key with the same configuration),
+    window-merged (another branch owns the key with another configuration),
+    failed (recurrence seen but not certifiable), cut (bounds).
     """
     if fuel < 1 or width < 1:
         raise MachineError("fuel and width must be >= 1")
@@ -357,7 +359,8 @@ def explore_runs(m: NdTmSpec, w: OmegaWord, fuel: int = 200, width: int = 64,
                     anc = anc[1]
                 configs = _path(child)
                 if anc is not hit:
-                    runs.append(RunPrefix(configs, "merged"))
+                    runs.append(RunPrefix(
+                        configs, "merged" if nc == hit[0] else "window-merged"))
                     continue
                 lasso = _validate_lasso(m, configs, hit[2], depth)
                 runs.append(RunPrefix(configs, "lassoed" if lasso else "failed",
@@ -396,7 +399,8 @@ def membership_semidecide(m: NdTmSpec, w: OmegaWord, fuel: int = 200,
 
     accepted as soon as some branch pumps with positive displacement;
     rejected_exhausted only when the whole tree was exhausted and every
-    branch ended stuck, merged, or in a certified zero-displacement lasso.
+    branch ended stuck, merged into the same configuration on another
+    branch, or in a certified zero-displacement lasso.
     """
     return _membership(explore_runs(m, w, fuel=fuel, width=width, radius=radius))
 

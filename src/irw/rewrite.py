@@ -951,13 +951,12 @@ _SIG_ITEM_RE = re.compile(r"([A-Za-z0-9_][A-Za-z0-9_']*)/(\d+)")
 def parse_trs(text: str, name: str = "") -> Trs:
     """Parse the TRS file format.
 
-    A `sig` line declares `name/arity` items and nothing else.  `sig` lines
-    are optional; without them, each applied identifier is declared with
-    the arity of its first use, in order of first use, and bare
-    identifiers that occur at a lhs root or unbound on a rhs are promoted
-    to constants everywhere in the file, as are bare uppercase identifiers
-    that no `rec` binds.  Comments are ignored.  A syntax error in a rule
-    side gives its line and column in the file.
+    A `sig` line declares `name/arity` items and nothing else, and every
+    symbol of every rule must be declared on one.  Each rule side is read
+    once against that signature, as `parse_term` reads a term: a bare
+    lowercase name the signature lacks is a variable.  Comments are
+    ignored.  A syntax error in a rule side gives its line and column in
+    the file.
     """
     sig = Signature()
     # (rule id, [(lhs, where it starts), (rhs, where it starts)])
@@ -989,26 +988,8 @@ def parse_trs(text: str, name: str = "") -> Trs:
         rule_lines.append((m["rid"], [(m[s], (ln, col + m.start(s)))
                                       for s in ("lhs", "rhs")]))
 
-    def read(found):
-        return [[_parse(side, sig, False, found, at) for side, at in texts]
-                for _, texts in rule_lines]
-
-    # Read every rule once, declaring the applied symbols that sig lacks,
-    # then promote to constants, in rule order: a bare lhs, then the rhs
-    # variables the lhs does not bind.  Both hold everywhere in the file,
-    # so every rule is read again if anything was declared.
-    found: dict[str, int] = {}
-    sides = read(found)
-    promote = []
-    for lt, rt in sides:
-        if is_var(lt):
-            promote.append(lt.label)
-        promote += sorted(variables(rt) - variables(lt))
-    for nm, arity in [*found.items(), *((v, 0) for v in promote)]:
-        sig.declare(Symbol(nm, arity))
-    if found or promote:
-        sides = read(None)
-    rules = [Rule(rid, *lr) for (rid, _), lr in zip(rule_lines, sides)]
+    rules = [Rule(rid, *(_parse(side, sig, False, at) for side, at in texts))
+             for rid, texts in rule_lines]
     return Trs(sig, rules, name=name, construction=construction)
 
 

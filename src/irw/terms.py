@@ -571,16 +571,10 @@ def _tokenize(text: str, line: int, col: int
 
 
 def _parse(text: str, sig: Signature, ground: bool,
-           found: Optional[dict[str, int]], at: tuple[int, int] = (1, 1)
-           ) -> Term:
+           at: tuple[int, int] = (1, 1)) -> Term:
     """The one reader of the grammar, on its own stack of open applications
     and binders, so that depth costs no recursion.  Errors give the line
-    and column in a file where text starts at ``at``.
-
-    Given a dict ``found``, a name that sig lacks is not refused: an
-    applied one goes into found with the argument count of its first use,
-    and a later bare use is refused; a bare uppercase one that no ``rec``
-    binds goes in as a constant.  Both go in in order of first use."""
+    and column in a file where text starts at ``at``."""
     toks, i = _tokenize(text, *at), 0
     end = toks[-1][2:] if toks else at  # where "unexpected end" points
 
@@ -591,9 +585,9 @@ def _parse(text: str, sig: Signature, ground: bool,
         i += 1
         return toks[i - 1]
 
-    # An open application is (symbol, args, line, col, first), where a
-    # symbol that sig lacks is its name; an open binder is (name, hole,
-    # line, col).  Only an open binder's hole has no label.
+    # An open application is (symbol, args, line, col); an open binder is
+    # (line, col), its name and hole the innermost scope.  Only an open
+    # binder's hole has no label.
     frames: list = []
     scopes: list[tuple[str, Term]] = []   # the open binders, innermost last
     while True:
@@ -612,34 +606,26 @@ def _parse(text: str, sig: Signature, ground: bool,
             if dot != ".":
                 raise TermSyntaxError(f"expected '.', found {dot!r}", l2, c2)
             scopes.append((name, Term(None, ())))
-            frames.append((*scopes[-1], line, col))
+            frames.append((line, col))
             continue
         if i < len(toks) and toks[i][1] == "(":
             i += 1
-            sym, first = sig.get(tok), False
+            sym = sig.get(tok)
             if sym is None:
-                if found is None:
-                    raise TermSyntaxError(f"unknown symbol {tok!r}", line, col)
-                sym, first = tok, tok not in found
-                if first:
-                    found[tok] = 0  # its place; its arity comes at ")"
-            frames.append((sym, [], line, col, first))
+                raise TermSyntaxError(f"unknown symbol {tok!r}", line, col)
+            frames.append((sym, [], line, col))
             continue
         t = next((h for name, h in reversed(scopes) if name == tok), None)
         if t is None:
             sym = sig.get(tok)
-            arity = sym.arity if sym is not None else (found or {}).get(tok)
-            if arity:
-                raise TermSyntaxError(f"{tok} expects {arity} arguments, got 0",
-                                      line, col)
             if sym is not None:
+                if sym.arity:
+                    raise TermSyntaxError(
+                        f"{tok} expects {sym.arity} arguments, got 0", line, col)
                 t = Term(sym, ())
             elif _UPPER_RE.fullmatch(tok):
-                if found is None:
-                    raise TermSyntaxError(
-                        f"unbound recursion variable {tok!r}", line, col)
-                found.setdefault(tok, 0)
-                t = Term(Symbol(tok, 0), ())
+                raise TermSyntaxError(
+                    f"unbound recursion variable {tok!r}", line, col)
             elif ground:
                 raise TermSyntaxError(
                     f"variable {tok!r} not allowed in a ground term", line, col)
@@ -649,9 +635,9 @@ def _parse(text: str, sig: Signature, ground: bool,
         # another argument or nothing is open.  A leaf is built when read,
         # an application at its ")", a knot's ids when the outermost is tied.
         while frames:
-            if len(frames[-1]) == 4:
-                name, hole, l2, c2 = frames.pop()
-                scopes.pop()
+            if len(frames[-1]) == 2:
+                l2, c2 = frames.pop()
+                name, hole = scopes.pop()
                 if t.label is None:
                     raise TermSyntaxError(f"unguarded recursion for {name!r}", l2, c2)
                 hole._patch(t.label, t.children)
@@ -659,7 +645,7 @@ def _parse(text: str, sig: Signature, ground: bool,
                     canon_key(hole)
                 t = hole
                 continue
-            sym, args, l2, c2, first = frames[-1]
+            sym, args, l2, c2 = frames[-1]
             args.append(t)
             _, sep, l3, c3 = take()
             if sep == ",":
@@ -667,11 +653,7 @@ def _parse(text: str, sig: Signature, ground: bool,
             if sep != ")":
                 raise TermSyntaxError(f"expected ',' or ')', found {sep!r}", l3, c3)
             frames.pop()
-            if sym.__class__ is str:
-                if first:
-                    found[sym] = len(args)
-                sym = Symbol(sym, len(args))
-            elif len(args) != sym.arity:
+            if len(args) != sym.arity:
                 raise TermSyntaxError(f"{sym.name} expects {sym.arity} "
                                       f"arguments, got {len(args)}", l2, c2)
             t = Term(sym, tuple(args))
@@ -688,7 +670,7 @@ def parse_term(text: str, sig: Signature, ground: bool = False) -> Term:
     With ``ground=True`` undeclared identifiers are rejected instead of
     being read as variables.
     """
-    return _parse(text, sig, ground, None)
+    return _parse(text, sig, ground)
 
 
 def _binder_nodes(t: Term) -> set[int]:

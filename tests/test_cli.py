@@ -210,7 +210,7 @@ class TestTrs:
         # recursion limit; the trace prints only the start term.
         n = 10 ** 4
         path = tmp_path / "deep.trs"
-        path.write_text(f"rule r: a -> {'S(' * n}b{')' * n}\n")
+        path.write_text(f"sig a/0 b/0 S/1\nrule r: a -> {'S(' * n}b{')' * n}\n")
         assert sys.getrecursionlimit() < n
         code, out, _ = run_cli(capsys, "trs", "trace", str(path),
                                "--term", "a", "--fuel", "1")
@@ -305,7 +305,7 @@ class TestTrs:
         assert code == 0 and out.splitlines()[-1] == "VERDICT: closed"
 
     @pytest.mark.parametrize("rules, term, verdict, code", [
-        ("rule l: f(x) -> f(x)\nrule g: a -> b\n",
+        ("sig f/1 a/0 b/0\nrule l: f(x) -> f(x)\nrule g: a -> b\n",
          "f(" * 41 + "a" + ")" * 41, "unknown", 2),
         ("sig f/1 a/0\nrule l: f(x) -> f(x)\n", "f(a)", "looping", 0),
         ("sig f/1 a/0\nrule l: f(x) -> f(x)\n",

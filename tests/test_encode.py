@@ -4,13 +4,13 @@ import warnings
 import pytest
 
 from irw.encode import (
-    EncodeError, EncodeWarning, build_R, build_S, build_S_prime,
+    CONSTRUCTIONS, EncodeError, EncodeWarning, build_R, build_S, build_S_prime,
     compile_construction, decode_config, emit_trs_file, encode_config,
     nd_to_srs, pebble_trs, phi, pickn_trs, tm_to_trs,
 )
 from irw.laws import gen_det_machine, gen_det_config, gen_nd_machine
-from irw.machines import load_fixture, parse_machine
-from irw.omega import NdConfig, OmegaWord, nd_steps, parse_word
+from irw.machines import FIXTURES, load_fixture, parse_machine
+from irw.omega import NdConfig, NdTmSpec, OmegaWord, nd_steps, parse_word
 from irw.rewrite import (
     apply_step, canon_key, find_redexes, is_normal_form, match, parse_trs,
 )
@@ -415,16 +415,30 @@ class TestProbeSystem:
 
 
 class TestEmission:
-    def test_deterministic_files(self, macc, right):
-        for tag, m in [("base", macc), ("pebbled", macc), ("S", macc),
-                       ("Sprime", macc), ("pickn", None), ("srs", right),
-                       ("R", right)]:
-            a = emit_trs_file(compile_construction(tag, m)[0])
-            b = emit_trs_file(compile_construction(tag, m)[0])
-            assert a == b
+    def test_deterministic_files(self):
+        # Every construction on every fixture of the kind it takes: the
+        # file is the same each time, and reads back strictly to the same
+        # signature in order, the same rule ids and the same canonical ids.
+        from irw.encode import _BUILDERS
+        fixtures = [load_fixture(name) for name in FIXTURES]
+        cases = [(tag, m, False) for tag in CONSTRUCTIONS if tag != "pickn"
+                 for m in fixtures if isinstance(m, _BUILDERS[tag][0])]
+        cases += [("pickn", None, False)]
+        cases += [("R", m, True) for m in fixtures if isinstance(m, NdTmSpec)]
+        assert len(cases) == 3 * 4 + 2 * 2 + 1 + 2
+        for tag, m, as_printed in cases:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", EncodeWarning)
+                trs = compile_construction(tag, m, as_printed)[0]
+                again = compile_construction(tag, m, as_printed)[0]
+            a = emit_trs_file(trs)
+            assert a == emit_trs_file(again)
+            assert f"rules: {len(trs.rules)}" in a
             back = parse_trs(a)
-            assert len(back.rules) == len(compile_construction(tag, m)[0].rules)
-            assert f"rules: {len(back.rules)}" in a
+            assert [repr(s) for s in back.sig] == [repr(s) for s in trs.sig]
+            assert [r.rid for r in back.rules] == [r.rid for r in trs.rules]
+            assert [(canon_key(r.lhs), canon_key(r.rhs)) for r in back.rules] \
+                == [(canon_key(r.lhs), canon_key(r.rhs)) for r in trs.rules]
 
     def test_kind_mismatch(self, macc, right):
         with pytest.raises(EncodeError):

@@ -440,3 +440,52 @@ class TestRefutedReturns:
             built(m), [r.rid for r in built(m).rules], rules))
         rep = check_limit_correspondence(m, w)
         assert (rep.verdict, rep.witness) == ("refuted", witness)
+
+
+class TestUnknownReturns:
+    """Each law's unknown returns, mostly on bounds too small to decide:
+    what a law cannot decide it never refutes."""
+
+    def test_pickn(self):
+        rep = check_pickn(n_max=3, fuel=5)
+        assert (rep.verdict, rep.witness) == (
+            "unknown", "n=2 not reached within fuel 5")
+
+    @pytest.mark.parametrize("argv, witness", [
+        # A run of no step is stable at every depth, but holds no tower.
+        (["pebbled-reach", "--fuel", "0"],
+         "stable prefix is not a peb tower of depth 5"),
+        (["norm-probe", "--fuel", "0"],
+         "corpus term xi did not normalize within fuel 0"),
+    ], ids=["pebbled-reach", "norm-probe"])
+    def test_cli(self, capsys, argv, witness):
+        from irw.cli import main
+        code = main(["laws", *argv])
+        lines = capsys.readouterr().out.splitlines()
+        assert (code, lines[-1]) == (2, "VERDICT: unknown")
+        assert f"witness: {witness}" in lines
+
+    def test_norm_probe_designated_not_bot(self, monkeypatch, right, pong):
+        # No argument reaches this return: the designated term's root
+        # rewrites only to run or bot, and a normal form rooted at run
+        # would hold the normal forms of D1(z) and D2(z), both z, where
+        # run.restart applies.  A forged rule to another normal form does.
+        monkeypatch.setattr(laws, "_depth3_corpus", lambda *args: [])
+        built = laws.build_R
+        monkeypatch.setattr(laws, "build_R", lambda m, **kw: _altered(
+            built(m, **kw), (), [("forge", "run(x, y, z, w)", "a(bot)")]))
+        rep = check_norm_probe(right, pong)
+        assert (rep.verdict, rep.witness) == (
+            "unknown", "designated term did not reach bot within fuel 10000")
+
+    def test_limit_correspondence_membership_unknown(self):
+        # The law's fuel bounds only the rewriting side, so this return is
+        # reached through the machine and word: machine 162 of the seeded
+        # generator on ab(ba)^w, two of whose branches end on a window
+        # merge and no branch accepts.
+        rng = random.Random(1)
+        for _ in range(163):
+            m = gen_nd_machine(rng)
+        rep = check_limit_correspondence(m, parse_word("ab(ba)^w", m.alphabet))
+        assert (rep.verdict, rep.witness) == (
+            "unknown", "membership unknown within bounds")

@@ -1,3 +1,6 @@
+import runpy
+from pathlib import Path
+
 import pytest
 
 from irw.machines import load_fixture, parse_machine
@@ -198,13 +201,58 @@ class TestClassify:
                     (c.complete == "yes" and c.oscillating == "no")
 
 
+OMEGA_WORDS = ("(a)^w", "(b)^w", "(_)^w", "(ab)^w", "(aab)^w", "a(b)^w",
+               "b(ba)^w", "ab(ba)^w")
+
+
+class TestExactMerges:
+    """Only a merge into the same configuration, held by another branch,
+    supports rejected_exhausted.  A branch whose window key alone matches
+    may still accept, so a window merge leaves the verdict unknown."""
+
+    def test_repro_is_unknown(self):
+        # Every run of the benchmark's repro machine on b(ba)^w moves
+        # right forever and accepts; each branch ends on a window merge.
+        workloads = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+        m = parse_machine(runpy.run_path(str(workloads))["BUG_MACHINE"])
+        w = parse_word("b(ba)^w", m.alphabet)
+        assert {r.status for r in explore_runs(m, w)} == {"window-merged"}
+        assert membership_semidecide(m, w).kind == "unknown"
+
+    @pytest.mark.parametrize("wtext", OMEGA_WORDS)
+    def test_seeded_sweep(self, wtext):
+        # The runs of machines 162 and 290 on ab(ba)^w end stuck, merged,
+        # window-merged or in zero-displacement lassos: only the window
+        # merges keep them from rejected_exhausted, and no other verdict
+        # of the sweep rests on one.
+        import random
+        from irw.laws import gen_nd_machine
+        from irw.omega import _membership
+        rng = random.Random(1)
+        window_only = set()
+        for i in range(300):
+            m = gen_nd_machine(rng)
+            runs = explore_runs(m, parse_word(wtext, m.alphabet))
+            kind = _membership(runs).kind
+            statuses = {r.status for r in runs}
+            if kind == "rejected_exhausted":
+                assert "window-merged" not in statuses, i
+            if "window-merged" in statuses and all(
+                    r.status in ("stuck", "merged", "window-merged") or
+                    (r.status == "lassoed" and r.lasso.displacement == 0)
+                    for r in runs):
+                assert kind == "unknown"
+                window_only.add(i)
+        assert window_only == ({162, 290} if wtext == "ab(ba)^w" else set())
+
+
 class TestMembership:
     def test_right_accepts_everything(self, right):
-        for w in ["(a)^w", "ab(ba)^w", "(b)^w", "b(ab)^w"]:
+        for w in OMEGA_WORDS + ("b(ab)^w",):
             assert membership_semidecide(right, parse_word(w), fuel=40).kind == "accepted"
 
     def test_pong_rejects_everything(self, pong):
-        for w in ["(a)^w", "ab(ba)^w"]:
+        for w in OMEGA_WORDS:
             got = membership_semidecide(pong, parse_word(w), fuel=40)
             assert got.kind == "rejected_exhausted"
 
@@ -361,15 +409,18 @@ def reference_steps(m, c):
 def reference_explore(m, w, fuel, width, radius=None):
     """The list-copying explore_runs loop the run tree replaced: every
     branch carries its own configs and key -> index map, and every key is
-    computed from scratch by _dedup_key.  Each delta move must be the one
-    read off the two configurations it joins."""
+    computed from scratch by _dedup_key.  Each key maps to the first
+    configuration that reached it, and a branch reaching a key another
+    branch holds is merged only if its configuration equals that one.
+    Each delta move must be the one read off the two configurations it
+    joins."""
     from irw.omega import (
         RunPrefix, _dedup_key, _default_radius, _validate_lasso,
     )
     radius = radius if radius is not None else _default_radius(m, w)
     start = NdConfig(w, m.initial, 0)
     runs = []
-    seen_global = {_dedup_key(start, w, radius)}
+    first = {_dedup_key(start, w, radius): start}
     frontier = [([start], {_dedup_key(start, w, radius): 0})]
     depth = 0
     while frontier and depth < fuel:
@@ -390,10 +441,11 @@ def reference_explore(m, w, fuel, width, radius=None):
                     status = "lassoed" if lasso else "failed"
                     runs.append(RunPrefix(nconfigs, status, lasso))
                     continue
-                if key in seen_global:
-                    runs.append(RunPrefix(nconfigs, "merged"))
+                if key in first:
+                    runs.append(RunPrefix(nconfigs, "merged" if nc == first[key]
+                                          else "window-merged"))
                     continue
-                seen_global.add(key)
+                first[key] = nc
                 nkeyidx = dict(keyidx)
                 nkeyidx[key] = len(nconfigs) - 1
                 nxt_frontier.append((nconfigs, nkeyidx))
@@ -411,6 +463,8 @@ def reference_explore(m, w, fuel, width, radius=None):
 
 
 def reference_verdict(runs):
+    # A window-merged branch may go on to accept: it never supports a
+    # rejection.
     for r in runs:
         if r.lasso is not None and r.lasso.displacement > 0:
             return "accepted", r
@@ -427,9 +481,6 @@ def run_fingerprint(r):
 
 
 class TestRunTreeOracle:
-    WORDS = ("(a)^w", "(b)^w", "(_)^w", "(ab)^w", "(aab)^w", "a(b)^w",
-             "b(ba)^w", "ab(ba)^w")
-
     def _check(self, m, w, fuel, width, radius=None):
         runs = explore_runs(m, w, fuel=fuel, width=width, radius=radius)
         want = reference_explore(m, w, fuel, width, radius)
@@ -453,15 +504,16 @@ class TestRunTreeOracle:
         statuses = set()
         for i in range(60):
             m = gen_nd_machine(rng)
-            for wtext in self.WORDS:
+            for wtext in OMEGA_WORDS:
                 w = parse_word(wtext, m.alphabet)
                 runs = self._check(m, w, 40, 16, 40 if i % 20 == 0 else None)
                 statuses.update(r.status for r in runs)
-        assert statuses == {"lassoed", "merged", "stuck", "cut", "failed"}
+        assert statuses == {"lassoed", "merged", "window-merged", "stuck",
+                            "cut", "failed"}
 
     def test_fixtures(self, right, pong):
         for m in (right, pong, TWO_BRANCH):
-            for wtext in self.WORDS[:4] + ("ab(ba)^w",):
+            for wtext in OMEGA_WORDS[:4] + ("ab(ba)^w",):
                 self._check(m, parse_word(wtext, m.alphabet), 120, 64)
 
     def test_corners(self):

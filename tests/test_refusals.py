@@ -7,7 +7,10 @@ where a command reads that input, the command must print the message as
 import pytest
 
 from irw.cli import main
-from irw.encode import EncodeError, decode_config, pebble_trs, pickn_trs
+from irw.encode import (
+    EncodeError, compile_construction, decode_config, emit_trs_file,
+    pebble_trs, pickn_trs,
+)
 from irw.machines import load_fixture, parse_machine
 from irw.omega import NdConfig, explore_runs, parse_word
 from irw.rewrite import (
@@ -86,6 +89,7 @@ def _trace(trs_text):
 
 
 F2 = Symbol("f", 2)
+DUPLICATE = "sig f/1\nrule r: f(x) -> x\nrule r: f(x) -> f(x)\n"
 
 
 @pytest.mark.parametrize("call, message, argv", [
@@ -101,25 +105,27 @@ def test_terms(capsys, tmp_path, call, message, argv):
 
 
 @pytest.mark.parametrize("call, message, argv", [
-    (lambda: parse_trs("rule r: f(x) -> x\nrule r: f(x) -> f(x)\n"),
-     "duplicate rule id r",
-     _trace("rule r: f(x) -> x\nrule r: f(x) -> f(x)\n")),
+    (lambda: parse_trs(DUPLICATE), "duplicate rule id r", _trace(DUPLICATE)),
+    (lambda: parse_trs("sig f/1\nrule r: f(x) -> y\n"),
+     "rule r: rhs variables ['y'] not in lhs",
+     _trace("sig f/1\nrule r: f(x) -> y\n")),
     (lambda: Trs(Signature(), [Rule("r", app(Symbol("f", 1), var("x")),
                                     var("x"))]),
      "rule r: symbol f/1 not declared in signature", None),
     (lambda: PICKN.rule("nosuch"), "no rule named 'nosuch'", None),
     (lambda: find_redexes(PICKN, START, -1), "depth_bound must be >= 0",
-     _trace("rule r: a -> a\n") + ["--depth", "-1"]),
+     _trace("sig a/0\nrule r: a -> a\n") + ["--depth", "-1"]),
     (lambda: run_strategy(PICKN, START, fuel=-1), "fuel must be >= 0",
-     _trace("rule r: a -> a\n") + ["--fuel", "-1"]),
+     _trace("sig a/0\nrule r: a -> a\n") + ["--fuel", "-1"]),
     (lambda: run_strategy(PICKN, START, strategy="nosuch"),
      "unknown strategy 'nosuch'", None),
     (lambda: bounded_reach(PICKN, START, var("x")),
      "reach target must be ground", None),
     (lambda: step_reachability(PICKN, var("x")),
      "search requires a ground start term", None),
-], ids=["duplicate-rule", "undeclared", "no-such-rule", "redex-depth",
-        "strategy-fuel", "strategy", "reach-target", "reachability-start"])
+], ids=["duplicate-rule", "rhs-variable", "undeclared", "no-such-rule",
+        "redex-depth", "strategy-fuel", "strategy", "reach-target",
+        "reachability-start"])
 def test_rewrite(capsys, tmp_path, call, message, argv):
     _refused(capsys, tmp_path, TrsError, message, call, argv)
 
@@ -139,17 +145,23 @@ def test_sig_line(capsys, tmp_path, line, message):
              lambda: parse_trs(text), _trace(text))
 
 
+BASE_M_EXT = emit_trs_file(compile_construction("base", load_fixture("m_ext"))[0])
+
+
 @pytest.mark.parametrize("text, message", [
     ("sig f/1 a/0\n\n# rule r: f(a) -> a\nrule r2: f(a)   ->   f(a, a)\n",
      "f expects 1 arguments, got 2 (line 4, col 22)"),
     ("sig f/1 a/0\n\nrule r2: f(x) -> f(%)\n",
      "unexpected character '%' (line 3, col 20)"),
-    # The second read, after B became a constant, refuses the binder.
-    ("rule r: f(x) -> rec B . g(B)\nrule s:   B -> a\n",
-     "'rec' binder 'B' collides with a declared symbol (line 1, col 21)"),
-], ids=["arity", "character", "second-read"])
+    ("sig f/1\nrule r: f(x) -> g(x)\n", "unknown symbol 'g' (line 2, col 17)"),
+    # Without its sig line, q0 in q0(x, end) is refused, not declared
+    # with end read as a variable.
+    (BASE_M_EXT.replace("sig q0/2 _/1 S/1 0/1 end/0\n", ""),
+     "unknown symbol 'q0' (line 4, col 14)"),
+], ids=["arity", "character", "unknown-symbol", "base-m_ext-without-sig"])
 def test_rule_side(capsys, tmp_path, text, message):
-    # A rule side's syntax error gives its line and column in the file.
+    # A rule side's syntax error, an undeclared symbol among them, gives
+    # its line and column in the file.
     _refused(capsys, tmp_path, TermSyntaxError, message,
              lambda: parse_trs(text), _trace(text))
 

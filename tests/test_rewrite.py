@@ -18,7 +18,7 @@ from irw.rewrite import (
     step_reachability, validate_certificate,
 )
 from irw.terms import (
-    PositionError, Signature, Symbol, Term, TermSyntaxError, app,
+    PositionError, Signature, Symbol, Term, app,
     bisim_equal, parse_term, print_term, replace_at, subterm_at, var,
 )
 
@@ -592,80 +592,26 @@ class TestTrsFiles:
             assert bisim_equal(a.lhs, b.lhs) and bisim_equal(a.rhs, b.rhs)
         assert back.construction == "pickn"
 
-    def test_signature_inference(self):
-        text = "rule g: pickn -> c(pickn)\nrule z: pickn -> ok(0(end))\n" \
-               "rule s: c(ok(x)) -> ok(S(x))\n"
-        trs = parse_trs(text)
-        names = {s.name for s in trs.sig}
-        assert {"pickn", "c", "ok", "S", "0", "end"} <= names
-        assert not is_normal_form(trs, parse_term("pickn", trs.sig))
-
     def test_bad_line(self):
         with pytest.raises(Exception):
             parse_trs("rule broken pickn -> ok\n")
-
-    @pytest.mark.parametrize("tag", ["S", "Sprime"])
-    @pytest.mark.parametrize("machine", ["m_acc", "m_rej", "m_ext"])
-    def test_emitted_file_reads_without_sig(self, tag, machine):
-        # A sig-less file declares a bare uppercase name that no rec binds,
-        # such as S's T, as a constant: the emitted S and Sprime files read
-        # back without their sig line to the same rules and symbols.
-        from irw.encode import compile_construction, emit_trs_file
-        trs, _ = compile_construction(tag, load_fixture(machine))
-        text = emit_trs_file(trs)
-        sigless = "".join(line for line in text.splitlines(True)
-                          if not line.startswith("sig "))
-        (sig, rules), (want_sig, want_rules) = (
-            _parsed(parse_trs, sigless), _parsed(parse_trs, text))
-        assert sigless != text and "T/0" in sig
-        assert rules == want_rules
-        assert sorted(sig) == sorted(want_sig)
-
-    def test_bare_uppercase_stays_unbound_in_strict_mode(self):
-        trs = parse_trs("rule r: f(x) -> T\n")
-        assert [repr(s) for s in trs.sig] == ["f/1", "T/0"]
-        with pytest.raises(TermSyntaxError,
-                           match="unbound recursion variable 'U'"):
-            parse_term("f(U)", trs.sig)
 
     def test_sig_comment_declares_nothing(self):
         trs = parse_trs("sig f/1 # was g/2\nrule r: f(x) -> x\n")
         assert [repr(s) for s in trs.sig] == ["f/1"]
 
-    def test_sigless_declares_in_order_of_first_use(self):
-        # The outer f is used first, with one argument; nested, the inner
-        # use with two is refused against it, as is a bare use later.
-        trs = parse_trs("rule r: g(h(x), k(x, y)) -> h(k(y, x))\n"
-                        "rule s: h(x) -> g(x, x)\n")
-        assert [repr(s) for s in trs.sig] == ["g/2", "h/1", "k/2"]
-        with pytest.raises(TermSyntaxError, match="f expects 1 arguments, got 2"):
-            parse_trs("rule r: f(f(x, x)) -> x\n")
-        with pytest.raises(TermSyntaxError, match="f expects 1 arguments, got 0"):
-            parse_trs("rule r: f(x) -> x\nrule s: g(x) -> f\n")
-
     def test_deep_sigless_rule(self):
         n = 10 ** 4
-        trs = parse_trs(f"rule r: {'S(' * n}x{')' * n} -> x\n")
+        trs = parse_trs(f"sig S/1\nrule r: {'S(' * n}x{')' * n} -> x\n")
         assert [repr(s) for s in trs.sig] == ["S/1"]
         node, depth = trs.rule("r").lhs, 0
         while node.children:
             node, depth = node.children[0], depth + 1
         assert (node.label, depth) == ("x", n)
 
-    def test_ten_rhs_constants_without_sig(self):
-        text = "".join(f"rule r{i}: f(x) -> k{i}\n" for i in range(10))
-        trs = parse_trs(text)
-        assert [s.name for s in trs.sig] == ["f"] + [f"k{i}" for i in range(10)]
-        assert all(s.arity == 0 for s in trs.sig if s.name != "f")
-
     def test_comment_adds_no_symbol(self):
-        trs = parse_trs("rule r: f(x) -> x  # see note (old)\n")
+        trs = parse_trs("sig f/1\nrule r: f(x) -> x  # see note (old)\n")
         assert [repr(s) for s in trs.sig] == ["f/1"]
-
-    def test_primed_constant_promoted(self):
-        trs = parse_trs("rule r: f(x) -> k'\n")
-        assert trs.sig.get("k'") == Symbol("k'", 0)
-        assert print_term(trs.rule("r").rhs) == "k'"
 
     def test_render_trace_ordinals(self, r_right):
         t = T(r_right, "run(xi, q0(rec X. a(X)), D1(rec X. a(X)), D2(rec X. a(X)))")
@@ -673,134 +619,6 @@ class TestTrsFiles:
         out = render_trace(res.trace)
         assert "omega-limit:" in out
         assert "w+0" in out or "w*2+0" in out
-
-
-def _reference_parse_trs(text):
-    """parse_trs with the promotion loop it had before its one promotion
-    pass: rule by rule, each rule parsed after the promotions of the rules
-    before it, then again any rule whose lhs holds a name that a later
-    rule promoted.  The differential reference for TestPromotion."""
-    from irw.rewrite import _RULE_RE, _SIG_ITEM_RE
-    from irw.terms import TermSyntaxError, is_var, variables
-    sig, rule_lines = Signature(), []
-    for ln, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("sig"):
-            for nm, ar in _SIG_ITEM_RE.findall(line[3:]):
-                sig.declare(Symbol(nm, int(ar)))
-            continue
-        m = _RULE_RE.match(line)
-        if not m:
-            raise TermSyntaxError(f"bad TRS line: {raw!r}", ln, 1)
-        rule_lines.append((m.group("rid"), m.group("lhs"), m.group("rhs")))
-    for _, lhs, rhs in rule_lines:
-        _declare_applied(lhs, sig)
-        _declare_applied(rhs, sig)
-    rules = []
-    for rid, lhs, rhs in rule_lines:
-        lt, rt = parse_term(lhs, sig), parse_term(rhs, sig)
-        promote = sorted(variables(rt) - variables(lt))
-        if is_var(lt):
-            promote.insert(0, lt.label)
-        for v in promote:
-            sig.declare(Symbol(v, 0))
-        if promote:
-            lt, rt = parse_term(lhs, sig), parse_term(rhs, sig)
-        rules.append(Rule(rid, lt, rt))
-    for k, (rid, lhs, rhs) in enumerate(rule_lines):
-        if any(v in sig for v in variables(rules[k].lhs)):
-            rules[k] = Rule(rid, parse_term(lhs, sig), parse_term(rhs, sig))
-    return Trs(sig, rules)
-
-
-def _declare_applied(side, sig):
-    """The token scan parse_trs read a sig-less file with before the
-    parser recorded applied symbols itself: declare each undeclared
-    applied symbol of a rule side with the number of arguments it is
-    applied to.  Kept here for _reference_parse_trs."""
-    from irw.terms import _tokenize
-    toks = _tokenize(side, 1, 1)
-    for k, (kind, name, _, _) in enumerate(toks[:-1]):
-        if kind != "ident" or toks[k + 1][1] != "(" or name == "rec" \
-                or name in sig:
-            continue
-        depth, arity = 0, 1
-        for _, tok, _, _ in toks[k + 2:]:
-            if tok == "(":
-                depth += 1
-            elif tok == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif tok == "," and depth == 0:
-                arity += 1
-        sig.declare(Symbol(name, arity))
-
-
-def _parsed(parse, text):
-    """The signature in declaration order and the rules, printed and as
-    canonical ids (which tell a variable from a constant), or None when
-    the file is refused with a TermError."""
-    from irw.terms import TermError
-    try:
-        trs = parse(text)
-    except TermError:
-        return None
-    return ([repr(s) for s in trs.sig],
-            [(r.rid, print_term(r.lhs), print_term(r.rhs),
-              canon_key(r.lhs), canon_key(r.rhs)) for r in trs.rules])
-
-
-@st.composite
-def _rule_files(draw):
-    """Small rule files, mostly sig-less: applied and bare identifiers,
-    primed names and rec binders, sometimes under a partial sig line.
-    Each name keeps one arity in a file, but for a rare clash; x and y
-    are always bare."""
-    arity = {n: draw(st.integers(0, 2)) for n in ["f", "g", "a", "k'"]}
-    arity.update(x=0, y=0)
-
-    def term(depth):
-        pool = sorted(n for n in arity if depth < 2 or arity[n] == 0)
-        name = draw(st.sampled_from(pool))
-        kind = draw(st.integers(0, 39))   # Hypothesis favours the ends
-        if kind == 17:   # a rule side must be finite: refused
-            return f"rec X . {name}(X)"
-        n = draw(st.integers(0, 2)) if kind == 23 else arity[name]
-        if n == 0:
-            return name
-        return f"{name}({', '.join(term(depth + 1) for _ in range(n))})"
-
-    lines = []
-    if draw(st.integers(0, 3)) == 0:
-        decls = draw(st.lists(st.sampled_from(sorted(arity)), max_size=3,
-                              unique=True))
-        lines.append("sig " + " ".join(f"{n}/{arity[n]}" for n in decls))
-    for i in range(draw(st.integers(1, 4))):
-        lines.append(f"rule r{i}: {term(0)} -> {term(0)}")
-    return "\n".join(lines) + "\n"
-
-
-class TestPromotion:
-    def test_later_rule_promotes_an_earlier_lhs_variable(self):
-        text = "rule a: f(x) -> x\nrule b: g(y) -> x\n"
-        trs = parse_trs(text)
-        assert [repr(s) for s in trs.sig] == ["f/1", "g/1", "x/0"]
-        assert trs.rule("a").lhs.children[0].label == Symbol("x", 0)
-        assert print_term(trs.rule("b").lhs) == "g(y)"
-        assert _parsed(parse_trs, text) == _parsed(_reference_parse_trs, text)
-
-    @settings(max_examples=300, deadline=None)
-    @given(_rule_files())
-    @example("rule a: f(x) -> x\nrule b: g(y) -> x\n")
-    @example("rule a: k' -> f(y)\nrule b: f(y) -> k'\n")
-    @example("sig f/1\nrule a: f(a) -> rec X . f(X)\n")
-    def test_same_as_the_rule_by_rule_loop(self, text):
-        # A file with two faults may be refused for the other one; an
-        # accepted file gives the same signature, in order, and rules.
-        assert _parsed(parse_trs, text) == _parsed(_reference_parse_trs, text)
 
 
 class TestPumpStress:
