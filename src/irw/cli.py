@@ -8,7 +8,7 @@ malformed command line, an input that its action does not read or one it
 cannot run without, both stated in ``USES``, a machine of the wrong kind,
 or a path that cannot be read or written), 4 an internal error; ``--help``
 exits 0.  IRW_SEED provides the default seed of ``trs trace --strategy
-random`` and of the laws that draw at random.
+random`` and of the law that draws at random, two-sided-bisim.
 """
 
 from __future__ import annotations
@@ -191,14 +191,11 @@ def cmd_trs(args) -> int:
     bounds = {"fuel": args.fuel, "depth_bound": args.depth}
     if args.action == "trace":
         t = _parse_ground(trs, args.term)
-        seeded = args.strategy == "random"
-        seed = 0
-        if seeded:
+        seed = None
+        if args.strategy == "random":
             seed = _env_seed() if args.seed is None else args.seed
         greedy = laws.greedy_order if args.strategy == "greedy" else None
-        run = rewrite.run_strategy(
-            trs, t, strategy="seeded-random" if seeded else "leftmost-outermost",
-            seed=seed, order=greedy, **bounds)
+        run = rewrite.run_strategy(trs, t, seed=seed, order=greedy, **bounds)
         print(rewrite.render_trace(run.trace, show_terms=args.show_terms))
         cl = rewrite.close_limit(run.trace.all_steps).closure
         if cl is not None:

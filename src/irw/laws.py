@@ -161,9 +161,9 @@ def _root_step(trs: Trs, term: Term):
     return apply_step(trs, term, *reds[0])
 
 
-def check_two_sided_bisim(m: Optional[TmSpec] = None, samples: int = 100,
-                          steps: int = 50, seed: int = 7,
-                          trs: Optional[Trs] = None) -> LawReport:
+def check_two_sided_bisim(m: TmSpec, samples: int = 100, steps: int = 50,
+                          seed: int = 7, trs: Optional[Trs] = None
+                          ) -> LawReport:
     """Random configs, lockstep replay: decoded system traces must equal
     machine traces one step to one step, including where both halt.
     Negative steps are refused with LawError; with no configuration or
@@ -172,27 +172,26 @@ def check_two_sided_bisim(m: Optional[TmSpec] = None, samples: int = 100,
         raise LawError(f"two-sided-bisim needs steps >= 0, got {steps}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    mm = m if m is not None else gen_det_machine(rng)
     rep = LawReport("two-sided-bisim", "holds", samples=samples, seed=seed)
     total = 0
-    sys = trs if trs is not None else tm_to_trs(mm)
+    sys = trs if trs is not None else tm_to_trs(m)
     for s_i in range(samples):
-        c = gen_det_config(rng, mm)
-        term = encode_config(mm, c)
+        c = gen_det_config(rng, m)
+        term = encode_config(m, c)
         for k in range(steps):
-            nxt = tm_step(mm, c)
+            nxt = tm_step(m, c)
             st = _root_step(sys, term)
             if (nxt is None) != (st is None):
                 return _finish(rep, t0, "refuted",
-                               f"machine {mm.name} config "
+                               f"machine {m.name} config "
                                f"'{display_config(c)}' step {k}: one side "
                                f"halted")
             if nxt is None:
                 break
-            dec = decode_config(mm, st.after)
+            dec = decode_config(m, st.after)
             if dec != nxt:
                 return _finish(rep, t0, "refuted",
-                               f"machine {mm.name} config "
+                               f"machine {m.name} config "
                                f"'{display_config(c)}' step {k}: "
                                f"'{display_config(dec)}' vs "
                                f"'{display_config(nxt)}'")
@@ -210,28 +209,27 @@ def check_two_sided_bisim(m: Optional[TmSpec] = None, samples: int = 100,
 # One-sided stepwise bisimulation
 
 
-def check_srs_bisim(m: Optional[NdTmSpec] = None,
-                    words: Optional[Sequence[OmegaWord]] = None,
-                    depth: int = 100, width: int = 4, seed: int = 7,
-                    trs: Optional[Trs] = None) -> LawReport:
+# The configurations srs-bisim keeps per level, least first.
+_SRS_WIDTH = 4
+
+
+def check_srs_bisim(m: NdTmSpec, words: Optional[Sequence[OmegaWord]] = None,
+                    depth: int = 100, trs: Optional[Trs] = None) -> LawReport:
     """Frontier-synchronized breadth-first comparison: at every level the
     one-step successor set of each kept configuration must equal the
     one-step reduct set of its term image, modulo bisimilarity.  A
-    negative depth or a width below 1 is refused with LawError; with
-    nothing checked the verdict is unknown."""
-    if depth < 0 or width < 1:
-        raise LawError(f"srs-bisim needs depth >= 0 and width >= 1, "
-                       f"got depth {depth}, width {width}")
+    negative depth is refused with LawError; with nothing checked the
+    verdict is unknown."""
+    if depth < 0:
+        raise LawError(f"srs-bisim needs depth >= 0, got {depth}")
     t0 = time.perf_counter()
-    rng = random.Random(seed)
-    mm = m if m is not None else gen_nd_machine(rng)
-    sys = trs if trs is not None else nd_to_srs(mm)
+    sys = trs if trs is not None else nd_to_srs(m)
     if words is None:
-        words = _fixture_words(mm)
-    rep = LawReport("srs-bisim", "holds", seed=seed)
+        words = _fixture_words(m)
+    rep = LawReport("srs-bisim", "holds")
     checked = 0
     for w in words:
-        root = NdConfig(w, mm.initial, 0)
+        root = NdConfig(w, m.initial, 0)
         frontier = [root]
         # Each distinct configuration's image is built once, as a
         # successor, and read as a term at the next level.
@@ -239,7 +237,7 @@ def check_srs_bisim(m: Optional[NdTmSpec] = None,
         for level in range(depth):
             nxt: dict[NdConfig, Term] = {}
             for c in frontier:
-                succs = nd_steps(mm, c)
+                succs = nd_steps(m, c)
                 for cc in succs:
                     if cc not in nxt:
                         nxt[cc] = phi(cc, sys.sig)
@@ -252,12 +250,12 @@ def check_srs_bisim(m: Optional[NdTmSpec] = None,
                     for p, rid in find_redexes(sys, term, c.head)))
                 if want != gotl:
                     return _finish(rep, t0, "refuted",
-                                   f"machine {mm.name} word "
+                                   f"machine {m.name} word "
                                    f"{''.join(w.prefix)}({''.join(w.cycle)})"
                                    f"^w level {level} config {c!r}: "
                                    f"successor sets differ")
                 checked += 1
-            frontier = sorted(nxt, key=lambda c: c._key())[:width]
+            frontier = sorted(nxt, key=lambda c: c._key())[:_SRS_WIDTH]
             images = nxt
             if not frontier:
                 break
@@ -359,7 +357,7 @@ def check_restart_cycle(m: TmSpec, firings: int = 5,
     t0 = time.perf_counter()
     sys, start = build_S(m)
     halt_rules = [r for r in sys.rules if r.rid.endswith(".halt")]
-    rep = LawReport(f"restart-cycle[{m.name}]", "holds", seed=0)
+    rep = LawReport(f"restart-cycle[{m.name}]", "holds")
     if halt_rules:
         trace = greedy_cycle_run(sys, start, fuel, stop_after_firings=firings)
         got = _count_firings(trace)
@@ -408,7 +406,7 @@ def check_pebbled_reach(m: TmSpec, firings: int = 5,
     t0 = time.perf_counter()
     sys, start = build_S_prime(m)
     halt_rules = [r for r in sys.rules if r.rid.endswith(".halt")]
-    rep = LawReport(f"pebbled-reach[{m.name}]", "holds", seed=0)
+    rep = LawReport(f"pebbled-reach[{m.name}]", "holds")
     want = firings if halt_rules else 1
     trace = greedy_cycle_run(sys, start, fuel, stop_after_firings=want + 1)
     if halt_rules:
@@ -480,7 +478,7 @@ def check_norm_probe(mpos: NdTmSpec, mneg: NdTmSpec, fuel: int = 10_000,
     designated term exhausts its search and the reducts of q0(z) and xi
     stay disjoint (state-or-bot vs neither)."""
     t0 = time.perf_counter()
-    rep = LawReport("norm-probe", "holds", seed=0)
+    rep = LawReport("norm-probe", "holds")
     for w in _fixture_words(mpos):
         if membership_semidecide(mpos, w, fuel=200).kind != "accepted":
             raise ValueError(f"positive fixture rejects a fixture word")
@@ -550,7 +548,7 @@ def check_limit_correspondence(m: NdTmSpec, w: OmegaWord,
     """Acceptance of the word must coincide with the head term closing to
     a rational ground tape image under the plain unary system."""
     t0 = time.perf_counter()
-    rep = LawReport(f"limit-correspondence[{m.name}]", "holds", seed=0)
+    rep = LawReport(f"limit-correspondence[{m.name}]", "holds")
     sys = nd_to_srs(m)
     member = membership_semidecide(m, w, fuel=200)
     start = app(sys.sig.get(m.initial), phi(w, sys.sig))
@@ -590,11 +588,11 @@ def check_limit_correspondence(m: NdTmSpec, w: OmegaWord,
 # CLI entry
 
 
-# The optional run_law arguments each law reads; "seed" marks the laws
-# that draw at random.
+# The optional run_law arguments each law reads; "seed" marks the one
+# law that draws at random.
 LAW_ARGS = {
     "two-sided-bisim": {"fixture", "samples", "seed"},
-    "srs-bisim": {"fixture", "seed"},
+    "srs-bisim": {"fixture"},
     "pickn": {"samples"},
     "restart-cycle": {"fixture", "fuel"},
     "pebbled-reach": {"fixture", "fuel"},
@@ -607,7 +605,7 @@ LAW_NAMES = tuple(LAW_ARGS)
 class LawError(ValueError):
     """An unknown law, an argument the named law does not use, or a
     bound out of range: a negative sample count, fuel, depth or step
-    count, or a width below 1."""
+    count."""
 
 
 def run_law(name: str, fixture: Optional[str] = None,
@@ -619,10 +617,13 @@ def run_law(name: str, fixture: Optional[str] = None,
     not use is refused with LawError rather than ignored."""
     if name not in LAW_ARGS:
         raise LawError(f"unknown law {name!r}; have {LAW_NAMES}")
+    uses = LAW_ARGS[name]
+    if name == "norm-probe" and as_printed:
+        uses = uses - {"fuel"}  # its restart rule refutes before any search
     given = {"fixture": fixture, "seed": seed, "samples": samples,
              "fuel": fuel, "as_printed": as_printed or None}
     unused = sorted(k for k, v in given.items()
-                    if v is not None and k not in LAW_ARGS[name])
+                    if v is not None and k not in uses)
     if unused:
         flags = ", ".join("--" + k.replace("_", "-") for k in unused)
         raise LawError(f"law {name} does not use {flags}")

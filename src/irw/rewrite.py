@@ -588,27 +588,22 @@ def strategy_steps(trs: Trs, t: Term,
         cur = st.after
 
 
-def run_strategy(trs: Trs, t: Term, strategy: str = "leftmost-outermost",
-                 fuel: int = DEFAULT_FUEL,
+def run_strategy(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL,
                  depth_bound: int = DEFAULT_DEPTH_BOUND,
-                 seed: int = 0,
+                 seed: Optional[int] = None,
                  order: Optional[Callable[[tuple[int, ...], str], object]] = None
                  ) -> StrategyRun:
     """Take at most fuel steps of strategy_steps from t.
 
-    ``leftmost-outermost`` takes the first productive redex in
-    find_redexes order, or in ``order`` when given; ``seeded-random``
-    draws uniformly from all productive redexes using the given seed.
-    The run is flagged fuel_exhausted only when a productive step remains
-    after the fuel runs out.
+    With no ``seed`` each step takes the first productive redex in
+    find_redexes order, or in ``order`` when given; with a seed it draws
+    uniformly from all productive redexes, seeded with it.  The run is
+    flagged fuel_exhausted only when a productive step remains after the
+    fuel runs out.
     """
     if fuel < 0:
         raise TrsError("fuel must be >= 0")
-    rng = None
-    if strategy == "seeded-random":
-        rng = random.Random(seed)
-    elif strategy != "leftmost-outermost":
-        raise TrsError(f"unknown strategy {strategy!r}")
+    rng = None if seed is None else random.Random(seed)
     steps = list(islice(strategy_steps(trs, t, depth_bound, order, rng), fuel + 1))
     return StrategyRun(Trace(t, (Epoch(tuple(steps[:fuel])),)), len(steps) > fuel)
 

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from irw import cli, laws
 from irw.cli import main
 from irw.machines import fixture_text
 
@@ -80,6 +81,13 @@ class TestTm:
         assert code == 0
         assert "steps: 5" in out
         assert out.strip().endswith("VERDICT: holds")
+
+    def test_rel_out_of_fuel_unknown(self, capsys):
+        code, out, _ = run_cli(capsys, "tm", "rel", "m_acc", "--pair", "2",
+                               "3", "--fuel", "0")
+        assert code == 2
+        assert out.splitlines() == ["0 S S q0 S S S 0", "steps: 0",
+                                    "VERDICT: unknown"]
 
     def test_rel_fails(self, capsys, tm_file):
         code, out, _ = run_cli(capsys, "tm", "rel", tm_file("m_rej"),
@@ -529,6 +537,9 @@ class TestLaws:
         ["norm-probe", "--fixture", "nd_right"],
         ["limit-correspondence", "--as-printed"],
         ["limit-correspondence", "--seed", "5"],
+        ["srs-bisim", "--seed", "5"],
+        # The as-printed restart rule refutes before any search.
+        ["norm-probe", "--fuel", "5", "--as-printed"],
     ])
     def test_unused_flag_refused(self, capsys, argv):
         code, out, err = run_cli(capsys, "laws", *argv)
@@ -617,6 +628,8 @@ class TestLaws:
         # Read only where a seed is drawn, and refused as an input error.
         monkeypatch.setenv("IRW_SEED", "x")
         code, _, _ = run_cli(capsys, "laws", "pickn", "--samples", "3")
+        assert code == 0
+        code, _, _ = run_cli(capsys, "laws", "srs-bisim")
         assert code == 0
         code, out, err = run_cli(capsys, "laws", "two-sided-bisim",
                                  "--samples", "2")
@@ -728,6 +741,113 @@ class TestDeterminism:
                                    "--strategy", "random", "--seed", "9")
             outs.append(out)
         assert outs[0] == outs[1]
+
+
+# Each input an action reads, set to two values that must change its
+# output: (argv before the input, input, value, other value).  "machine"
+# is the positional machine; a value None leaves the input out, and a
+# tuple gives a flag its arguments, () for a flag that takes none.
+# {halt} names a machine that halts at once, so its value is its
+# argument; {pickn} and {loop} name TRS files: the number chooser, and
+# f -> a(f), which normalizes only through a closure.  A row whose flag
+# is refused both times passes without counting as read.
+_DET = ("base", "pebbled", "S", "Sprime")
+FLAG_CASES = [
+    *[(["compile", c], "machine", "m_acc", "m_rej") for c in _DET],
+    *[(["compile", c], "machine", "nd_right", "nd_pong") for c in ("srs", "R")],
+    (["compile", "R", "nd_right"], "--as-printed", None, ()),
+    (["tm", "run", "m_acc"], "--config", "q0 S S 0", "q0 S 0"),
+    (["tm", "fun", "{halt}"], "--arg", "2", "3"),
+    (["tm", "rel", "m_acc"], "--pair", ("2", "3"), ("2", "2")),
+    (["trs", "trace", "{pickn}", "--fuel", "4"], "--term", "pickn", "c(pickn)"),
+    (["trs", "trace", "{pickn}", "--term", "pickn", "--fuel", "4"],
+     "--strategy", None, "greedy"),
+    (["trs", "trace", "{pickn}", "--term", "pickn", "--fuel", "6",
+      "--strategy", "random"], "--seed", "1", "2"),
+    (["trs", "normalize", "{loop}"], "--term", "f", "a(f)"),
+    (["trs", "normalize", "{loop}", "--term", "f"], "--epochs", "1", "2"),
+    (["trs", "reach", "{pickn}", "--to", "ok(S(0(end)))"],
+     "--from", "pickn", "c(pickn)"),
+    (["trs", "reach", "{pickn}", "--from", "pickn"],
+     "--to", "ok(0(end))", "ok(S(0(end)))"),
+    (["trs", "reach", "{loop}", "--from", "f", "--to", "rec X . a(X)"],
+     "--epochs", "1", "2"),
+    (["laws", "two-sided-bisim", "--samples", "2"],
+     "--fixture", "m_acc", "m_ext"),
+    (["laws", "two-sided-bisim"], "--samples", "1", "2"),
+    (["laws", "two-sided-bisim", "--samples", "2"], "--seed", "1", "2"),
+    (["laws", "srs-bisim"], "--fixture", "nd_right", "nd_pong"),
+    # Refused: srs-bisim draws nothing at random.
+    (["laws", "srs-bisim"], "--seed", "1", "2"),
+    (["laws", "pickn"], "--samples", "2", "3"),
+    (["laws", "restart-cycle", "--fuel", "100"], "--fixture", "m_acc", "m_rej"),
+    (["laws", "restart-cycle"], "--fuel", "10", "20"),
+    (["laws", "pebbled-reach", "--fuel", "30"], "--fixture", "m_acc", "m_rej"),
+    (["laws", "pebbled-reach"], "--fuel", "0", "30"),
+    (["laws", "norm-probe"], "--fuel", "0", "3"),
+    (["laws", "norm-probe"], "--as-printed", None, ()),
+    # Refused: the as-printed restart rule refutes before any search.
+    (["laws", "norm-probe", "--as-printed"], "--fuel", "0", "100000"),
+    (["laws", "limit-correspondence"], "--fixture", "nd_right", "nd_pong"),
+    (["laws", "limit-correspondence"], "--fuel", "1", "100"),
+]
+# The line of a report that echoes the input rather than answers it.
+_ECHO = {"--seed": "seed:", "--samples": "samples:"}
+# The one input whose two values print the same report: srs-bisim's
+# report does not name its machine, and both one-sided fixtures pass
+# all 200 configurations.  A wrong-kind fixture is refused, so the flag
+# is read (TestLaws.test_wrong_kind_fixture_refused).
+_SAME_REPORT = {("srs-bisim", "--fixture")}
+
+
+class TestEveryFlagIsRead:
+    @pytest.fixture
+    def files(self, capsys, tmp_path):
+        loop = tmp_path / "loop.trs"
+        loop.write_text("sig f/0 a/1\nrule r: f -> a(f)\n")
+        pickn = tmp_path / "pickn.trs"
+        run_cli(capsys, "compile", "pickn", "-o", str(pickn))
+        halt = tmp_path / "halt.tm"
+        halt.write_text("machine halt_now\nkind det-two-sided\nstates q0\n"
+                        "initial q0\nblank _\nalphabet _ S 0\nend\n")
+        return {"pickn": str(pickn), "loop": str(loop), "halt": str(halt)}
+
+    def test_every_accepted_input_changes_the_output(self, capsys, files,
+                                                     monkeypatch):
+        # norm-probe takes about 13 s at its default fuel, which a run
+        # with --as-printed and without --fuel gets; fuel 3 leaves the
+        # two answers apart.
+        probe = laws.check_norm_probe
+        monkeypatch.setattr(probe, "__defaults__", (3, *probe.__defaults__[1:]))
+        monkeypatch.delenv("IRW_SEED", raising=False)
+        read = set()
+        for head, flag, *values in FLAG_CASES:
+            drop = ("elapsed:", _ECHO.get(flag, "elapsed:"))
+            runs = []
+            for v in values:
+                argv = [a.format(**files) for a in head]
+                if flag == "machine":
+                    argv.append(v)
+                elif v is not None:
+                    argv += [flag, *([v] if isinstance(v, str) else v)]
+                code, out, err = run_cli(capsys, *argv)
+                runs.append((code, [line for line in out.splitlines()
+                                    if not line.startswith(drop)], err))
+            case = (head, flag)
+            refused = [err.endswith(f" does not use {flag}\n")
+                       for _, _, err in runs]
+            if any(refused):
+                assert all(refused) and {c for c, _, _ in runs} == {3}, case
+                continue
+            assert {c for c, _, _ in runs} <= {0, 1, 2}, (case, runs)
+            assert (runs[0][1] == runs[1][1]) == \
+                ((head[1], flag) in _SAME_REPORT), case
+            read.add((head[0], head[1], flag.lstrip("-").replace("-", "_")))
+        want = {(c, a, k.rstrip("?")) for (c, a), ks in cli.USES.items()
+                for k in ks}
+        want |= {("laws", name, k) for name, ks in laws.LAW_ARGS.items()
+                 for k in ks}
+        assert read == want
 
 
 GOLDEN = Path(__file__).parent / "golden"

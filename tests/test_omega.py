@@ -277,6 +277,13 @@ class TestStatsAgreement:
         assert s["max_revisit"] > 100
         assert s["max_position"] <= 100
 
+    def test_stuck_at_once(self):
+        m = parse_machine("machine z\nkind nondet-one-sided\nstates q0\n"
+                          "initial q0\nblank _\nalphabet _ a\nend")
+        s = visit_stats(m, parse_word("(a)^w"), 10)
+        assert s == {"visits": {0: 1}, "max_position": 0, "max_revisit": 1,
+                     "steps": 0}
+
     def test_accepting_run_visits_prefix(self, right):
         s = visit_stats(right, parse_word("(a)^w"), 1000)
         assert all(p in s["visits"] for p in range(s["max_position"]))

@@ -117,14 +117,12 @@ def test_terms(capsys, tmp_path, call, message, argv):
      _trace("sig a/0\nrule r: a -> a\n") + ["--depth", "-1"]),
     (lambda: run_strategy(PICKN, START, fuel=-1), "fuel must be >= 0",
      _trace("sig a/0\nrule r: a -> a\n") + ["--fuel", "-1"]),
-    (lambda: run_strategy(PICKN, START, strategy="nosuch"),
-     "unknown strategy 'nosuch'", None),
     (lambda: bounded_reach(PICKN, START, var("x")),
      "reach target must be ground", None),
     (lambda: step_reachability(PICKN, var("x")),
      "search requires a ground start term", None),
 ], ids=["duplicate-rule", "rhs-variable", "undeclared", "no-such-rule",
-        "redex-depth", "strategy-fuel", "strategy", "reach-target",
+        "redex-depth", "strategy-fuel", "reach-target",
         "reachability-start"])
 def test_rewrite(capsys, tmp_path, call, message, argv):
     _refused(capsys, tmp_path, TrsError, message, call, argv)

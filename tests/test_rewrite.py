@@ -219,10 +219,8 @@ class TestStrategies:
         assert run.trace.all_steps == [] and not run.fuel_exhausted
 
     def test_seeded_random_deterministic(self, pickn):
-        a = run_strategy(pickn, T(pickn, "pickn"), strategy="seeded-random",
-                         fuel=6, seed=3)
-        b = run_strategy(pickn, T(pickn, "pickn"), strategy="seeded-random",
-                         fuel=6, seed=3)
+        a = run_strategy(pickn, T(pickn, "pickn"), fuel=6, seed=3)
+        b = run_strategy(pickn, T(pickn, "pickn"), fuel=6, seed=3)
         assert [s.rule_id for s in a.trace.all_steps] == \
             [s.rule_id for s in b.trace.all_steps]
 
@@ -286,6 +284,19 @@ class TestCloseLimit:
         got = close_limit(run.trace.all_steps)
         ep = Epoch(tuple(run.trace.all_steps), got.closure)
         assert validate_certificate(ep)
+
+    def test_epoch_without_closure_is_valid(self, pickn):
+        run = run_strategy(pickn, T(pickn, "pickn"), fuel=3)
+        assert validate_certificate(run.trace.epochs[0])
+
+    def test_hole_outside_the_term_refused(self):
+        # Steps at (1,) to (1,1,1,1) chain on the constant a: the
+        # positions pump with hole (1,), which a has no subterm at.
+        trs = parse_trs("sig a/0\nrule r: a -> a\n")
+        a = T(trs, "a")
+        steps = tuple(Step((1,) * k, "r", a, a) for k in range(1, 5))
+        cl = Closure(a, PumpCertificate(0, 1, (), (), "", ()))
+        assert validate_certificate(Epoch(steps, cl)) is False
 
     def test_certificate_needs_a_chained_run(self, xi_only):
         # Three steps of the xi tower, then three genuine steps of another
@@ -927,8 +938,7 @@ class TestRedexIndex:
         rng = random.Random(31)
         for k in range(120):
             t = _random_ground(rng, dup_sys.sig, rng.choice([0.0, 0.2]))
-            run = run_strategy(dup_sys, t, strategy="seeded-random",
-                               fuel=20, depth_bound=6, seed=k)
+            run = run_strategy(dup_sys, t, fuel=20, depth_bound=6, seed=k)
             terms = [t] + [s.after for s in run.trace.all_steps]
             for u in terms:
                 for d in (0, 2, 6):
@@ -1067,8 +1077,8 @@ class TestPumpFilter:
                                          "b(ba)^w", "(_a)^w", "a(b)^w"]):
                 w = parse_word(word, m.alphabet)
                 start = T(srs, f"q0({print_term(phi(w, srs.sig))})")
-                runs.append(run_strategy(srs, start, strategy="seeded-random",
-                                         fuel=24, seed=seed).trace.all_steps)
+                runs.append(run_strategy(srs, start, fuel=24,
+                                         seed=seed).trace.all_steps)
         return runs
 
     def test_matches_unfiltered_suffix_loop(self, xi_only, r_right):

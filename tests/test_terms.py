@@ -142,6 +142,15 @@ class TestParse:
         assert canon_key(t) == canon_key(cyclify(spine, (1,) * n))
         assert canon_key(t) == canon_key(P("rec X . S(X)"))
 
+    def test_binder_name_past_the_six_letters(self):
+        # The printer's six binder names X, Y, Z, U, V and W are all
+        # symbols of the term, so it falls back to X1; the text reads back.
+        sig = Signature([Symbol(n, 1) for n in ("X", "Y", "Z", "U", "V", "W")])
+        t = parse_term("rec A . X(Y(Z(U(V(W(A))))))", sig)
+        text = print_term(t)
+        assert text == "rec X1 . X(Y(Z(U(V(W(X1))))))"
+        assert bisim_equal(parse_term(text, sig), t)
+
     def test_position_reported(self):
         err = None
         try:
