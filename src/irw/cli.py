@@ -7,14 +7,12 @@ refuted or negative witness, 2 unknown/exhausted.  3 is an input error (a
 malformed command line, an input that its action does not read or one it
 cannot run without, both stated in ``USES``, a machine of the wrong kind,
 or a path that cannot be read or written), 4 an internal error; ``--help``
-exits 0.  IRW_SEED provides the default seed of ``trs trace --strategy
-random`` and of the law that draws at random, two-sided-bisim.
+exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
 from itertools import islice
@@ -48,10 +46,10 @@ def _verdict(word: str) -> int:
 
 # The inputs (argparse dests) each (command, action) reads besides those
 # all actions of the command read (compile -o, tm --fuel, trs --fuel,
-# --depth and --show-terms).  The action cannot run without those not
-# marked "?".  Any other input given, and a required one missing, is
-# refused before a file is read.  laws checks its flags against
-# laws.LAW_ARGS.
+# --depth and --show-terms, omega --word, --fuel and --width); a law is
+# an action of laws.  The action cannot run without those not marked
+# "?".  Any other input given, and a required one missing, is refused
+# before a file is read.
 USES = {
     **{("compile", c): ("machine",) for c in encode.CONSTRUCTIONS},
     ("compile", "pickn"): (),
@@ -62,6 +60,15 @@ USES = {
     ("trs", "trace"): ("term", "strategy?", "seed?"),
     ("trs", "normalize"): ("term", "epochs?"),
     ("trs", "reach"): ("from", "to", "epochs?"),
+    ("omega", "classify"): (),
+    ("omega", "member"): (),
+    ("laws", "two-sided-bisim"): ("fixture?", "samples?", "seed?"),
+    ("laws", "srs-bisim"): ("fixture?",),
+    ("laws", "pickn"): ("samples?",),
+    ("laws", "restart-cycle"): ("fixture?", "fuel?"),
+    ("laws", "pebbled-reach"): ("fixture?", "fuel?"),
+    ("laws", "norm-probe"): ("fuel?", "as_printed?"),
+    ("laws", "limit-correspondence"): ("fixture?", "fuel?"),
 }
 
 
@@ -80,14 +87,12 @@ class _Parser(argparse.ArgumentParser):
 def _check_inputs(args) -> None:
     """Refuse an input given that its action does not read, and one
     missing that it cannot run without (see USES)."""
-    cmd = args.command
-    action = (args.construction if cmd == "compile"
-              else getattr(args, "action", None))
-    if (cmd, action) not in USES:
-        return
+    cmd, action = args.command, args.action
     uses = {k.rstrip("?") for k in USES[cmd, action]}
     if cmd == "trs" and args.strategy != "random":
         uses.discard("seed")    # only a random trace draws from a seed
+    if (cmd, action) == ("laws", "norm-probe") and args.as_printed:
+        uses.discard("fuel")    # its restart rule refutes before any search
     others = {k.rstrip("?") for (c, _), ks in USES.items() if c == cmd
               for k in ks} - uses
     # vars(args) holds the inputs in the order the parser defines them; a
@@ -102,14 +107,6 @@ def _check_inputs(args) -> None:
                if not k.endswith("?") and k not in given]
     if missing:
         raise CliError(f"{cmd} {action} needs " + ", ".join(missing))
-
-
-def _env_seed() -> int:
-    text = os.environ.get("IRW_SEED", "7")
-    try:
-        return int(text)
-    except ValueError:
-        raise CliError(f"IRW_SEED must be an integer, got {text!r}") from None
 
 
 def _read(spec: str) -> str:
@@ -138,7 +135,7 @@ def cmd_compile(args) -> int:
     with warnings.catch_warnings(record=True) as ws:
         warnings.simplefilter("always")
         trs, start = encode.compile_construction(
-            args.construction, m, as_printed=args.as_printed)
+            args.action, m, as_printed=args.as_printed)
     for w in ws:
         print(f"warning: {w.message}")
     text = encode.emit_trs_file(trs)
@@ -192,8 +189,8 @@ def cmd_trs(args) -> int:
     if args.action == "trace":
         t = _parse_ground(trs, args.term)
         seed = None
-        if args.strategy == "random":
-            seed = _env_seed() if args.seed is None else args.seed
+        if args.strategy == "random":    # seed 7 unless --seed is given
+            seed = 7 if args.seed is None else args.seed
         greedy = laws.greedy_order if args.strategy == "greedy" else None
         run = rewrite.run_strategy(trs, t, seed=seed, order=greedy, **bounds)
         print(rewrite.render_trace(run.trace, show_terms=args.show_terms))
@@ -262,12 +259,35 @@ def cmd_omega(args) -> int:
 
 
 def cmd_laws(args) -> int:
-    seed = args.seed
-    if seed is None and "seed" in laws.LAW_ARGS[args.name]:
-        seed = _env_seed()
-    rep = laws.run_law(args.name, fixture=args.fixture, seed=seed,
-                       samples=args.samples, fuel=args.fuel,
-                       as_printed=args.as_printed)
+    # Only the flags given are passed: each check states its defaults.
+    opts = {k: v for k in ("seed", "samples", "fuel", "as_printed")
+            if (v := vars(args)[k]) is not None and v is not False}
+    for k in ("samples", "fuel"):
+        if opts.get(k, 0) < 0:
+            raise CliError(f"{k} must be >= 0")
+    name = args.action
+    if name == "pickn":    # its one flag, --samples, is its largest n
+        rep = laws.check_pickn(*opts.values())
+    elif name == "norm-probe":
+        rep = laws.check_norm_probe(_load_machine("nd_right"),
+                                    _load_machine("nd_pong"), **opts)
+    else:
+        # The kind of machine each other law takes, and its fixture
+        # without --fixture.
+        kind, default = {
+            "srs-bisim": (omega.NdTmSpec, "nd_pong"),
+            "limit-correspondence": (omega.NdTmSpec, "nd_right"),
+        }.get(name, (turing.TmSpec, "m_acc"))
+        m = _load_machine(default if args.fixture is None else args.fixture,
+                          kind)
+        if name == "limit-correspondence":
+            rep = laws.check_limit_correspondence(
+                m, omega.parse_word("(a)^w", m.alphabet), **opts)
+        else:
+            rep = {"two-sided-bisim": laws.check_two_sided_bisim,
+                   "srs-bisim": laws.check_srs_bisim,
+                   "restart-cycle": laws.check_restart_cycle,
+                   "pebbled-reach": laws.check_pebbled_reach}[name](m, **opts)
     code = VERDICT_EXIT[rep.verdict]    # render_report prints the verdict
     print(laws.render_report(rep))
     return code
@@ -278,7 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("compile", help="compile a machine into a rewrite system")
-    c.add_argument("construction", choices=encode.CONSTRUCTIONS)
+    c.add_argument("action", metavar="construction",
+                   choices=encode.CONSTRUCTIONS)
     c.add_argument("machine", nargs="?", help="machine file or fixture name")
     c.add_argument("-o", "--output")
     c.add_argument("--as-printed", action="store_true")
@@ -302,8 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--fuel", type=int, default=rewrite.DEFAULT_FUEL)
     r.add_argument("--epochs", type=int)
     r.add_argument("--depth", type=int, default=rewrite.DEFAULT_DEPTH_BOUND)
-    r.add_argument("--strategy",
-                   choices=["lo", "leftmost-outermost", "random", "greedy"])
+    r.add_argument("--strategy", choices=["random", "greedy"])
     r.add_argument("--seed", type=int)
     r.add_argument("--show-terms", action="store_true")
     r.set_defaults(fn=cmd_trs)
@@ -317,8 +337,9 @@ def build_parser() -> argparse.ArgumentParser:
     o.set_defaults(fn=cmd_omega)
 
     l = sub.add_parser("laws", help="run an executable law over the fixtures")
-    l.add_argument("name", choices=list(laws.LAW_NAMES))
-    l.add_argument("--fixture")
+    l.add_argument("action", metavar="name",
+                   choices=[a for c, a in USES if c == "laws"])
+    l.add_argument("--fixture", help="machine file or fixture name")
     l.add_argument("--seed", type=int)
     l.add_argument("--samples", type=int)
     l.add_argument("--fuel", type=int)

@@ -354,28 +354,35 @@ def build_R(m: NdTmSpec, as_printed: bool = False) -> Trs:
 
 # tag -> (machine class or None, builder of (system, start term or None))
 _BUILDERS = {
-    "base": (TmSpec, lambda m, ap: (tm_to_trs(m), None)),
-    "pebbled": (TmSpec, lambda m, ap: (pebble_trs(m), None)),
-    "pickn": (None, lambda m, ap: (pickn_trs(), None)),
-    "S": (TmSpec, lambda m, ap: build_S(m)),
-    "Sprime": (TmSpec, lambda m, ap: build_S_prime(m)),
-    "srs": (NdTmSpec, lambda m, ap: (nd_to_srs(m), None)),
-    "R": (NdTmSpec, lambda m, ap: (build_R(m, as_printed=ap), None)),
+    "base": (TmSpec, lambda m: (tm_to_trs(m), None)),
+    "pebbled": (TmSpec, lambda m: (pebble_trs(m), None)),
+    "pickn": (None, lambda m: (pickn_trs(), None)),
+    "S": (TmSpec, build_S),
+    "Sprime": (TmSpec, build_S_prime),
+    "srs": (NdTmSpec, lambda m: (nd_to_srs(m), None)),
+    "R": (NdTmSpec, lambda m: (build_R(m), None)),
 }
 
 
 def compile_construction(tag: str, m=None,
                          as_printed: bool = False) -> tuple[Trs, Optional[Term]]:
     """Dispatch by construction tag; returns the system and, for S and
-    Sprime, the designated start term."""
+    Sprime, the designated start term.  A machine given to pickn, which
+    takes none, and ``as_printed`` for any tag but R are refused."""
     if tag not in _BUILDERS:
         raise EncodeError(f"unknown construction {tag!r}; have {CONSTRUCTIONS}")
     spec, build = _BUILDERS[tag]
+    if spec is None and m is not None:
+        raise EncodeError(f"construction {tag!r} takes no machine")
     if spec is not None and m is None:
         raise EncodeError(f"construction {tag!r} needs a machine")
     if spec is not None and not isinstance(m, spec):
         raise EncodeError(f"{tag} needs a {spec.KIND} machine")
-    return build(m, as_printed)
+    if as_printed:
+        if tag != "R":
+            raise EncodeError(f"construction {tag!r} has no as-printed form")
+        return build_R(m, as_printed=True), None
+    return build(m)
 
 
 def emit_trs_file(trs: Trs) -> str:

@@ -21,7 +21,6 @@ from .encode import (
     build_R, build_S, build_S_prime, nd_to_srs, phi, pickn_trs,
     tm_to_trs, encode_config, decode_config,
 )
-from .machines import load_fixture
 from .omega import (
     NdConfig, NdTmSpec, OmegaWord, membership_semidecide, nd_steps,
     parse_word,
@@ -38,13 +37,17 @@ from .terms import (
 from .turing import TmConfig, TmSpec, make_config, display_config, tm_step
 
 __all__ = [
-    "LawReport", "LawError", "render_report", "LAW_NAMES", "run_law",
+    "LawReport", "LawError", "render_report",
     "check_two_sided_bisim", "check_srs_bisim", "check_pickn",
     "check_restart_cycle", "check_pebbled_reach", "check_norm_probe",
     "check_limit_correspondence", "gen_det_machine", "gen_nd_machine",
     "gen_det_config", "mutate_first_write", "greedy_order",
     "greedy_cycle_run",
 ]
+
+
+class LawError(ValueError):
+    """A bound out of range: a negative depth or step count."""
 
 
 class LawReport:
@@ -172,7 +175,8 @@ def check_two_sided_bisim(m: TmSpec, samples: int = 100, steps: int = 50,
         raise LawError(f"two-sided-bisim needs steps >= 0, got {steps}")
     t0 = time.perf_counter()
     rng = random.Random(seed)
-    rep = LawReport("two-sided-bisim", "holds", samples=samples, seed=seed)
+    rep = LawReport(f"two-sided-bisim[{m.name}]", "holds", samples=samples,
+                    seed=seed)
     total = 0
     sys = trs if trs is not None else tm_to_trs(m)
     for s_i in range(samples):
@@ -226,7 +230,7 @@ def check_srs_bisim(m: NdTmSpec, words: Optional[Sequence[OmegaWord]] = None,
     sys = trs if trs is not None else nd_to_srs(m)
     if words is None:
         words = _fixture_words(m)
-    rep = LawReport("srs-bisim", "holds")
+    rep = LawReport(f"srs-bisim[{m.name}]", "holds")
     checked = 0
     for w in words:
         root = NdConfig(w, m.initial, 0)
@@ -582,74 +586,3 @@ def check_limit_correspondence(m: NdTmSpec, w: OmegaWord,
     else:
         return _finish(rep, t0, "unknown", "membership unknown within bounds")
     return _finish(rep, t0)
-
-
-# ---------------------------------------------------------------------------
-# CLI entry
-
-
-# The optional run_law arguments each law reads; "seed" marks the one
-# law that draws at random.
-LAW_ARGS = {
-    "two-sided-bisim": {"fixture", "samples", "seed"},
-    "srs-bisim": {"fixture"},
-    "pickn": {"samples"},
-    "restart-cycle": {"fixture", "fuel"},
-    "pebbled-reach": {"fixture", "fuel"},
-    "norm-probe": {"fuel", "as_printed"},
-    "limit-correspondence": {"fixture", "fuel"},
-}
-LAW_NAMES = tuple(LAW_ARGS)
-
-
-class LawError(ValueError):
-    """An unknown law, an argument the named law does not use, or a
-    bound out of range: a negative sample count, fuel, depth or step
-    count."""
-
-
-def run_law(name: str, fixture: Optional[str] = None,
-            seed: Optional[int] = None, samples: Optional[int] = None,
-            fuel: Optional[int] = None, as_printed: bool = False) -> LawReport:
-    """Dispatch a named law over the shipped fixtures.  ``samples`` sets
-    the sample count of two-sided-bisim and n_max of pickn; None keeps
-    each law's own default, for ``seed`` too.  An argument the law does
-    not use is refused with LawError rather than ignored."""
-    if name not in LAW_ARGS:
-        raise LawError(f"unknown law {name!r}; have {LAW_NAMES}")
-    uses = LAW_ARGS[name]
-    if name == "norm-probe" and as_printed:
-        uses = uses - {"fuel"}  # its restart rule refutes before any search
-    given = {"fixture": fixture, "seed": seed, "samples": samples,
-             "fuel": fuel, "as_printed": as_printed or None}
-    unused = sorted(k for k, v in given.items()
-                    if v is not None and k not in uses)
-    if unused:
-        flags = ", ".join("--" + k.replace("_", "-") for k in unused)
-        raise LawError(f"law {name} does not use {flags}")
-    for k in ("samples", "fuel"):
-        if given[k] is not None and given[k] < 0:
-            raise LawError(f"{k} must be >= 0")
-    # Only the arguments given are passed: each check states its defaults.
-    opts = {k: v for k, v in given.items() if v is not None and k != "fixture"}
-    if name == "pickn":
-        return check_pickn() if samples is None else check_pickn(n_max=samples)
-    if name == "norm-probe":
-        return check_norm_probe(load_fixture("nd_right"),
-                                load_fixture("nd_pong"), **opts)
-    # The machine kind and the default fixture of each law on one machine.
-    kind, default = {"srs-bisim": (NdTmSpec, "nd_pong"),
-                     "limit-correspondence": (NdTmSpec, "nd_right")
-                     }.get(name, (TmSpec, "m_acc"))
-    m = load_fixture(fixture or default)
-    if not isinstance(m, kind):
-        raise LawError(f"law {name} needs a {kind.KIND} machine, "
-                       f"{fixture} is {m.KIND}")
-    if name == "limit-correspondence":
-        return check_limit_correspondence(m, parse_word("(a)^w", m.alphabet),
-                                          **opts)
-    check = {"srs-bisim": check_srs_bisim,
-             "two-sided-bisim": check_two_sided_bisim,
-             "restart-cycle": check_restart_cycle,
-             "pebbled-reach": check_pebbled_reach}[name]
-    return check(m, **opts)

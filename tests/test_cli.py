@@ -365,7 +365,8 @@ class TestTrs:
         (["trace", "--term", "pickn"], ["--to", "pickn"], "--to"),
         (["normalize", "--term", "pickn"], ["--from", "pickn"], "--from"),
         (["normalize", "--term", "pickn"], ["--to", "pickn"], "--to"),
-        (["normalize", "--term", "pickn"], ["--strategy", "lo"], "--strategy"),
+        (["normalize", "--term", "pickn"], ["--strategy", "random"],
+         "--strategy"),
         (["normalize", "--term", "pickn"], ["--seed", "5"], "--seed"),
         (["reach", "--from", "pickn", "--to", "pickn"], ["--term", "pickn"],
          "--term"),
@@ -417,7 +418,8 @@ class TestTrs:
         assert (code, err) == (3, "error: trs reach does not use --seed\n")
 
     @pytest.mark.parametrize("argv, default", [
-        (["trace", "--term", "pickn", "--fuel", "4"], ["--strategy", "lo"]),
+        (["trace", "--term", "pickn", "--fuel", "4", "--strategy", "random"],
+         ["--seed", "7"]),
         (["normalize", "--term", "pickn", "--fuel", "4"], ["--epochs", "4"]),
         (["reach", "--from", "pickn", "--to", "ok(S(0(end)))"],
          ["--epochs", "4"]),
@@ -544,7 +546,7 @@ class TestLaws:
     def test_unused_flag_refused(self, capsys, argv):
         code, out, err = run_cli(capsys, "laws", *argv)
         assert (code, out) == (3, "")
-        assert err == f"error: law {argv[0]} does not use {argv[1]}\n"
+        assert err == f"error: laws {argv[0]} does not use {argv[1]}\n"
 
     @pytest.mark.parametrize("fuel, prefix", [
         # Too few steps to fire five restarts: the stable prefix is not
@@ -578,8 +580,9 @@ class TestLaws:
     ])
     def test_wrong_kind_fixture_refused(self, capsys, name, fixture, kind):
         code, out, err = run_cli(capsys, "laws", name, "--fixture", fixture)
+        other = ({"det-two-sided", "nondet-one-sided"} - {kind}).pop()
         assert (code, out) == (3, "")
-        assert err.startswith(f"error: law {name} needs a {kind} machine")
+        assert err == f"error: {fixture} is a {other} machine, not {kind}\n"
 
     def test_unknown_fixture_refused(self, capsys):
         code, out, err = run_cli(capsys, "laws", "srs-bisim", "--fixture",
@@ -615,26 +618,22 @@ class TestLaws:
         assert "witness: accepted word but no closure found within fuel 1" \
             in out.splitlines()
 
-    def test_seed_only_for_random_laws(self, capsys, monkeypatch):
-        monkeypatch.setenv("IRW_SEED", "5")
-        for argv, seed in ((["--samples", "2"], "5"),
+    def test_seed_only_for_random_laws(self, capsys):
+        # Without --seed, two-sided-bisim draws with its check's default.
+        for argv, seed in ((["--samples", "2"], "7"),
                            (["--samples", "2", "--seed", "9"], "9")):
             code, out, _ = run_cli(capsys, "laws", "two-sided-bisim", *argv)
             assert code == 0 and f"seed: {seed}" in out.splitlines()
         code, out, _ = run_cli(capsys, "laws", "pickn", "--samples", "3")
         assert code == 0 and "seed: 0" in out.splitlines()
 
-    def test_malformed_env_seed(self, capsys, monkeypatch):
-        # Read only where a seed is drawn, and refused as an input error.
-        monkeypatch.setenv("IRW_SEED", "x")
-        code, _, _ = run_cli(capsys, "laws", "pickn", "--samples", "3")
-        assert code == 0
-        code, _, _ = run_cli(capsys, "laws", "srs-bisim")
-        assert code == 0
-        code, out, err = run_cli(capsys, "laws", "two-sided-bisim",
-                                 "--samples", "2")
-        assert (code, out) == (3, "")
-        assert err == "error: IRW_SEED must be an integer, got 'x'\n"
+    def test_fixture_file(self, capsys, tm_file):
+        # --fixture takes a machine file, as every machine argument does.
+        runs = [run_cli(capsys, "laws", "restart-cycle", "--fixture", f)
+                for f in ("m_rej", tm_file("m_rej"))]
+        (code, out, err), (code2, out2, err2) = runs
+        assert (code, err) == (code2, err2) == (0, "")
+        assert drop_elapsed(out) == drop_elapsed(out2)
 
 
 class TestUsageErrors:
@@ -670,7 +669,7 @@ CRASHES = [
       "--from", "pickn", "--to", "pickn"]),
     ("omega", "explore_runs",
      ["omega", "member", "nd_right", "--word", "(a)^w"]),
-    ("laws", "run_law", ["laws", "pickn"]),
+    ("laws", "check_pickn", ["laws", "pickn"]),
 ]
 
 
@@ -709,7 +708,7 @@ class TestVerdictExit:
 
     def test_unknown_law_verdict_exits_4(self, capsys, monkeypatch):
         from irw.laws import LawReport
-        monkeypatch.setattr("irw.laws.run_law",
+        monkeypatch.setattr("irw.laws.check_pickn",
                             lambda *a, **kw: LawReport("pickn", "maybe"))
         code, out, err = run_cli(capsys, "laws", "pickn")
         assert (code, out) == (4, "")
@@ -793,11 +792,6 @@ FLAG_CASES = [
 ]
 # The line of a report that echoes the input rather than answers it.
 _ECHO = {"--seed": "seed:", "--samples": "samples:"}
-# The one input whose two values print the same report: srs-bisim's
-# report does not name its machine, and both one-sided fixtures pass
-# all 200 configurations.  A wrong-kind fixture is refused, so the flag
-# is read (TestLaws.test_wrong_kind_fixture_refused).
-_SAME_REPORT = {("srs-bisim", "--fixture")}
 
 
 class TestEveryFlagIsRead:
@@ -819,7 +813,6 @@ class TestEveryFlagIsRead:
         # two answers apart.
         probe = laws.check_norm_probe
         monkeypatch.setattr(probe, "__defaults__", (3, *probe.__defaults__[1:]))
-        monkeypatch.delenv("IRW_SEED", raising=False)
         read = set()
         for head, flag, *values in FLAG_CASES:
             drop = ("elapsed:", _ECHO.get(flag, "elapsed:"))
@@ -840,13 +833,10 @@ class TestEveryFlagIsRead:
                 assert all(refused) and {c for c, _, _ in runs} == {3}, case
                 continue
             assert {c for c, _, _ in runs} <= {0, 1, 2}, (case, runs)
-            assert (runs[0][1] == runs[1][1]) == \
-                ((head[1], flag) in _SAME_REPORT), case
+            assert runs[0][1] != runs[1][1], case
             read.add((head[0], head[1], flag.lstrip("-").replace("-", "_")))
         want = {(c, a, k.rstrip("?")) for (c, a), ks in cli.USES.items()
                 for k in ks}
-        want |= {("laws", name, k) for name, ks in laws.LAW_ARGS.items()
-                 for k in ks}
         assert read == want
 
 
@@ -894,7 +884,6 @@ class TestReadmeGolden:
     def test_readme_commands_match_golden(self, capsys, tmp_path, monkeypatch):
         # `laws norm-probe` is left out: it takes over a minute.
         monkeypatch.chdir(tmp_path)
-        monkeypatch.delenv("IRW_SEED", raising=False)
         for name, want_code, argv in README_COMMANDS:
             code, out, err = run_cli(capsys, *argv)
             assert (name, code, err) == (name, want_code, "")

@@ -4,6 +4,7 @@ import warnings
 import pytest
 
 from irw import laws
+from irw.cli import main
 from irw.encode import (
     EncodeWarning, build_S, build_S_prime, nd_to_srs, phi, tm_to_trs,
 )
@@ -11,7 +12,7 @@ from irw.laws import (
     LawError, check_limit_correspondence, check_pickn, check_restart_cycle, check_srs_bisim,
     check_pebbled_reach, check_norm_probe, check_two_sided_bisim,
     gen_det_machine, gen_nd_machine, greedy_cycle_run, mutate_first_write,
-    render_report, run_law,
+    LawReport, render_report,
 )
 from irw.machines import load_fixture
 from irw.omega import NdConfig, nd_steps, parse_word
@@ -115,6 +116,17 @@ class TestSrsBisim:
             check_srs_bisim(pong, **bounds)
         assert str(e.value) == "srs-bisim needs depth >= 0, got -3"
 
+    def test_frontier_keeps_four_configurations(self):
+        # Each fixture keeps one configuration per level; this machine's
+        # frontier is wider, and a width of 1 checks 12 configurations.
+        rng = random.Random(1)
+        for _ in range(4):
+            m = gen_nd_machine(rng)
+        words = [parse_word(w, m.alphabet) for w in ("(a)^w", "ab(ba)^w")]
+        rep = check_srs_bisim(m, words=words, depth=6)
+        assert (rep.name, rep.verdict, rep.samples) == (
+            "srs-bisim[rand]", "holds", 17)
+
 
 class TestPickn:
     def test_holds_and_counts(self):
@@ -168,6 +180,11 @@ class TestNormProbe:
     def test_swapped_fixtures_raise(self, right, pong):
         with pytest.raises(ValueError):
             check_norm_probe(pong, right)
+
+    def test_accepting_negative_fixture_raises(self, right):
+        with pytest.raises(ValueError) as e:
+            check_norm_probe(right, right)
+        assert str(e.value) == "negative fixture accepts a fixture word"
 
 
 class TestLimitCorrespondence:
@@ -287,11 +304,10 @@ class TestRunner:
         text = render_report(rep)
         assert text.splitlines()[-1] == "VERDICT: holds"
 
-    def test_dispatch(self):
-        rep = run_law("pickn", samples=5)
-        assert rep.verdict == "holds"
-        with pytest.raises(ValueError):
-            run_law("nosuch")
+    def test_dispatch(self, capsys):
+        assert main(["laws", "pickn", "--samples", "5"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "VERDICT: holds"
+        assert main(["laws", "nosuch"]) == 3
 
     @pytest.mark.parametrize("name, check", [
         ("restart-cycle", "check_restart_cycle"),
@@ -299,20 +315,27 @@ class TestRunner:
         ("norm-probe", "check_norm_probe"),
         ("limit-correspondence", "check_limit_correspondence"),
     ])
-    def test_fuel_default_lives_in_the_check(self, monkeypatch, name, check):
-        # run_law passes only the arguments given, so a check's own
-        # signature is the one place its default fuel is stated.
-        from irw import laws
+    def test_fuel_default_lives_in_the_check(self, monkeypatch, capsys, name,
+                                             check):
+        # irw laws passes only the flags given, a 0 among them, so a
+        # check's own signature is the one place its default fuel is
+        # stated.
         seen = []
-        monkeypatch.setattr(laws, check, lambda *a, **kw: seen.append(kw))
-        run_law(name)
-        run_law(name, fuel=3)
-        assert seen == [{}, {"fuel": 3}]
 
-    def test_default_samples_per_law(self):
-        assert run_law("pickn").samples == 51
-        assert run_law("two-sided-bisim").samples == 100
-        assert run_law("two-sided-bisim", samples=7).samples == 7
+        def fake(*args, **kwargs):
+            seen.append(kwargs)
+            return LawReport(name, "holds")
+        monkeypatch.setattr(laws, check, fake)
+        for fuel in ([], ["--fuel", "3"], ["--fuel", "0"]):
+            assert main(["laws", name, *fuel]) == 0
+        assert seen == [{}, {"fuel": 3}, {"fuel": 0}]
+
+    def test_default_samples_per_law(self, capsys):
+        for argv, samples in ((["pickn"], 51), (["two-sided-bisim"], 100),
+                              (["two-sided-bisim", "--samples", "7"], 7)):
+            assert main(["laws", *argv]) == 0
+            assert f"samples: {samples}" in \
+                capsys.readouterr().out.splitlines()
 
 
 class TestWitnessReplay:
@@ -451,6 +474,12 @@ class TestUnknownReturns:
         assert (rep.verdict, rep.witness) == (
             "unknown", "n=2 not reached within fuel 5")
 
+    def test_pebbled_reach_shallow_prefix(self, macc):
+        # Three steps pin no stable prefix.
+        rep = check_pebbled_reach(macc, fuel=3)
+        assert (rep.verdict, rep.witness) == (
+            "unknown", "prefix depth 0 < 5 within fuel")
+
     @pytest.mark.parametrize("argv, witness", [
         # A run of no step is stable at every depth, but holds no tower.
         (["pebbled-reach", "--fuel", "0"],
@@ -459,7 +488,6 @@ class TestUnknownReturns:
          "corpus term xi did not normalize within fuel 0"),
     ], ids=["pebbled-reach", "norm-probe"])
     def test_cli(self, capsys, argv, witness):
-        from irw.cli import main
         code = main(["laws", *argv])
         lines = capsys.readouterr().out.splitlines()
         assert (code, lines[-1]) == (2, "VERDICT: unknown")

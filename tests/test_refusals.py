@@ -14,8 +14,8 @@ from irw.encode import (
 from irw.machines import load_fixture, parse_machine
 from irw.omega import NdConfig, explore_runs, parse_word
 from irw.rewrite import (
-    Rule, Trs, TrsError, bounded_reach, find_redexes, parse_trs,
-    run_strategy, step_reachability,
+    Epoch, Rule, Trs, TrsError, bounded_normalize, bounded_reach,
+    find_redexes, parse_trs, run_strategy, step_reachability,
 )
 from irw.terms import (
     Signature, Symbol, TermError, TermSyntaxError, app, parse_term,
@@ -121,9 +121,12 @@ def test_terms(capsys, tmp_path, call, message, argv):
      "reach target must be ground", None),
     (lambda: step_reachability(PICKN, var("x")),
      "search requires a ground start term", None),
+    (lambda: bounded_normalize(PICKN, parse_term("c(x)", PICKN.sig)),
+     "search requires a ground start term", None),
+    (lambda: Epoch(()).end, "empty epoch has no end term", None),
 ], ids=["duplicate-rule", "rhs-variable", "undeclared", "no-such-rule",
         "redex-depth", "strategy-fuel", "reach-target",
-        "reachability-start"])
+        "reachability-start", "normalize-start", "empty-epoch"])
 def test_rewrite(capsys, tmp_path, call, message, argv):
     _refused(capsys, tmp_path, TrsError, message, call, argv)
 
@@ -220,7 +223,13 @@ NO_S = TmSpec("plain", ("q0",), "q0", "_", ("_", "a"),
      "pebbled construction needs S and 0 in the alphabet",
      ["compile", "pebbled", (".tm", MACHINE.replace("S 0", "a").replace(
          "q0 S R", "q0 a R"))]),
-], ids=["state", "symbol", "fuel", "decode-root", "pebbled-alphabet"])
+    # The command refuses both inputs as unused before compiling.
+    (EncodeError, lambda: compile_construction("pickn", M_ACC),
+     "construction 'pickn' takes no machine", None),
+    (EncodeError, lambda: compile_construction("S", M_ACC, as_printed=True),
+     "construction 'S' has no as-printed form", None),
+], ids=["state", "symbol", "fuel", "decode-root", "pebbled-alphabet",
+        "pickn-machine", "as-printed"])
 def test_turing_and_encode(capsys, tmp_path, error, call, message, argv):
     _refused(capsys, tmp_path, error, message, call, argv)
 

@@ -78,6 +78,10 @@ class TestSymbol:
 
 
 class TestParse:
+    def test_unprintable_node_repr(self):
+        # A node the printer cannot print still has a repr.
+        assert repr(Term(None, ())).startswith("<term node 0x")
+
     def test_constant(self):
         t = P("T")
         assert t.label == Symbol("T", 0) and not t.children

@@ -5,9 +5,11 @@ traced benchmark run or at a later `import *`; every committed
 BENCH_*.json must carry the fields a speed claim is read from; the
 package imports nothing outside itself and the standard library, nor
 dataclasses; a fresh import of it leaves nothing of the old one alive;
-the term grammar has one reader; and a one-sided machine has one
-successor function."""
+the term grammar has one reader; a one-sided machine has one
+successor function; the package reads no environment variable; and
+every action the command line offers states its inputs in cli.USES."""
 
+import argparse
 import ast
 import importlib
 import json
@@ -292,3 +294,32 @@ def test_omega_delta_read_by_nd_steps_only():
 
     visit(_parse("omega"), "")
     assert readers == {"nd_steps", "NdTmSpec.moves"}
+
+
+def test_no_environment_read():
+    # Every input irw reads is an argument or a file it names; a variable
+    # of the environment would be an input that no output shows.
+    readers = set()
+    for info in pkgutil.iter_modules(irw.__path__):
+        for node in ast.walk(_parse(info.name)):
+            if isinstance(node, ast.ImportFrom):
+                names = {a.name for a in node.names}
+            else:
+                names = {getattr(node, "attr", None)}
+            if names & {"environ", "environb", "getenv", "getenvb"}:
+                readers.add(info.name)
+    assert readers == set()
+
+
+def test_every_action_has_a_uses_row():
+    # cli._check_inputs refuses an unread input of an action through its
+    # USES row; an action without one would be checked by no table.
+    from irw import cli
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions
+               if isinstance(a, argparse._SubParsersAction))
+    offered = set()
+    for cmd, parser in sub.choices.items():
+        first = next(a for a in parser._actions if not a.option_strings)
+        offered |= {(cmd, action) for action in first.choices}
+    assert offered == set(cli.USES)
