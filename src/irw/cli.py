@@ -120,7 +120,11 @@ def _read(spec: str) -> str:
 
 def _load_machine(spec: str, kind=None):
     """The machine in file ``spec``, else the fixture named ``spec`` (a
-    trailing .tm dropped), refused unless of class ``kind`` when given."""
+    trailing .tm dropped), refused unless of class ``kind`` when given.
+    An empty name is refused first: as a path it names the current
+    directory."""
+    if not spec:
+        raise CliError("no machine given: the machine name is empty")
     if Path(spec).exists():
         m = machines.parse_machine(_read(spec))
     else:

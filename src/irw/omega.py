@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from . import _collector_paused
 from .turing import MachineError, _Spec
 
 __all__ = [
@@ -297,6 +298,7 @@ def _path(node) -> list[NdConfig]:
     return configs
 
 
+@_collector_paused
 def explore_runs(m: NdTmSpec, w: OmegaWord, fuel: int = 200, width: int = 64,
                  radius: Optional[int] = None) -> list[RunPrefix]:
     """Breadth-first run-tree expansion up to fuel steps and width frontier.
@@ -308,7 +310,8 @@ def explore_runs(m: NdTmSpec, w: OmegaWord, fuel: int = 200, width: int = 64,
     successor), lassoed (certified recurrence on the own ancestry),
     merged (another branch owns the key with the same configuration),
     window-merged (another branch owns the key with another configuration),
-    failed (recurrence seen but not certifiable), cut (bounds).
+    failed (recurrence seen but not certifiable), cut (bounds).  The
+    cyclic collector is paused for the call.
     """
     if fuel < 1 or width < 1:
         raise MachineError("fuel and width must be >= 1")
@@ -392,6 +395,7 @@ class Membership:
         self.kind, self.run = kind, run
 
 
+@_collector_paused
 def membership_semidecide(m: NdTmSpec, w: OmegaWord, fuel: int = 200,
                           width: int = 64,
                           radius: Optional[int] = None) -> Membership:
@@ -400,7 +404,9 @@ def membership_semidecide(m: NdTmSpec, w: OmegaWord, fuel: int = 200,
     accepted as soon as some branch pumps with positive displacement;
     rejected_exhausted only when the whole tree was exhausted and every
     branch ended stuck, merged into the same configuration on another
-    branch, or in a certified zero-displacement lasso.
+    branch, or in a certified zero-displacement lasso.  The collector
+    stays paused until the verdict is read, so the runs it drops are
+    freed before it resumes.
     """
     return _membership(explore_runs(m, w, fuel=fuel, width=width, radius=radius))
 

@@ -27,6 +27,7 @@ from collections import deque
 from itertools import islice
 from typing import Callable, Iterable, Iterator, Optional
 
+from . import _collector_paused
 from .terms import (
     PositionError, Signature, Symbol, Term, TermError, TermSyntaxError,
     bisim_equal, canon_key, cyclify, is_finite, is_ground, is_var, _path,
@@ -613,9 +614,9 @@ def run_strategy(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL,
 
 
 class _Node:
-    """A search state.  A step child is pushed unapplied: its ``term`` and
+    """A search state.  A step child is built unapplied: its ``term`` and
     ``via_step`` stay None, and ``redex`` names the step, until the child
-    is popped or a returned trace runs through it."""
+    is popped or a returned trace runs through it (see _search)."""
 
     __slots__ = ("term", "steps", "closures", "parent", "via_step",
                  "via_closure", "epoch_len", "redex")
@@ -707,6 +708,7 @@ class ReachResult:
         self.reached, self.trace, self.diagnostics = reached, trace, diagnostics
 
 
+@_collector_paused
 def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
             fuel: int, max_epochs: int, depth_bound: int
             ) -> tuple[Optional[Trace], Optional[Term], dict]:
@@ -715,11 +717,15 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
     memoized modulo bisimilarity via canonical keys.  Returns the trace
     to a goal term and that term, or (None, None, diagnostics).
 
-    A step child is pushed unapplied and applied when popped.  Each
-    expanded node builds its epoch history and period table once, and a
-    child tries only the suffix pumps its rule id allows; a certified
-    limit not yet expanded enters the frontier at once, so a closing run
-    is not starved by level breadth.
+    The heap holds (steps, closures, seq, node), seq unique.  A step
+    child without a certified closure is the bare entry (steps, closures,
+    seq, parent, redex), built into a node and applied only when popped;
+    a child whose step closes a pump is built at once, as its limit's
+    parent.  Each expanded node builds its epoch history and period
+    table once, and a child tries only the suffix pumps its rule id
+    allows; a certified limit not yet expanded enters the frontier at
+    once, so a closing run is not starved by level breadth.  The cyclic
+    collector is paused for the call.
     """
     if fuel < 0:
         raise TrsError("fuel must be >= 0")
@@ -730,16 +736,22 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
     if not is_ground(start):
         raise TrsError("search requires a ground start term")
     root = _Node(start, 0, 0, None, None, None, 0)
-    heap: list[tuple[int, int, int, _Node]] = [(0, 0, 0, root)]
+    heap: list[tuple] = [(0, 0, 0, root)]
     seq = 1
     done: set[int] = set()
     expansions = 0
     deepest = root
     pending: Optional[_Node] = None  # goal reached via a fresh closure
     while heap and expansions < fuel:
-        node = heapq.heappop(heap)[3]
-        if pending is not None and node.steps >= pending.steps:
+        entry = heapq.heappop(heap)
+        if pending is not None and entry[0] >= pending.steps:
             break
+        if len(entry) == 4:
+            node = entry[3]
+        else:
+            steps, closures, _, parent, redex = entry
+            node = _Node(None, steps, closures, parent, None, None,
+                         parent.epoch_len + 1, redex)
         term = _reached(trs, node)
         key = canon_key(term)
         if key in done:
@@ -757,11 +769,8 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
             hist = _epoch_steps(node)
             periods = _pump_periods([s.rule_id for s in hist])
             hist.append(None)
+        steps, closures = node.steps + 1, node.closures
         for pos, rid in find_redexes(trs, term, depth_bound):
-            child = _Node(None, node.steps + 1, node.closures, node, None,
-                          None, node.epoch_len + 1, (pos, rid))
-            heapq.heappush(heap, (child.steps, child.closures, seq, child))
-            seq += 1
             cl = None
             if rid in periods:
                 hist[-1] = Step(pos, rid, term, None)
@@ -769,15 +778,17 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
                     cl = _try_pump(hist, len(hist) - 2 * length, length)
                     if cl is not None:
                         break
-            if cl is None:
+            if cl is None or (lk := canon_key(cl.limit)) in done:
+                heapq.heappush(heap, (steps, closures, seq, node, (pos, rid)))
+                seq += 1
                 continue
-            lk = canon_key(cl.limit)
-            if lk in done:
-                continue
-            gchild = _Node(cl.limit, child.steps, child.closures + 1, child,
-                           None, cl, 0)
+            child = _Node(None, steps, closures, node, None, None,
+                          node.epoch_len + 1, (pos, rid))
+            heapq.heappush(heap, (steps, closures, seq, child))
+            seq += 1
+            gchild = _Node(cl.limit, steps, closures + 1, child, None, cl, 0)
             if not goal(cl.limit, lk):
-                heapq.heappush(heap, (gchild.steps, gchild.closures, seq, gchild))
+                heapq.heappush(heap, (steps, closures + 1, seq, gchild))
                 seq += 1
             elif pending is None or (gchild.steps, gchild.closures) < \
                     (pending.steps, pending.closures):

@@ -456,6 +456,17 @@ class TestUserPaths:
         assert (code, out) == (3, "")
         assert err.startswith("error: cannot read ")
 
+    @pytest.mark.parametrize("argv", [
+        ["laws", "srs-bisim", "--fixture", ""],
+        ["omega", "member", "", "--word", "(a)^w"],
+        ["tm", "run", "", "--config", "q0"],
+    ], ids=["laws", "omega", "tm"])
+    def test_empty_machine_name(self, capsys, argv):
+        # As a path, "" names the current directory; it names no machine.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: no machine given: the machine name is empty\n"
+
     @pytest.mark.parametrize("where", ["{tmp}/no/such/dir/x.trs", "{tmp}"],
                              ids=["no-dir", "is-dir"])
     def test_unwritable_output(self, capsys, tmp_path, where):

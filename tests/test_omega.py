@@ -1,3 +1,4 @@
+import gc
 import runpy
 from pathlib import Path
 
@@ -264,6 +265,40 @@ class TestMembership:
     def test_unknown_when_too_small(self, right):
         got = membership_semidecide(right, parse_word("(a)^w"), fuel=2)
         assert got.kind == "unknown"
+
+
+class TestCollectorPause:
+    """Run exploration, and membership until its verdict is read, run with
+    the cyclic collector paused; either leaves it as it found it, whether
+    it returns or raises."""
+
+    @pytest.mark.parametrize("was_on", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("fuel", [40, 0], ids=["returns", "raises"])
+    @pytest.mark.parametrize("call, watched", [
+        (explore_runs, "nd_steps"), (membership_semidecide, "classify_run")])
+    def test_collector_state(self, monkeypatch, right, call, watched, fuel,
+                             was_on):
+        import irw.omega
+        seen = []
+        real = getattr(irw.omega, watched)
+
+        def watching(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(irw.omega, watched, watching)
+        before = gc.isenabled()
+        try:
+            gc.enable() if was_on else gc.disable()
+            if fuel < 1:
+                with pytest.raises(MachineError):
+                    call(right, parse_word("(a)^w"), fuel=fuel)
+            else:
+                call(right, parse_word("(a)^w"), fuel=fuel)
+                assert seen and not any(seen)
+            assert gc.isenabled() == was_on
+        finally:
+            gc.enable() if before else gc.disable()
 
 
 class TestStatsAgreement:

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import gc
 import random
 
 import pytest
@@ -474,6 +475,42 @@ class TestSearch:
         assert got == want
         for n in range(4):
             assert want[canon_key(T(pickn, realize(("ok", 0, n))))] == 2 * n + 1
+
+
+class TestCollectorPause:
+    """The search runs with the cyclic collector paused and leaves it as
+    it found it, whether it returns or raises."""
+
+    @pytest.mark.parametrize("was_on", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("fuel", [10, -1], ids=["returns", "raises"])
+    @pytest.mark.parametrize("search", ["normalize", "reach"])
+    def test_collector_state(self, monkeypatch, pickn, search, fuel, was_on):
+        import irw.rewrite
+        seen = []
+        real = irw.rewrite.find_redexes
+
+        def watching(*args):
+            seen.append(gc.isenabled())
+            return real(*args)
+
+        monkeypatch.setattr(irw.rewrite, "find_redexes", watching)
+        start, target = T(pickn, "pickn"), T(pickn, "ok(S(0(end)))")
+        before = gc.isenabled()
+        try:
+            gc.enable() if was_on else gc.disable()
+            if search == "normalize":
+                call = lambda: bounded_normalize(pickn, start, fuel=fuel)
+            else:
+                call = lambda: bounded_reach(pickn, start, target, fuel=fuel)
+            if fuel < 0:
+                with pytest.raises(TrsError):
+                    call()
+            else:
+                call()
+                assert seen and not any(seen)
+            assert gc.isenabled() == was_on
+        finally:
+            gc.enable() if before else gc.disable()
 
 
 class TestFoundReplays:
@@ -1336,6 +1373,40 @@ class TestSearchOracle:
             assert res.found
             closures += res.trace.closures
         assert closures > 0
+
+    def test_children_built_when_popped(self, monkeypatch):
+        # A child pushed without a certified closure is a bare heap entry;
+        # an exhausting search pops only part of its frontier, so it builds
+        # fewer nodes than it pushes children.
+        import irw.rewrite
+        from irw.encode import phi
+        from irw.laws import _designated_term, _fixture_words
+        pong = load_fixture("nd_pong")
+        R = build_R(pong)
+        t = _designated_term(R, phi(_fixture_words(pong)[0], R.sig))
+        built = children = 0
+
+        class CountingNode(irw.rewrite._Node):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                nonlocal built
+                built += 1
+                super().__init__(*args)
+
+        real = irw.rewrite.find_redexes
+
+        def counting(*args):
+            nonlocal children
+            out = real(*args)
+            children += len(out)
+            return out
+
+        monkeypatch.setattr(irw.rewrite, "_Node", CountingNode)
+        monkeypatch.setattr(irw.rewrite, "find_redexes", counting)
+        res = bounded_normalize(R, t, fuel=200, max_epochs=3)
+        assert not res.found and res.diagnostics["expansions"] == 200
+        assert 0 < built < children
 
     def test_steps_applied_on_demand(self, monkeypatch, r_right):
         import irw.rewrite

@@ -6,8 +6,9 @@ BENCH_*.json must carry the fields a speed claim is read from; the
 package imports nothing outside itself and the standard library, nor
 dataclasses; a fresh import of it leaves nothing of the old one alive;
 the term grammar has one reader; a one-sided machine has one
-successor function; the package reads no environment variable; and
-every action the command line offers states its inputs in cli.USES."""
+successor function; the package reads no environment variable; every
+action the command line offers states its inputs in cli.USES; and one
+decorator alone switches the garbage collector."""
 
 import argparse
 import ast
@@ -323,3 +324,31 @@ def test_every_action_has_a_uses_row():
         first = next(a for a in parser._actions if not a.option_strings)
         offered |= {(cmd, action) for action in first.choices}
     assert offered == set(cli.USES)
+
+
+def test_collector_switched_in_one_decorator():
+    # irw._collector_paused is the one place that turns the cyclic
+    # collector off and on again; a second switch at some call site could
+    # leave it off, or turn it on under a caller that had turned it off.
+    importers, switches = [], []
+
+    def visit(node, owner, module):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, ast.Import) and "gc" in [a.name for a in node.names] \
+                or isinstance(node, ast.ImportFrom) and node.module == "gc":
+            importers.append(module)
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "gc"):
+            switches.append((module, owner, node.func.attr))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, module)
+
+    for path in sorted((ROOT / "src" / "irw").glob("*.py")):
+        visit(ast.parse(path.read_text(), str(path)), "", path.stem)
+    assert importers == ["__init__"]
+    where = "_collector_paused.paused"
+    assert {(m, o) for m, o, f in switches if f in ("disable", "enable")} \
+        == {("__init__", where)}
+    assert {f for _, _, f in switches} == {"isenabled", "disable", "enable"}
