@@ -154,7 +154,7 @@ def cmd_compile(args) -> int:
         sys.stdout.write(text)
     print(f"rules: {len(trs.rules)}")
     if start is not None:
-        print(f"start: {terms.print_term(start)}")
+        print(f"start: {terms.print_term(start, trs.sig)}")
     return _verdict("ok")
 
 
@@ -197,10 +197,10 @@ def cmd_trs(args) -> int:
             seed = 7 if args.seed is None else args.seed
         greedy = laws.greedy_order if args.strategy == "greedy" else None
         run = rewrite.run_strategy(trs, t, seed=seed, order=greedy, **bounds)
-        print(rewrite.render_trace(run.trace, show_terms=args.show_terms))
+        print(rewrite.render_trace(run.trace, args.show_terms, trs.sig))
         cl = rewrite.close_limit(run.trace.all_steps).closure
         if cl is not None:
-            print(f"omega-limit: {terms.print_term(cl.limit)}")
+            print(f"omega-limit: {terms.print_term(cl.limit, trs.sig)}")
             cert = cl.certificate
             print(f"pump: start={cert.cycle_start} len={cert.cycle_length} "
                   f"context={cert.context_growth} "
@@ -216,7 +216,7 @@ def cmd_trs(args) -> int:
         depth, prefix = rewrite.stable_prefix(run.trace, args.depth)
         print(f"stable-prefix depth: {depth}")
         if prefix is not None:
-            print(f"stable-prefix: {terms.print_term(prefix)}")
+            print(f"stable-prefix: {terms.print_term(prefix, trs.sig)}")
         return _verdict("exhausted")
     if args.epochs is not None:
         bounds["max_epochs"] = args.epochs
@@ -231,9 +231,9 @@ def cmd_trs(args) -> int:
         for k, v in sorted(res.diagnostics.items()):
             print(f"{k}: {v}")
         return _verdict("exhausted")
-    print(rewrite.render_trace(res.trace, show_terms=args.show_terms))
+    print(rewrite.render_trace(res.trace, args.show_terms, trs.sig))
     if args.action == "normalize":
-        print(f"normal-form: {terms.print_term(res.normal_form)}")
+        print(f"normal-form: {terms.print_term(res.normal_form, trs.sig)}")
         return _verdict("found")
     print(f"steps: {res.trace.total_steps}")
     return _verdict("reached")

@@ -708,6 +708,34 @@ class ReachResult:
         self.reached, self.trace, self.diagnostics = reached, trace, diagnostics
 
 
+def _try_untried(untried: list[tuple], heap: list[tuple], done: set[int],
+                 goal: Callable[[Term, int], bool],
+                 pending: Optional[_Node]) -> Optional[_Node]:
+    """Try the pumps of the untried children in push order and empty the
+    list.  A certified limit whose key is not yet expanded enters the
+    heap under the seq reserved for it, or, if it is a goal, becomes the
+    pending goal when it closes in fewer (steps, closures).  Returns the
+    pending goal."""
+    for child, hist, lengths, lseq in untried:
+        pos, rid = child.redex
+        hist[-1] = Step(pos, rid, child.parent.term, None)
+        for length in lengths:
+            cl = _try_pump(hist, len(hist) - 2 * length, length)
+            if cl is not None:
+                break
+        if cl is None or (lk := canon_key(cl.limit)) in done:
+            continue
+        gchild = _Node(cl.limit, child.steps, child.closures + 1, child,
+                       None, cl, 0)
+        if not goal(cl.limit, lk):
+            heapq.heappush(heap, (gchild.steps, gchild.closures, lseq, gchild))
+        elif pending is None or (gchild.steps, gchild.closures) < \
+                (pending.steps, pending.closures):
+            pending = gchild
+    untried.clear()
+    return pending
+
+
 @_collector_paused
 def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
             fuel: int, max_epochs: int, depth_bound: int
@@ -718,13 +746,26 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
     to a goal term and that term, or (None, None, diagnostics).
 
     The heap holds (steps, closures, seq, node), seq unique.  A step
-    child without a certified closure is the bare entry (steps, closures,
-    seq, parent, redex), built into a node and applied only when popped;
-    a child whose step closes a pump is built at once, as its limit's
-    parent.  Each expanded node builds its epoch history and period
-    table once, and a child tries only the suffix pumps its rule id
-    allows; a certified limit not yet expanded enters the frontier at
-    once, so a closing run is not starved by level breadth.  The cyclic
+    child is the bare entry (steps, closures, seq, parent, redex), built
+    into a node and applied only when popped.  A child whose rule id
+    admits a suffix pump is instead pushed at once as a built, unapplied
+    node under seq k, with k+1 reserved for its limit, and goes on the
+    ``untried`` list with its parent's epoch history (built once per
+    expanded node) and its candidate periods.  Its pumps are not tried
+    when its parent is expanded but at a flush: just before the first
+    pop of an entry with at least the untried children's step count
+    (they all share one, as every push has one step more than its pop),
+    and when fuel ends the loop.  A search that ends inside a level thus
+    never certifies the limits of the next.
+
+    Every entry popped before a flush has fewer steps than the limits it
+    pushes, and each limit takes its reserved seq, so the heap pops in
+    the same order as if the pumps were tried at the parent: a certified
+    limit still enters the frontier before the rest of its level, so a
+    closing run is not starved by level breadth, and a goal limit
+    becomes ``pending`` before the first pop that could end the search
+    on it.  A limit whose key was expanded since its parent is dropped
+    at the flush rather than popped as a duplicate.  The cyclic
     collector is paused for the call.
     """
     if fuel < 0:
@@ -742,7 +783,10 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
     expansions = 0
     deepest = root
     pending: Optional[_Node] = None  # goal reached via a fresh closure
+    untried: list[tuple] = []  # (child, hist, lengths, limit seq)
     while heap and expansions < fuel:
+        if untried and heap[0][0] >= untried[0][0].steps:
+            pending = _try_untried(untried, heap, done, goal, pending)
         entry = heapq.heappop(heap)
         if pending is not None and entry[0] >= pending.steps:
             break
@@ -765,34 +809,23 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
         periods: dict[str, list[int]] = {}
         if node.closures < max_epochs - 1 and \
                 1 <= node.epoch_len < _CLOSE_HISTORY_CAP:
-            # The last slot holds the child's step while its pumps are tried.
+            # The last slot holds a child's step while its pumps are tried.
             hist = _epoch_steps(node)
             periods = _pump_periods([s.rule_id for s in hist])
             hist.append(None)
         steps, closures = node.steps + 1, node.closures
         for pos, rid in find_redexes(trs, term, depth_bound):
-            cl = None
             if rid in periods:
-                hist[-1] = Step(pos, rid, term, None)
-                for length in periods[rid]:
-                    cl = _try_pump(hist, len(hist) - 2 * length, length)
-                    if cl is not None:
-                        break
-            if cl is None or (lk := canon_key(cl.limit)) in done:
+                child = _Node(None, steps, closures, node, None, None,
+                              node.epoch_len + 1, (pos, rid))
+                heapq.heappush(heap, (steps, closures, seq, child))
+                untried.append((child, hist, periods[rid], seq + 1))
+                seq += 2
+            else:
                 heapq.heappush(heap, (steps, closures, seq, node, (pos, rid)))
                 seq += 1
-                continue
-            child = _Node(None, steps, closures, node, None, None,
-                          node.epoch_len + 1, (pos, rid))
-            heapq.heappush(heap, (steps, closures, seq, child))
-            seq += 1
-            gchild = _Node(cl.limit, steps, closures + 1, child, None, cl, 0)
-            if not goal(cl.limit, lk):
-                heapq.heappush(heap, (steps, closures + 1, seq, gchild))
-                seq += 1
-            elif pending is None or (gchild.steps, gchild.closures) < \
-                    (pending.steps, pending.closures):
-                pending = gchild
+    if untried:
+        pending = _try_untried(untried, heap, done, goal, pending)
     if pending is not None:
         return _node_trace(trs, pending, start), pending.term, {}
     diag = {
@@ -803,7 +836,8 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
     }
     diag["stable_prefix_depth"], prefix = stable_prefix(
         _node_trace(trs, deepest, start), depth_bound)
-    diag["stable_prefix"] = print_term(prefix) if prefix is not None else None
+    diag["stable_prefix"] = (print_term(prefix, trs.sig)
+                             if prefix is not None else None)
     return None, None, diag
 
 
@@ -1007,19 +1041,21 @@ def _ordinal(epoch: int, i: int) -> str:
     return f"w*{epoch}+{i}"
 
 
-def render_trace(trace: Trace, show_terms: bool = False) -> str:
+def render_trace(trace: Trace, show_terms: bool = False,
+                 sig: Optional[Signature] = None) -> str:
     """Line-oriented trace: `<ordinal> @<dot-path> <rule-id>` per step,
-    `omega-limit:` plus a certificate summary per closure."""
-    lines = [f"start: {print_term(trace.start)}"]
+    `omega-limit:` plus a certificate summary per closure.  Terms print
+    with binder names that avoid the symbols of ``sig``."""
+    lines = [f"start: {print_term(trace.start, sig)}"]
     for e, ep in enumerate(trace.epochs):
         for i, st in enumerate(ep.steps):
             path = ".".join(str(p) for p in st.position) or "root"
             lines.append(f"{_ordinal(e, i)} @{path} {st.rule_id}")
             if show_terms:
-                lines.append(f"    {print_term(st.after)}")
+                lines.append(f"    {print_term(st.after, sig)}")
         if ep.closure is not None:
             cert = ep.closure.certificate
-            lines.append(f"omega-limit: {print_term(ep.closure.limit)}")
+            lines.append(f"omega-limit: {print_term(ep.closure.limit, sig)}")
             lines.append(
                 f"    pump: start={cert.cycle_start} len={cert.cycle_length}"
                 f" hole={list(cert.hole)} offset={list(cert.offset)}"

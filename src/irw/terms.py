@@ -701,22 +701,25 @@ def _binder_nodes(t: Term) -> set[int]:
     return marked
 
 
-def print_term(t: Term) -> str:
+def print_term(t: Term, sig: Optional[Signature] = None) -> str:
     """Render a term in the concrete grammar; cycles print as `rec` blocks.
 
-    Reparsing the output yields a term bisimilar to the input.
+    Binder names avoid every name in the term and, when ``sig`` is given,
+    every symbol it declares, so reparsing the output against ``sig``
+    yields a term bisimilar to the input.
     """
     binders = _binder_nodes(t)
     taken = {n.label if isinstance(n.label, str) else n.label.name
              for n in _reachable(t)}
-    pool = []
-    for base in ("X", "Y", "Z", "U", "V", "W"):
-        if base not in taken:
-            pool.append(base)
+
+    def free(name: str) -> bool:
+        return name not in taken and (sig is None or sig.get(name) is None)
+
+    pool = [base for base in ("X", "Y", "Z", "U", "V", "W") if free(base)]
     i = 1
     while len(pool) < len(binders) + 1:
         cand = f"X{i}"
-        if cand not in taken:
+        if free(cand):
             pool.append(cand)
         i += 1
     names: dict[int, str] = {}

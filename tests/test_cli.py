@@ -238,6 +238,33 @@ class TestTrs:
         assert "normal-form: bot" in out and "VERDICT: found" in out
         assert "omega-limit:" in out
 
+    def test_printed_terms_read_back_under_a_binder_symbol(self, capsys,
+                                                           tmp_path):
+        # The file declares X, so a `rec X` binder would not parse against
+        # its signature; every printed term must read back against it.
+        from irw.encode import emit_trs_file
+        from irw.rewrite import parse_trs
+        from irw.terms import bisim_equal, parse_term
+        path = tmp_path / "x.trs"
+        path.write_text("sig X/1 a/1 f/0\nrule r: f -> a(f)\n")
+        trs = parse_trs(path.read_text())
+        text = emit_trs_file(trs)
+        assert "sig X/1 a/1 f/0\nrule r: f -> a(f)\n" in text
+        assert emit_trs_file(parse_trs(text)) == text
+        code, out, _ = run_cli(capsys, "trs", "normalize", str(path),
+                               "--term", "f", "--show-terms")
+        assert code == 0 and "VERDICT: found" in out
+        shown = [line.partition(": ")[2] for line in out.splitlines()
+                 if line.startswith(("omega-limit:", "normal-form:"))]
+        code, out, _ = run_cli(capsys, "trs", "trace", str(path),
+                               "--term", "f", "--fuel", "4")
+        assert code == 0 and "VERDICT: closed" in out
+        shown += [line.partition(": ")[2] for line in out.splitlines()
+                  if line.startswith("omega-limit:")]
+        rec = parse_term("rec Y . a(Y)", trs.sig)
+        assert len(shown) == 3
+        assert all(bisim_equal(parse_term(s, trs.sig), rec) for s in shown)
+
     def test_trace_sprime_greedy_closes(self, capsys, tm_file, tmp_path):
         out_file = tmp_path / "sp.trs"
         run_cli(capsys, "compile", "Sprime", tm_file("m_acc"), "-o", str(out_file))

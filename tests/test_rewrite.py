@@ -1374,6 +1374,72 @@ class TestSearchOracle:
             closures += res.trace.closures
         assert closures > 0
 
+    @staticmethod
+    def _flushes(monkeypatch):
+        """Record each flush of the search's untried pump candidates as
+        (their step count, whether the loop is still running, whether a
+        goal limit is pending after it).  The second list keeps the
+        untried list itself: after the search it holds what was never
+        tried."""
+        import irw.rewrite
+        real = irw.rewrite._try_untried
+        flushes, lists = [], []
+
+        def recording(untried, heap, done, goal, pending):
+            steps = untried[0][0].steps
+            in_loop = bool(heap) and heap[0][0] >= steps
+            lists.append(untried)
+            pending = real(untried, heap, done, goal, pending)
+            flushes.append((steps, in_loop, pending is not None))
+            return pending
+
+        monkeypatch.setattr(irw.rewrite, "_try_untried", recording)
+        return flushes, lists
+
+    _TWO_WAYS = parse_trs("sig c/2 f/0 a/1 b/0 e/1\n"
+                          "rule r: f -> a(f)\nrule s: f -> b\n"
+                          "rule t: f -> e(f)\n")
+
+    def test_goal_popped_inside_a_level(self, monkeypatch):
+        # c(b, b) is popped inside level 2, after the one flush: the pump
+        # candidates level 2 pushed to level 3 are never tried.
+        trs = self._TWO_WAYS.without("t")
+        flushes, lists = self._flushes(monkeypatch)
+        res = self._check(trs, T(trs, "c(f, f)"), 1000, 3)
+        assert res.found and print_term(res.normal_form) == "c(b, b)"
+        assert flushes == [(2, True, False)]
+        assert lists[0] and all(c.steps == 3 for c, *_ in lists[0])
+
+    def test_goal_limit_pending_at_a_level_boundary(self, monkeypatch):
+        # Both level-1 nodes are expanded; the flush before level 2 finds
+        # the goal limit rec X . a(X), and the next pop returns it.
+        trs = self._TWO_WAYS.without("s")
+        flushes, _ = self._flushes(monkeypatch)
+        res = self._check(trs, T(trs, "f"), 1000, 3)
+        assert res.found and res.trace.closures == 1
+        assert flushes == [(2, True, True)]
+
+    def test_goal_limit_pending_when_fuel_ends(self, monkeypatch):
+        # Fuel ends after a(f) is expanded, with e(f) still in level 1:
+        # only the flush after the loop tries a(a(f)), whose limit is the
+        # goal the search returns.
+        trs = self._TWO_WAYS.without("s")
+        flushes, _ = self._flushes(monkeypatch)
+        res = self._check(trs, T(trs, "f"), 2, 3)
+        assert res.found and res.trace.closures == 1
+        assert flushes == [(2, False, True)]
+
+    def test_frontier_exhausted(self, monkeypatch):
+        # The depth bound stops a^4(f) and the limit has no redex: every
+        # flush certifies rec X . a(X) again, and the frontier runs out.
+        trs = self._TWO_WAYS.without("s", "t")
+        flushes, _ = self._flushes(monkeypatch)
+        res = self._check(trs, T(trs, "f"), 1000, 3, depth=3,
+                          target=T(trs, "b"))
+        assert not res.reached and res.diagnostics["reason"] == "frontier"
+        assert flushes == [(2, True, False), (3, True, False),
+                           (4, True, False)]
+
     def test_children_built_when_popped(self, monkeypatch):
         # A child pushed without a certified closure is a bare heap entry;
         # an exhausting search pops only part of its frontier, so it builds
@@ -1426,3 +1492,40 @@ class TestSearchOracle:
         assert _trace_fingerprint(res.trace) == _trace_fingerprint(trace)
         assert calls <= popped + res.trace.total_steps
         assert 3 * calls < eager
+
+    def test_pumps_tried_only_when_their_level_is_reached(self, monkeypatch,
+                                                          r_right):
+        # A pump candidate is a child whose rule id admits a suffix pump.
+        # Its pumps are tried only when the search reaches its step count,
+        # so a search that ends inside a level tries fewer than it pushes.
+        import irw.rewrite
+        t = T(r_right, "run(xi, q0(rec X. a(X)), D1(rec X. a(X)), D2(rec X. a(X)))")
+        tries = candidates = 0
+        table = {}
+        real_periods = irw.rewrite._pump_periods
+        real_redexes = irw.rewrite.find_redexes
+        real_try = irw.rewrite._try_pump
+
+        def periods(*args):
+            nonlocal table
+            table = real_periods(*args)
+            return table
+
+        def redexes(*args):
+            nonlocal table, candidates
+            out = real_redexes(*args)
+            candidates += sum(rid in table for _, rid in out)
+            table = {}
+            return out
+
+        def counting(*args):
+            nonlocal tries
+            tries += 1
+            return real_try(*args)
+
+        monkeypatch.setattr(irw.rewrite, "_pump_periods", periods)
+        monkeypatch.setattr(irw.rewrite, "find_redexes", redexes)
+        monkeypatch.setattr(irw.rewrite, "_try_pump", counting)
+        res = bounded_normalize(r_right, t, fuel=10_000, max_epochs=3)
+        assert res.found and res.trace.closures
+        assert 0 < tries < candidates

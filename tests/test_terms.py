@@ -155,6 +155,16 @@ class TestParse:
         assert text == "rec X1 . X(Y(Z(U(V(W(X1))))))"
         assert bisim_equal(parse_term(text, sig), t)
 
+    def test_binder_names_avoid_the_signature(self):
+        # X is declared but absent from the term: only the signature tells
+        # the printer that a binder named X would not read back.
+        sig = Signature([Symbol("X", 1), Symbol("a", 1)])
+        t = parse_term("rec Y . a(Y)", sig)
+        assert print_term(t) == "rec X . a(X)"
+        text = print_term(t, sig)
+        assert text == "rec Y . a(Y)"
+        assert bisim_equal(parse_term(text, sig), t)
+
     def test_position_reported(self):
         err = None
         try:
