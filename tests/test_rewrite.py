@@ -1,7 +1,9 @@
 import dataclasses
 import functools
 import gc
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -1529,3 +1531,101 @@ class TestSearchOracle:
         res = bounded_normalize(r_right, t, fuel=10_000, max_epochs=3)
         assert res.found and res.trace.closures
         assert 0 < tries < candidates
+
+
+WORK_COUNTS = Path(__file__).parent / "golden" / "work_counts.json"
+
+
+def _work_counts(monkeypatch, trs, t, fuel):
+    """The work of one bounded_normalize call at 3 epochs, counted by
+    wrapping the search's callees.  The search's heap entries are the
+    tuples of four or more; a limit entry is a pushed node that already
+    holds its term, and every other pushed entry is a step child.  An
+    expansion tests the goal from _search itself, and each pop that does
+    not end the search on a pending goal reads its key there, so the pops
+    that find their key expanded are those key reads less the
+    expansions."""
+    import heapq
+    import sys
+    import types
+    import irw.rewrite as rw
+    n = dict.fromkeys(["expansions", "step_pops", "duplicate_pops",
+                       "apply_step", "try_pump", "certified", "limits_pushed",
+                       "node_builds"], 0)
+    limit_seqs = set()
+
+    def push(heap, entry):
+        if len(entry) == 4 and entry[3].term is not None:
+            limit_seqs.add(entry[2])
+            n["limits_pushed"] += 1
+        heapq.heappush(heap, entry)
+
+    def pop(heap):
+        entry = heapq.heappop(heap)
+        if len(entry) >= 4 and entry[2] != 0 and entry[2] not in limit_seqs:
+            n["step_pops"] += 1
+        return entry
+
+    def wrap(name, count, caller=None, up=1):
+        real = getattr(rw, name)
+
+        def counted(*args):
+            out = real(*args)
+            if caller is None or sys._getframe(up).f_code.co_name == caller:
+                n[count] += 1
+                if name == "_try_pump":
+                    n["certified"] += out is not None
+            return out
+        monkeypatch.setattr(rw, name, counted)
+
+    wrap("apply_step", "apply_step")
+    wrap("_try_pump", "try_pump")
+    wrap("canon_key", "duplicate_pops", "_search")  # key reads, for now
+    wrap("is_normal_form", "expansions", "_search", up=2)  # via the goal
+
+    class CountingNode(rw._Node):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            n["node_builds"] += 1
+            super().__init__(*args)
+
+    monkeypatch.setattr(rw, "_Node", CountingNode)
+    monkeypatch.setattr(rw, "heapq", types.SimpleNamespace(**{
+        **{k: getattr(heapq, k) for k in heapq.__all__},
+        "heappush": push, "heappop": pop}))
+    res = bounded_normalize(trs, t, fuel=fuel, max_epochs=3)
+    monkeypatch.undo()
+    n["duplicate_pops"] -= n["expansions"]
+    if not res.found:
+        assert res.diagnostics["expansions"] == n["expansions"]
+    return res, n
+
+
+class TestWorkCounts:
+    """Exact counts of the bounded search's work on two fixed jobs, kept
+    in tests/golden/work_counts.json.  A change that moves a count updates
+    the file and says which count moved, by how much and why."""
+
+    def _check(self, monkeypatch, job, trs, t, fuel, found):
+        res, counts = _work_counts(monkeypatch, trs, t, fuel)
+        assert res.found == found
+        assert counts == json.loads(WORK_COUNTS.read_text())[job]
+
+    def test_designated_search(self, monkeypatch):
+        from irw.encode import phi
+        from irw.laws import _designated_term, _fixture_words
+        right = load_fixture("nd_right")
+        R = build_R(right)
+        t = _designated_term(R, phi(_fixture_words(right)[0], R.sig))
+        self._check(monkeypatch, "nd_right designated fuel 10000", R, t,
+                    10_000, True)
+
+    def test_exhausting_search(self, monkeypatch):
+        from irw.encode import phi
+        from irw.laws import _designated_term, _fixture_words
+        pong = load_fixture("nd_pong")
+        R = build_R(pong)
+        t = _designated_term(R, phi(_fixture_words(pong)[0], R.sig))
+        self._check(monkeypatch, "nd_pong designated fuel 10000", R, t,
+                    10_000, False)
