@@ -47,7 +47,7 @@ __all__ = [
 
 
 class LawError(ValueError):
-    """A bound out of range: a negative depth or step count."""
+    """A bound out of range: every check refuses a negative bound."""
 
 
 class LawReport:
@@ -86,6 +86,13 @@ def _finish(rep: LawReport, t0: float, verdict: Optional[str] = None,
 # Random instances
 
 _DENSITY = 0.7  # chance that a (state, symbol) pair has a transition
+
+
+def _refuse_negative(law: str, **bounds: int) -> None:
+    """Refuse a negative bound with LawError, naming the law and bound."""
+    for name, value in bounds.items():
+        if value < 0:
+            raise LawError(f"{law} needs {name} >= 0, got {value}")
 
 
 def gen_det_machine(rng: random.Random, max_states: int = 4,
@@ -169,10 +176,9 @@ def check_two_sided_bisim(m: TmSpec, samples: int = 100, steps: int = 50,
                           ) -> LawReport:
     """Random configs, lockstep replay: decoded system traces must equal
     machine traces one step to one step, including where both halt.
-    Negative steps are refused with LawError; with no configuration or
-    no step to compare the verdict is unknown."""
-    if steps < 0:
-        raise LawError(f"two-sided-bisim needs steps >= 0, got {steps}")
+    With no configuration or no step to compare the verdict is
+    unknown."""
+    _refuse_negative("two-sided-bisim", samples=samples, steps=steps)
     t0 = time.perf_counter()
     rng = random.Random(seed)
     rep = LawReport(f"two-sided-bisim[{m.name}]", "holds", samples=samples,
@@ -224,8 +230,7 @@ def check_srs_bisim(m: NdTmSpec, words: Optional[Sequence[OmegaWord]] = None,
     one-step reduct set of its term image, modulo bisimilarity.  A
     negative depth is refused with LawError; with nothing checked the
     verdict is unknown."""
-    if depth < 0:
-        raise LawError(f"srs-bisim needs depth >= 0, got {depth}")
+    _refuse_negative("srs-bisim", depth=depth)
     t0 = time.perf_counter()
     sys = trs if trs is not None else nd_to_srs(m)
     if words is None:
@@ -295,6 +300,7 @@ def check_pickn(n_max: int = 50, fuel: int = 40_000) -> LawReport:
     """Shortest derivations to ok(S^n(0(end))) have length exactly 2n+1
     (n wraps, one commit, n swaps) and every reachable term keeps one of
     the two canonical shapes."""
+    _refuse_negative("pickn", n_max=n_max, fuel=fuel)
     t0 = time.perf_counter()
     trs = pickn_trs()
     start = parse_term("pickn", trs.sig)
@@ -357,12 +363,16 @@ def check_restart_cycle(m: TmSpec, firings: int = 5,
                         fuel: int = 100_000) -> LawReport:
     """Machines with halting states must admit arbitrarily many restart
     firings from run(T, pickn, pickn); machines without any halting rule
-    admit at most one, certified structurally plus by bounded search."""
+    admit at most one, certified structurally plus by bounded search.
+    Zero firings to find answer unknown."""
+    _refuse_negative("restart-cycle", firings=firings, fuel=fuel)
     t0 = time.perf_counter()
     sys, start = build_S(m)
     halt_rules = [r for r in sys.rules if r.rid.endswith(".halt")]
     rep = LawReport(f"restart-cycle[{m.name}]", "holds")
     if halt_rules:
+        if not firings:
+            return _finish(rep, t0, "unknown", "no firing to find")
         trace = greedy_cycle_run(sys, start, fuel, stop_after_firings=firings)
         got = _count_firings(trace)
         rep.lines.append(f"halt rules: {len(halt_rules)}; firings: {got} "
@@ -406,11 +416,14 @@ def check_pebbled_reach(m: TmSpec, firings: int = 5,
                         fuel: int = 100_000) -> LawReport:
     """(a) the greedy pebbled-restart trace pins a stable outer peb prefix
     of the requested depth; (b) the self-loop rule changes nothing about
-    the reachable set."""
+    the reachable set.  Zero firings to pin answer unknown."""
+    _refuse_negative("pebbled-reach", firings=firings, fuel=fuel)
     t0 = time.perf_counter()
     sys, start = build_S_prime(m)
     halt_rules = [r for r in sys.rules if r.rid.endswith(".halt")]
     rep = LawReport(f"pebbled-reach[{m.name}]", "holds")
+    if halt_rules and not firings:
+        return _finish(rep, t0, "unknown", "no firing to pin")
     want = firings if halt_rules else 1
     trace = greedy_cycle_run(sys, start, fuel, stop_after_firings=want + 1)
     if halt_rules:
@@ -481,6 +494,7 @@ def check_norm_probe(mpos: NdTmSpec, mneg: NdTmSpec, fuel: int = 10_000,
     all normalize, the designated term to bot.  Negative machine: the
     designated term exhausts its search and the reducts of q0(z) and xi
     stay disjoint (state-or-bot vs neither)."""
+    _refuse_negative("norm-probe", fuel=fuel, epochs=epochs)
     t0 = time.perf_counter()
     rep = LawReport("norm-probe", "holds")
     for w in _fixture_words(mpos):
@@ -551,6 +565,7 @@ def check_limit_correspondence(m: NdTmSpec, w: OmegaWord,
                                fuel: int = 2000) -> LawReport:
     """Acceptance of the word must coincide with the head term closing to
     a rational ground tape image under the plain unary system."""
+    _refuse_negative("limit-correspondence", fuel=fuel)
     t0 = time.perf_counter()
     rep = LawReport(f"limit-correspondence[{m.name}]", "holds")
     sys = nd_to_srs(m)
@@ -578,6 +593,10 @@ def check_limit_correspondence(m: NdTmSpec, w: OmegaWord,
             return _finish(rep, t0, "refuted",
                            f"rejected word but head term normalized to "
                            f"{print_term(res.normal_form)}")
+        # A search of no step is stable at every depth: it bounds nothing.
+        if not res.diagnostics["max_steps"]:
+            return _finish(rep, t0, "unknown",
+                           f"search took no step within fuel {fuel}")
         depth = res.diagnostics.get("stable_prefix_depth", -1)
         rep.lines.append(f"no closure; stable depth witness: {depth}")
         if depth > 1:

@@ -614,20 +614,17 @@ def run_strategy(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL,
 
 
 class _Node:
-    """A search state.  A step child is built unapplied: its ``term`` and
-    ``via_step`` stay None, and ``redex`` names the step, until the child
-    is popped or a returned trace runs through it (see _search)."""
+    """A search state: its parent and the one move that leads from it.
+    The move is None at the root and a Closure at a limit.  At a step
+    child it is the (position, rule id) pair, and ``term`` is None, until
+    _reached applies the step and puts the Step in its place."""
 
-    __slots__ = ("term", "steps", "closures", "parent", "via_step",
-                 "via_closure", "epoch_len", "redex")
+    __slots__ = ("term", "steps", "closures", "parent", "move", "epoch_len")
 
     def __init__(self, term: Optional[Term], steps: int, closures: int,
-                 parent: Optional[_Node], via_step: Optional[Step],
-                 via_closure: Optional[Closure], epoch_len: int,
-                 redex: Optional[tuple[tuple[int, ...], str]] = None):
+                 parent: Optional[_Node], move: object, epoch_len: int):
         self.term, self.steps, self.closures = term, steps, closures
-        self.parent, self.via_step, self.via_closure = parent, via_step, via_closure
-        self.epoch_len, self.redex = epoch_len, redex
+        self.parent, self.move, self.epoch_len = parent, move, epoch_len
 
 
 _CLOSE_HISTORY_CAP = 512
@@ -636,9 +633,9 @@ _CLOSE_HISTORY_CAP = 512
 def _reached(trs: Trs, node: _Node) -> Term:
     """The node's term, applying the step that leads to it on first use."""
     if node.term is None:
-        pos, rid = node.redex
-        node.via_step = apply_step(trs, node.parent.term, pos, rid)
-        node.term = node.via_step.after
+        pos, rid = node.move
+        node.move = apply_step(trs, node.parent.term, pos, rid)
+        node.term = node.move.after
     return node.term
 
 
@@ -646,10 +643,8 @@ def _epoch_steps(node: _Node) -> list[Step]:
     """The steps of an expanded node's epoch, all applied."""
     out: list[Step] = []
     cur = node
-    while cur.via_step is not None:
-        if out and cur.via_step.after is not out[-1].before:
-            raise TrsError("search history is not a chained run of steps")
-        out.append(cur.via_step)
+    for _ in range(node.epoch_len):
+        out.append(cur.move)
         cur = cur.parent
     out.reverse()
     return out
@@ -670,21 +665,20 @@ def _pump_periods(rids: list[str]) -> dict[str, list[int]]:
 def _node_trace(trs: Trs, node: _Node, start: Term) -> Trace:
     """The trace from start to node.  Steps not yet applied are applied,
     and each closure's certificate gets its context string."""
-    moves: list[tuple[Optional[Step], Optional[Closure]]] = []
+    moves: list[object] = []
     cur = node
     while cur.parent is not None:
-        if cur.via_closure is None:
-            _reached(trs, cur)
-        moves.append((cur.via_step, cur.via_closure))
+        _reached(trs, cur)
+        moves.append(cur.move)
         cur = cur.parent
     moves.reverse()
     epochs: list[Epoch] = []
     pending: list[Step] = []
-    for st, cl in moves:
-        if st is not None:
-            pending.append(st)
+    for move in moves:
+        if isinstance(move, Step):
+            pending.append(move)
         else:
-            epochs.append(Epoch(tuple(pending), _with_context(pending, cl)))
+            epochs.append(Epoch(tuple(pending), _with_context(pending, move)))
             pending = []
     epochs.append(Epoch(tuple(pending)))
     if len(epochs) > 1 and not epochs[-1].steps:
@@ -712,26 +706,27 @@ def _try_untried(untried: list[tuple], heap: list[tuple], done: set[int],
                  goal: Callable[[Term, int], bool],
                  pending: Optional[_Node]) -> Optional[_Node]:
     """Try the pumps of the untried children in push order and empty the
-    list.  A certified limit whose key is not yet expanded enters the
-    heap under the seq reserved for it, or, if it is a goal, becomes the
-    pending goal when it closes in fewer (steps, closures).  Returns the
-    pending goal."""
-    for child, hist, lengths, lseq in untried:
-        pos, rid = child.redex
-        hist[-1] = Step(pos, rid, child.parent.term, None)
+    list.  A certified limit whose key is not yet expanded, under a new
+    parent node that holds the child's step unapplied, enters the heap
+    under its reserved seq, or, if it is a goal, becomes the pending goal
+    when it closes in fewer (steps, closures).  Returns the pending goal."""
+    for parent, redex, hist, lengths, lseq in untried:
+        hist[-1] = Step(*redex, parent.term, None)
         for length in lengths:
             cl = _try_pump(hist, len(hist) - 2 * length, length)
             if cl is not None:
                 break
         if cl is None or (lk := canon_key(cl.limit)) in done:
             continue
-        gchild = _Node(cl.limit, child.steps, child.closures + 1, child,
-                       None, cl, 0)
+        steps, closures = parent.steps + 1, parent.closures + 1
+        child = _Node(None, steps, parent.closures, parent, redex,
+                      parent.epoch_len + 1)
+        limit = _Node(cl.limit, steps, closures, child, cl, 0)
         if not goal(cl.limit, lk):
-            heapq.heappush(heap, (gchild.steps, gchild.closures, lseq, gchild))
-        elif pending is None or (gchild.steps, gchild.closures) < \
+            heapq.heappush(heap, (steps, closures, lseq, limit))
+        elif pending is None or (steps, closures) < \
                 (pending.steps, pending.closures):
-            pending = gchild
+            pending = limit
     untried.clear()
     return pending
 
@@ -745,18 +740,18 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
     memoized modulo bisimilarity via canonical keys.  Returns the trace
     to a goal term and that term, or (None, None, diagnostics).
 
-    The heap holds (steps, closures, seq, node), seq unique.  A step
-    child is the bare entry (steps, closures, seq, parent, redex), built
-    into a node and applied only when popped.  A child whose rule id
-    admits a suffix pump is instead pushed at once as a built, unapplied
-    node under seq k, with k+1 reserved for its limit, and goes on the
-    ``untried`` list with its parent's epoch history (built once per
-    expanded node) and its candidate periods.  Its pumps are not tried
-    when its parent is expanded but at a flush: just before the first
-    pop of an entry with at least the untried children's step count
-    (they all share one, as every push has one step more than its pop),
-    and when fuel ends the loop.  A search that ends inside a level thus
-    never certifies the limits of the next.
+    The heap holds (steps, closures, seq, node) for the root and the
+    limits and (steps, closures, seq, parent, redex) for every step
+    child, seq unique; a child is built into a node and applied only
+    when popped.  For a child whose rule id admits a suffix pump, the seq
+    k+1 after its own is reserved for its limit, and ``untried`` gets
+    (parent, redex, parent's epoch history, candidate periods, k+1); the
+    history is built once per expanded node.  Its pumps are tried at a
+    flush: just before the first pop of an entry with more steps than the
+    untried children's parents (they all share one count, as every push
+    has one step more than its pop), and when fuel ends the loop.  A
+    search that ends inside a level thus never certifies the limits of
+    the next.
 
     Every entry popped before a flush has fewer steps than the limits it
     pushes, and each limit takes its reserved seq, so the heap pops in
@@ -776,16 +771,16 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
         raise TrsError("depth_bound must be >= 0")
     if not is_ground(start):
         raise TrsError("search requires a ground start term")
-    root = _Node(start, 0, 0, None, None, None, 0)
+    root = _Node(start, 0, 0, None, None, 0)
     heap: list[tuple] = [(0, 0, 0, root)]
     seq = 1
     done: set[int] = set()
     expansions = 0
     deepest = root
     pending: Optional[_Node] = None  # goal reached via a fresh closure
-    untried: list[tuple] = []  # (child, hist, lengths, limit seq)
+    untried: list[tuple] = []  # (parent, redex, hist, lengths, limit seq)
     while heap and expansions < fuel:
-        if untried and heap[0][0] >= untried[0][0].steps:
+        if untried and heap[0][0] > untried[0][0].steps:
             pending = _try_untried(untried, heap, done, goal, pending)
         entry = heapq.heappop(heap)
         if pending is not None and entry[0] >= pending.steps:
@@ -794,8 +789,8 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
             node = entry[3]
         else:
             steps, closures, _, parent, redex = entry
-            node = _Node(None, steps, closures, parent, None, None,
-                         parent.epoch_len + 1, redex)
+            node = _Node(None, steps, closures, parent, redex,
+                         parent.epoch_len + 1)
         term = _reached(trs, node)
         key = canon_key(term)
         if key in done:
@@ -814,15 +809,11 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
             periods = _pump_periods([s.rule_id for s in hist])
             hist.append(None)
         steps, closures = node.steps + 1, node.closures
-        for pos, rid in find_redexes(trs, term, depth_bound):
-            if rid in periods:
-                child = _Node(None, steps, closures, node, None, None,
-                              node.epoch_len + 1, (pos, rid))
-                heapq.heappush(heap, (steps, closures, seq, child))
-                untried.append((child, hist, periods[rid], seq + 1))
-                seq += 2
-            else:
-                heapq.heappush(heap, (steps, closures, seq, node, (pos, rid)))
+        for redex in find_redexes(trs, term, depth_bound):
+            heapq.heappush(heap, (steps, closures, seq, node, redex))
+            seq += 1
+            if redex[1] in periods:
+                untried.append((node, redex, hist, periods[redex[1]], seq))
                 seq += 1
     if untried:
         pending = _try_untried(untried, heap, done, goal, pending)
@@ -885,6 +876,8 @@ class Reachability:
 def step_reachability(trs: Trs, t: Term, fuel: int = DEFAULT_FUEL,
                       depth_bound: int = DEFAULT_DEPTH_BOUND) -> Reachability:
     """Breadth-first enumeration of the finite-step reduction graph."""
+    if fuel < 0:
+        raise TrsError("fuel must be >= 0")
     if not is_ground(t):
         raise TrsError("search requires a ground start term")
     k0 = canon_key(t)

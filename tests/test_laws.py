@@ -486,12 +486,27 @@ class TestUnknownReturns:
          "stable prefix is not a peb tower of depth 5"),
         (["norm-probe", "--fuel", "0"],
          "corpus term xi did not normalize within fuel 0"),
-    ], ids=["pebbled-reach", "norm-probe"])
+        # A search of no step is stable at every depth, but bounds nothing.
+        (["limit-correspondence", "--fixture", "nd_pong", "--fuel", "0"],
+         "search took no step within fuel 0"),
+        (["limit-correspondence", "--fixture", "nd_pong", "--fuel", "1"],
+         "search took no step within fuel 1"),
+    ], ids=["pebbled-reach", "norm-probe", "limit-correspondence-0",
+            "limit-correspondence-1"])
     def test_cli(self, capsys, argv, witness):
         code = main(["laws", *argv])
         lines = capsys.readouterr().out.splitlines()
         assert (code, lines[-1]) == (2, "VERDICT: unknown")
         assert f"witness: {witness}" in lines
+
+    def test_zero_firings(self, macc, mrej):
+        # A machine with halt rules has no firing to find or pin; one
+        # without them reads no firing count and still holds.
+        for check, witness in ((check_restart_cycle, "no firing to find"),
+                               (check_pebbled_reach, "no firing to pin")):
+            rep = check(macc, firings=0)
+            assert (rep.verdict, rep.witness) == ("unknown", witness)
+            assert check(mrej, firings=0).verdict == "holds"
 
     def test_norm_probe_designated_not_bot(self, monkeypatch, right, pong):
         # No argument reaches this return: the designated term's root

@@ -11,6 +11,10 @@ from irw.encode import (
     EncodeError, compile_construction, decode_config, emit_trs_file,
     pebble_trs, pickn_trs,
 )
+from irw.laws import (
+    LawError, check_limit_correspondence, check_norm_probe, check_pebbled_reach,
+    check_pickn, check_restart_cycle, check_two_sided_bisim,
+)
 from irw.machines import load_fixture, parse_machine
 from irw.omega import NdConfig, explore_runs, parse_word
 from irw.rewrite import (
@@ -121,12 +125,15 @@ def test_terms(capsys, tmp_path, call, message, argv):
      "reach target must be ground", None),
     (lambda: step_reachability(PICKN, var("x")),
      "search requires a ground start term", None),
+    (lambda: step_reachability(PICKN, START, fuel=-4), "fuel must be >= 0",
+     None),
     (lambda: bounded_normalize(PICKN, parse_term("c(x)", PICKN.sig)),
      "search requires a ground start term", None),
     (lambda: Epoch(()).end, "empty epoch has no end term", None),
 ], ids=["duplicate-rule", "rhs-variable", "undeclared", "no-such-rule",
         "redex-depth", "strategy-fuel", "reach-target",
-        "reachability-start", "normalize-start", "empty-epoch"])
+        "reachability-start", "reachability-fuel", "normalize-start",
+        "empty-epoch"])
 def test_rewrite(capsys, tmp_path, call, message, argv):
     _refused(capsys, tmp_path, TrsError, message, call, argv)
 
@@ -255,3 +262,34 @@ def _member(*flags):
 ], ids=["position", "word", "head", "fuel", "width"])
 def test_omega(capsys, tmp_path, call, message, argv):
     _refused(capsys, tmp_path, MachineError, message, call, argv)
+
+
+ND_PONG = load_fixture("nd_pong")
+
+
+# The command line refuses a negative --fuel or --samples itself, in its
+# own words, and sets no other bound of these laws.
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_two_sided_bisim(M_ACC, samples=-1),
+     "two-sided-bisim needs samples >= 0, got -1"),
+    (lambda: check_pickn(-1), "pickn needs n_max >= 0, got -1"),
+    (lambda: check_pickn(3, fuel=-1), "pickn needs fuel >= 0, got -1"),
+    (lambda: check_restart_cycle(M_ACC, firings=-1),
+     "restart-cycle needs firings >= 0, got -1"),
+    (lambda: check_restart_cycle(M_ACC, fuel=-1),
+     "restart-cycle needs fuel >= 0, got -1"),
+    (lambda: check_pebbled_reach(M_ACC, firings=-1),
+     "pebbled-reach needs firings >= 0, got -1"),
+    (lambda: check_pebbled_reach(M_ACC, fuel=-1),
+     "pebbled-reach needs fuel >= 0, got -1"),
+    (lambda: check_norm_probe(ND_RIGHT, ND_PONG, fuel=-1),
+     "norm-probe needs fuel >= 0, got -1"),
+    (lambda: check_norm_probe(ND_RIGHT, ND_PONG, epochs=-1),
+     "norm-probe needs epochs >= 0, got -1"),
+    (lambda: check_limit_correspondence(ND_PONG, A_OMEGA, fuel=-2),
+     "limit-correspondence needs fuel >= 0, got -2"),
+], ids=["two-sided-samples", "pickn-n", "pickn-fuel", "restart-firings", "restart-fuel",
+        "pebbled-firings", "pebbled-fuel", "norm-probe-fuel",
+        "norm-probe-epochs", "limit-correspondence-fuel"])
+def test_laws(capsys, tmp_path, call, message):
+    _refused(capsys, tmp_path, LawError, message, call, None)

@@ -1388,7 +1388,7 @@ class TestSearchOracle:
         flushes, lists = [], []
 
         def recording(untried, heap, done, goal, pending):
-            steps = untried[0][0].steps
+            steps = untried[0][0].steps + 1  # the children's, not parents'
             in_loop = bool(heap) and heap[0][0] >= steps
             lists.append(untried)
             pending = real(untried, heap, done, goal, pending)
@@ -1410,7 +1410,7 @@ class TestSearchOracle:
         res = self._check(trs, T(trs, "c(f, f)"), 1000, 3)
         assert res.found and print_term(res.normal_form) == "c(b, b)"
         assert flushes == [(2, True, False)]
-        assert lists[0] and all(c.steps == 3 for c, *_ in lists[0])
+        assert lists[0] and all(p.steps + 1 == 3 for p, *_ in lists[0])
 
     def test_goal_limit_pending_at_a_level_boundary(self, monkeypatch):
         # Both level-1 nodes are expanded; the flush before level 2 finds
@@ -1607,25 +1607,17 @@ class TestWorkCounts:
     in tests/golden/work_counts.json.  A change that moves a count updates
     the file and says which count moved, by how much and why."""
 
-    def _check(self, monkeypatch, job, trs, t, fuel, found):
-        res, counts = _work_counts(monkeypatch, trs, t, fuel)
+    @pytest.mark.parametrize("fixture, found", [
+        ("nd_right", True), ("nd_pong", False)])
+    def test_designated_search(self, monkeypatch, fixture, found):
+        # nd_right's designated search normalizes; nd_pong's exhausts
+        # its fuel.
+        from irw.encode import phi
+        from irw.laws import _designated_term, _fixture_words
+        m = load_fixture(fixture)
+        R = build_R(m)
+        t = _designated_term(R, phi(_fixture_words(m)[0], R.sig))
+        res, counts = _work_counts(monkeypatch, R, t, 10_000)
         assert res.found == found
+        job = f"{fixture} designated fuel 10000"
         assert counts == json.loads(WORK_COUNTS.read_text())[job]
-
-    def test_designated_search(self, monkeypatch):
-        from irw.encode import phi
-        from irw.laws import _designated_term, _fixture_words
-        right = load_fixture("nd_right")
-        R = build_R(right)
-        t = _designated_term(R, phi(_fixture_words(right)[0], R.sig))
-        self._check(monkeypatch, "nd_right designated fuel 10000", R, t,
-                    10_000, True)
-
-    def test_exhausting_search(self, monkeypatch):
-        from irw.encode import phi
-        from irw.laws import _designated_term, _fixture_words
-        pong = load_fixture("nd_pong")
-        R = build_R(pong)
-        t = _designated_term(R, phi(_fixture_words(pong)[0], R.sig))
-        self._check(monkeypatch, "nd_pong designated fuel 10000", R, t,
-                    10_000, False)

@@ -7,8 +7,9 @@ package imports nothing outside itself and the standard library, nor
 dataclasses; a fresh import of it leaves nothing of the old one alive;
 the term grammar has one reader; a one-sided machine has one
 successor function; the package reads no environment variable; every
-action the command line offers states its inputs in cli.USES; and one
-decorator alone switches the garbage collector."""
+action the command line offers states its inputs in cli.USES; one
+decorator alone switches the garbage collector; and the fingerprints that
+tools/same_outputs.py compares are deterministic and see a change."""
 
 import argparse
 import ast
@@ -352,3 +353,39 @@ def test_collector_switched_in_one_decorator():
     assert {(m, o) for m, o, f in switches if f in ("disable", "enable")} \
         == {("__init__", where)}
     assert {f for _, _, f in switches} == {"isenabled", "disable", "enable"}
+
+
+def _first_term(fp):
+    """The first ["term", printed form, canonical id] in a fingerprint."""
+    if isinstance(fp, list):
+        if fp[:1] == ["term"]:
+            return fp
+        for x in fp:
+            if (got := _first_term(x)) is not None:
+                return got
+    elif isinstance(fp, dict):
+        return _first_term(list(fp.values()))
+    return None
+
+
+def test_same_outputs_fingerprints():
+    # tools/same_outputs.py compares fingerprints of job outputs taken in
+    # separate processes.  A pass fingerprints alike in two processes, law
+    # reports' elapsed time included, and a hand-perturbed canonical id,
+    # verdict or missing job is reported as a difference.
+    tool = runpy.run_path(str(ROOT / "tools" / "same_outputs.py"))
+    fps, differences = tool["job_fingerprints"], tool["differences"]
+    got = {name: fps(ROOT, name, 1, small=True)
+           for name in ("search", "srs-bisim")}
+    for name, first in got.items():
+        assert first and first == fps(ROOT, name, 1, small=True)
+        assert differences(first, first) == []
+    search, laws = got["search"], got["srs-bisim"]
+    perturbed = json.loads(json.dumps(search))
+    _first_term(perturbed[0][1])[2] += 1
+    assert differences(search, perturbed) == [search[0][0]]
+    text = json.dumps(laws[-1])
+    assert '"holds"' in text
+    changed = json.loads(text.replace('"holds"', '"unknown"'))
+    assert differences(laws, laws[:-1] + [changed]) == [laws[-1][0]]
+    assert differences(laws, laws[:-1]) == [laws[-1][0]]
