@@ -342,11 +342,13 @@ def greedy_cycle_run(trs: Trs, start: Term, fuel: int,
                      stop_after_firings: Optional[int] = None) -> Trace:
     """Deterministic driver: strategy_steps in greedy_order, never a
     self-loop.  Stops when only self-loops remain, after fuel steps, or
-    one step after the requested number of restart firings."""
+    one step after the requested number of restart firings.  A negative
+    fuel is refused with LawError."""
+    _refuse_negative("greedy-cycle-run", fuel=fuel)
     run = strategy_steps(trs, start, DEFAULT_DEPTH_BOUND, greedy_order)
     steps = []
     firings = 0
-    for st in islice(run, max(fuel, 0)):
+    for st in islice(run, fuel):
         steps.append(st)
         if st.rule_id == "run":
             firings += 1
@@ -364,7 +366,8 @@ def check_restart_cycle(m: TmSpec, firings: int = 5,
     """Machines with halting states must admit arbitrarily many restart
     firings from run(T, pickn, pickn); machines without any halting rule
     admit at most one, certified structurally plus by bounded search.
-    Zero firings to find answer unknown."""
+    Zero firings to find, or a product walk that took no step from a
+    start with a redex, answer unknown."""
     _refuse_negative("restart-cycle", firings=firings, fuel=fuel)
     t0 = time.perf_counter()
     sys, start = build_S(m)
@@ -409,6 +412,10 @@ def check_restart_cycle(m: TmSpec, firings: int = 5,
     if worst > 1:
         return _finish(rep, t0, "refuted",
                        f"a path with {worst} firings exists")
+    # A walk of no step bounds nothing, unless the start is a normal form.
+    if not reach.edges and not reach.frontier_exhausted:
+        return _finish(rep, t0, "unknown",
+                       f"product walk took no step within fuel {fuel}")
     return _finish(rep, t0)
 
 

@@ -703,22 +703,27 @@ class ReachResult:
 
 
 def _try_untried(untried: list[tuple], heap: list[tuple], done: set[int],
-                 goal: Callable[[Term, int], bool],
-                 pending: Optional[_Node]) -> Optional[_Node]:
+                 goal: Callable[[Term, int], bool], pending: Optional[_Node],
+                 slept: tuple) -> tuple[Optional[_Node], tuple]:
     """Try the pumps of the untried children in push order and empty the
     list.  A certified limit whose key is not yet expanded, under a new
     parent node that holds the child's step unapplied, enters the heap
     under its reserved seq, or, if it is a goal, becomes the pending goal
-    when it closes in fewer (steps, closures).  Returns the pending goal."""
+    when it closes in fewer (steps, closures).  Returns the pending goal
+    and the greater of slept and the heap keys of the limits left out
+    because their key is expanded."""
     for parent, redex, hist, lengths, lseq in untried:
         hist[-1] = Step(*redex, parent.term, None)
         for length in lengths:
             cl = _try_pump(hist, len(hist) - 2 * length, length)
             if cl is not None:
                 break
-        if cl is None or (lk := canon_key(cl.limit)) in done:
+        if cl is None:
             continue
         steps, closures = parent.steps + 1, parent.closures + 1
+        if (lk := canon_key(cl.limit)) in done:
+            slept = max(slept, (steps, closures, lseq))
+            continue
         child = _Node(None, steps, parent.closures, parent, redex,
                       parent.epoch_len + 1)
         limit = _Node(cl.limit, steps, closures, child, cl, 0)
@@ -728,7 +733,7 @@ def _try_untried(untried: list[tuple], heap: list[tuple], done: set[int],
                 (pending.steps, pending.closures):
             pending = limit
     untried.clear()
-    return pending
+    return pending, slept
 
 
 @_collector_paused
@@ -760,8 +765,24 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
     closing run is not starved by level breadth, and a goal limit
     becomes ``pending`` before the first pop that could end the search
     on it.  A limit whose key was expanded since its parent is dropped
-    at the flush rather than popped as a duplicate.  The cyclic
-    collector is paused for the call.
+    at the flush rather than popped as a duplicate.
+
+    Sleep rule: a node reached by a step at position p pushes no redex
+    at a position q < p that is not a prefix of p, so disjoint from p,
+    unless the redex's rule id is one of its pump candidates; the root
+    and the limits push every redex.  The parent had the redex at q too,
+    and its child by q has the same (steps, closures) and a smaller seq.
+    Disjoint steps commute on the unfolding, so that child, or the
+    earlier node with its key, reaches the same term by the step at p
+    under a smaller heap key (or leaves it out by this rule, under one
+    smaller still): the entry left out would have been popped as a
+    duplicate.  It still takes its seq, so later seqs are unchanged.  A
+    pump candidate's limit is tried either way; its entry is kept so
+    that the heap cannot run dry before the flush that tries it.  The
+    greatest heap key left out, here or at a flush, is kept: if fuel
+    ends the loop before a pop passes it, the reason is ``fuel``, as it
+    would be with that duplicate in the heap.  The cyclic collector is
+    paused for the call.
     """
     if fuel < 0:
         raise TrsError("fuel must be >= 0")
@@ -779,9 +800,11 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
     deepest = root
     pending: Optional[_Node] = None  # goal reached via a fresh closure
     untried: list[tuple] = []  # (parent, redex, hist, lengths, limit seq)
+    slept: tuple = ()  # greatest key of an entry left out of the heap
     while heap and expansions < fuel:
         if untried and heap[0][0] > untried[0][0].steps:
-            pending = _try_untried(untried, heap, done, goal, pending)
+            pending, slept = _try_untried(untried, heap, done, goal,
+                                          pending, slept)
         entry = heapq.heappop(heap)
         if pending is not None and entry[0] >= pending.steps:
             break
@@ -809,18 +832,27 @@ def _search(trs: Trs, start: Term, goal: Callable[[Term, int], bool],
             periods = _pump_periods([s.rule_id for s in hist])
             hist.append(None)
         steps, closures = node.steps + 1, node.closures
+        p = node.move.position if node.epoch_len else ()
         for redex in find_redexes(trs, term, depth_bound):
-            heapq.heappush(heap, (steps, closures, seq, node, redex))
+            q = redex[0]
+            if q < p and p[:len(q)] != q and redex[1] not in periods:
+                slept = (steps, closures, seq)
+            else:
+                heapq.heappush(heap, (steps, closures, seq, node, redex))
             seq += 1
             if redex[1] in periods:
                 untried.append((node, redex, hist, periods[redex[1]], seq))
                 seq += 1
     if untried:
-        pending = _try_untried(untried, heap, done, goal, pending)
+        pending, slept = _try_untried(untried, heap, done, goal,
+                                      pending, slept)
     if pending is not None:
         return _node_trace(trs, pending, start), pending.term, {}
+    # An entry left out past the last pop still counts when fuel ended
+    # the loop: popped, it would have been a duplicate.
+    asleep = bool(slept) and expansions == fuel and slept > entry[:3]
     diag = {
-        "reason": "fuel" if heap else "frontier",
+        "reason": "fuel" if heap or asleep else "frontier",
         "expansions": expansions,
         "distinct_terms": len(done),
         "max_steps": deepest.steps,

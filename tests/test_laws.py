@@ -152,6 +152,25 @@ class TestRestartCycle:
         rep = check_restart_cycle(macc, firings=5, fuel=1)
         assert rep.verdict == "unknown"
 
+    def test_rej_walk_of_no_step_unknown(self, mrej):
+        # Fuel 0 expands nothing, so only the structural check would back
+        # a holds; one expansion already takes steps.
+        rep = check_restart_cycle(mrej, fuel=0)
+        assert (rep.verdict, rep.witness) == (
+            "unknown", "product walk took no step within fuel 0")
+        assert check_restart_cycle(mrej, fuel=1).verdict == "holds"
+
+    def test_rej_normal_form_start_holds(self, monkeypatch, mrej):
+        # A start with no redex exhausts the walk's frontier with no step
+        # taken, which bounds the firings at zero.
+        built = laws.build_S
+        monkeypatch.setattr(laws, "build_S", lambda m: (
+            built(m)[0], parse_term("T", built(m)[0].sig)))
+        rep = check_restart_cycle(mrej)
+        assert rep.verdict == "holds" and rep.lines == [
+            "no halt rules; max firings over 1 explored terms: 0"]
+        assert check_restart_cycle(mrej, fuel=0).verdict == "unknown"
+
 
 class TestPebbledReach:
     def test_acc(self, macc):
@@ -491,8 +510,11 @@ class TestUnknownReturns:
          "search took no step within fuel 0"),
         (["limit-correspondence", "--fixture", "nd_pong", "--fuel", "1"],
          "search took no step within fuel 1"),
+        # A walk of no step leaves only the structural check.
+        (["restart-cycle", "--fixture", "m_rej", "--fuel", "0"],
+         "product walk took no step within fuel 0"),
     ], ids=["pebbled-reach", "norm-probe", "limit-correspondence-0",
-            "limit-correspondence-1"])
+            "limit-correspondence-1", "restart-cycle"])
     def test_cli(self, capsys, argv, witness):
         code = main(["laws", *argv])
         lines = capsys.readouterr().out.splitlines()

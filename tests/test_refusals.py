@@ -8,12 +8,12 @@ import pytest
 
 from irw.cli import main
 from irw.encode import (
-    EncodeError, compile_construction, decode_config, emit_trs_file,
-    pebble_trs, pickn_trs,
+    EncodeError, build_S, compile_construction, decode_config,
+    emit_trs_file, pebble_trs, pickn_trs,
 )
 from irw.laws import (
     LawError, check_limit_correspondence, check_norm_probe, check_pebbled_reach,
-    check_pickn, check_restart_cycle, check_two_sided_bisim,
+    check_pickn, check_restart_cycle, check_two_sided_bisim, greedy_cycle_run,
 )
 from irw.machines import load_fixture, parse_machine
 from irw.omega import NdConfig, explore_runs, parse_word
@@ -288,8 +288,11 @@ ND_PONG = load_fixture("nd_pong")
      "norm-probe needs epochs >= 0, got -1"),
     (lambda: check_limit_correspondence(ND_PONG, A_OMEGA, fuel=-2),
      "limit-correspondence needs fuel >= 0, got -2"),
+    (lambda: greedy_cycle_run(*build_S(M_ACC), -5),
+     "greedy-cycle-run needs fuel >= 0, got -5"),
 ], ids=["two-sided-samples", "pickn-n", "pickn-fuel", "restart-firings", "restart-fuel",
         "pebbled-firings", "pebbled-fuel", "norm-probe-fuel",
-        "norm-probe-epochs", "limit-correspondence-fuel"])
+        "norm-probe-epochs", "limit-correspondence-fuel",
+        "greedy-cycle-run-fuel"])
 def test_laws(capsys, tmp_path, call, message):
     _refused(capsys, tmp_path, LawError, message, call, None)

@@ -1387,13 +1387,13 @@ class TestSearchOracle:
         real = irw.rewrite._try_untried
         flushes, lists = [], []
 
-        def recording(untried, heap, done, goal, pending):
+        def recording(untried, heap, done, goal, pending, slept):
             steps = untried[0][0].steps + 1  # the children's, not parents'
             in_loop = bool(heap) and heap[0][0] >= steps
             lists.append(untried)
-            pending = real(untried, heap, done, goal, pending)
+            pending, slept = real(untried, heap, done, goal, pending, slept)
             flushes.append((steps, in_loop, pending is not None))
-            return pending
+            return pending, slept
 
         monkeypatch.setattr(irw.rewrite, "_try_untried", recording)
         return flushes, lists
@@ -1441,6 +1441,69 @@ class TestSearchOracle:
         assert not res.reached and res.diagnostics["reason"] == "frontier"
         assert flushes == [(2, True, False), (3, True, False),
                            (4, True, False)]
+
+    @pytest.mark.parametrize("fuel, reason", [
+        (3, "fuel"), (4, "fuel"), (5, "frontier")])
+    def test_slept_entry_left_at_fuel_end(self, fuel, reason):
+        # With one epoch there is no pump candidate, and c(f, b) puts its
+        # left redex to sleep: c(b, f) pushes c(b, b) first.  After
+        # c(b, b), the fourth expansion, only that slept duplicate is
+        # left, so fuel 4 ends the search with work left.
+        trs = parse_trs("sig c/2 f/0 b/0 a/0\nrule s: f -> b\n")
+        res = self._check(trs, T(trs, "c(f, f)"), fuel, 1,
+                          target=T(trs, "a"))
+        assert res.diagnostics["reason"] == reason
+
+    @pytest.mark.parametrize("fuel, reason", [(5, "fuel"), (6, "frontier")])
+    def test_dropped_limit_left_at_fuel_end(self, fuel, reason):
+        # The flush before level 3 certifies rec X . a(X) again, after it
+        # was expanded, and drops it; the eager loop pushes it and pops
+        # it as a duplicate.  So fuel 5, which ends with a(a(a(f))), the
+        # last term within depth 2, ends the search with work left.
+        trs = parse_trs("sig f/0 a/1 b/0\nrule r: f -> a(f)\n")
+        res = self._check(trs, T(trs, "f"), fuel, 2, depth=2,
+                          target=T(trs, "b"))
+        assert res.diagnostics["reason"] == reason
+
+    def test_pump_candidate_left_of_the_move_kept(self, monkeypatch):
+        # c(f, a(f)), reached by r at (2,), keeps r at (1,): a pump
+        # candidate never sleeps.  c(b, a(f)), reached from c(b, b) by t
+        # at (2,), keeps its one redex, t at (1,), also a candidate.  Its
+        # sibling c(a(f), b) was expanded a level earlier, so that entry
+        # is all of level 4.  In the heap, it has the last pumps tried
+        # inside the loop, where the eager loop tries them; asleep, it
+        # would let the heap run dry before they are tried.
+        trs = parse_trs("sig c/2 f/0 a/1 b/0\nrule r: f -> a(f)\n"
+                        "rule s: c(f, x) -> c(x, b)\nrule t: b -> a(f)\n")
+        flushes, _ = self._flushes(monkeypatch)
+        res = self._check(trs, T(trs, "c(f, f)"), 60, 2, depth=1)
+        assert res.diagnostics["reason"] == "frontier"
+        assert flushes == [(2, True, False), (4, True, False)]
+
+    _RULES = ["f -> a(f)", "f -> b", "f -> c(f, f)", "f -> c(f, b)",
+              "b -> f", "a(x) -> x", "a(x) -> a(a(x))", "a(b) -> b",
+              "c(x, y) -> c(y, x)", "c(b, x) -> x", "c(x, b) -> a(x)",
+              "c(f, x) -> c(b, a(x))"]
+    _STARTS = ["c(f, f)", "c(c(f, f), f)", "c(f, c(b, f))", "a(c(f, f))",
+               "c(a(f), f)", "c(rec X . a(X), f)", "rec X . c(X, f)",
+               "rec X . c(f, X)"]
+    _TARGETS = ["b", "c(b, b)", "c(rec X . a(X), rec X . a(X))",
+                "rec X . c(X, b)", "c(c(b, b), b)"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from(_RULES), min_size=1, max_size=3,
+                    unique=True),
+           st.sampled_from(_STARTS), st.sampled_from([None] + _TARGETS),
+           st.sampled_from([3, 5, 8, 13, 40]), st.integers(0, 3),
+           st.integers(1, 4))
+    def test_binary_systems(self, rules, start, target, fuel, epochs, depth):
+        # Under the binary c, redexes at disjoint positions are common, so
+        # many children sleep; the search still agrees with the eager
+        # loop that pushes every child.
+        trs = parse_trs("sig c/2 f/0 a/1 b/0\n" + "".join(
+            f"rule r{k}: {rule}\n" for k, rule in enumerate(rules)))
+        self._check(trs, T(trs, start), fuel, epochs, depth,
+                    target=target and T(trs, target))
 
     def test_children_built_when_popped(self, monkeypatch):
         # A child pushed without a certified closure is a bare heap entry;
@@ -1603,9 +1666,10 @@ def _work_counts(monkeypatch, trs, t, fuel):
 
 
 class TestWorkCounts:
-    """Exact counts of the bounded search's work on two fixed jobs, kept
-    in tests/golden/work_counts.json.  A change that moves a count updates
-    the file and says which count moved, by how much and why."""
+    """Exact counts of the work of three fixed jobs, two bounded searches
+    and one CLI trace, kept in tests/golden/work_counts.json.  A change
+    that moves a count updates the file and says which count moved, by
+    how much and why."""
 
     @pytest.mark.parametrize("fixture, found", [
         ("nd_right", True), ("nd_pong", False)])
@@ -1620,4 +1684,27 @@ class TestWorkCounts:
         res, counts = _work_counts(monkeypatch, R, t, 10_000)
         assert res.found == found
         job = f"{fixture} designated fuel 10000"
+        assert counts == json.loads(WORK_COUNTS.read_text())[job]
+
+    def test_trace_close(self, monkeypatch, capsys, tmp_path):
+        # irw trs trace runs close_limit once over the whole run, which
+        # tries every start and period of it: a leftmost-outermost m_ext
+        # run never closes.
+        import irw.rewrite as rw
+        from irw.cli import main
+        from irw.encode import compile_construction, emit_trs_file
+        trs, _ = compile_construction("base", load_fixture("m_ext"))
+        path = tmp_path / "base_m_ext.trs"
+        path.write_text(emit_trs_file(trs))
+        counts = dict.fromkeys(["close_limit", "try_pump"], 0)
+        for name in ("close_limit", "_try_pump"):
+            def counted(*args, real=getattr(rw, name), count=name.lstrip("_")):
+                counts[count] += 1
+                return real(*args)
+            monkeypatch.setattr(rw, name, counted)
+        code = main(["trs", "trace", str(path), "--term", "q0(end, end)",
+                     "--fuel", "200"])
+        assert (code, capsys.readouterr().out.splitlines()[-1]) == (
+            2, "VERDICT: exhausted")
+        job = "trace base m_ext q0(end, end) fuel 200"
         assert counts == json.loads(WORK_COUNTS.read_text())[job]

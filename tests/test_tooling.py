@@ -22,6 +22,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import irw
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
@@ -372,8 +374,17 @@ def test_same_outputs_fingerprints():
     # tools/same_outputs.py compares fingerprints of job outputs taken in
     # separate processes.  A pass fingerprints alike in two processes, law
     # reports' elapsed time included, and a hand-perturbed canonical id,
-    # verdict or missing job is reported as a difference.
+    # verdict or missing job is reported as a difference.  Its --seeds
+    # list reads numbers and ranges in order and refuses anything else.
     tool = runpy.run_path(str(ROOT / "tools" / "same_outputs.py"))
+    parse = tool["parse_seeds"]
+    assert parse("1-3") == (1, 2, 3)
+    assert parse("1-3,11") == (1, 2, 3, 11)
+    assert parse("11,2-2") == (11, 2)
+    for bad in ("", "3-1", "1-", "-2", "1,,2", "a", "1-3,2", " 1"):
+        with pytest.raises(ValueError):
+            parse(bad)
+    assert tool["main"](["HEAD", "--seeds", "3-1"]) == 2
     fps, differences = tool["job_fingerprints"], tool["differences"]
     got = {name: fps(ROOT, name, 1, small=True)
            for name in ("search", "srs-bisim")}

@@ -1,9 +1,10 @@
 """Check that a revision and the working tree give the same job outputs.
 
-    python3 tools/same_outputs.py REV
+    python3 tools/same_outputs.py REV [--seeds 1-3,11]
 
 Checks REV out with ``git worktree`` into a temporary directory, removed
-when done.  For each benchmark workload at seeds 1-3 it runs one pass of
+when done.  For each benchmark workload at each seed (1-3 unless
+``--seeds`` lists others, as numbers and ranges) it runs one pass of
 the jobs in REV and one in the working tree, each in its own subprocess,
 through that checkout's ``perfbench/run.py`` (``set_up`` and
 ``run_pass``, read-only, with no bytecode written).  Every output is
@@ -15,12 +16,14 @@ calls by exit code and text.  A job that raised is fingerprinted by its
 error.
 
 Prints each job whose fingerprint differs and exits 0 only when none
-does; 1 when some differ, 2 when REV cannot be checked out.
+does; 1 when some differ, 2 when REV cannot be checked out or the
+arguments are malformed.
 Standard library only.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import subprocess
 import sys
@@ -30,7 +33,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("search", "srs-bisim", "trace-close", "omega-member")
-SEEDS = (1, 2, 3)
 
 # Run in a subprocess with a checkout's root, a workload, a seed and
 # "small" or "full": prints the fingerprint of each job's output as JSON.
@@ -91,14 +93,37 @@ def differences(old: list, new: list) -> list[str]:
     return [(a or b)[0] for a, b in zip_longest(old, new) if a != b]
 
 
+def parse_seeds(text: str) -> tuple[int, ...]:
+    """The seeds of a comma-separated list of numbers and ranges, such as
+    ``1-3,11``, in the order given.  Raises ValueError on anything else,
+    on a range that runs backwards and on a repeated seed."""
+    seeds: list[int] = []
+    for part in text.split(","):
+        lo, sep, hi = part.partition("-")
+        if not lo.isdigit() or (sep and not hi.isdigit()):
+            raise ValueError(f"not a seed or range of seeds: {part!r}")
+        first, last = int(lo), int(hi) if sep else int(lo)
+        if last < first:
+            raise ValueError(f"range runs backwards: {part!r}")
+        seeds += range(first, last + 1)
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"a seed is repeated: {text!r}")
+    return tuple(seeds)
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) != 1 or argv[0].startswith("-"):
-        print("usage: python3 tools/same_outputs.py REV", file=sys.stderr)
-        return 2
+    parser = argparse.ArgumentParser(prog="python3 tools/same_outputs.py")
+    parser.add_argument("rev")
+    parser.add_argument("--seeds", type=parse_seeds, default="1-3",
+                        help="seeds as numbers and ranges (default 1-3)")
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as stop:
+        return stop.code
     with tempfile.TemporaryDirectory() as tmp:
         rev = Path(tmp) / "rev"
         add = subprocess.run(["git", "-C", str(ROOT), "worktree", "add",
-                              "--detach", str(rev), argv[0]],
+                              "--detach", str(rev), args.rev],
                              capture_output=True, text=True)
         if add.returncode:
             print(add.stderr.strip(), file=sys.stderr)
@@ -106,7 +131,7 @@ def main(argv: list[str]) -> int:
         try:
             compared, differ = 0, 0
             for name in WORKLOADS:
-                for seed in SEEDS:
+                for seed in args.seeds:
                     old = job_fingerprints(rev, name, seed)
                     new = job_fingerprints(ROOT, name, seed)
                     compared += len(new)
@@ -116,7 +141,7 @@ def main(argv: list[str]) -> int:
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove",
                             "--force", str(rev)], capture_output=True)
-    print(f"{compared} jobs compared with {argv[0]}, {differ} differ")
+    print(f"{compared} jobs compared with {args.rev}, {differ} differ")
     return 1 if differ else 0
 
 
